@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import add
 from typing import Iterator
 
 MAX_LEAF_ENUM = 2_000_000
@@ -481,18 +482,32 @@ class PointSet:
         return len(self.points)
 
 
+def leaf_corners(tree: CubeTree, limit: int = MAX_LEAF_ENUM) -> list:
+    """The lower-left corners of the leaf cubes as integer points at
+    scale base^depth (corner * base^depth), sorted.  One level-order
+    pass: a child's corner is its parent's times base plus its key."""
+    if tree.leaf_count > limit:
+        raise DomainError(
+            f"leaf enumeration of {tree.leaf_count} exceeds {limit}")
+    layer = [((0,) * tree.dim, tree.root)]
+    for _ in range(tree.depth):
+        nxt = []
+        for corner, node in layer:
+            scaled = tuple([c * tree.base for c in corner])
+            for key, child in node.children:
+                nxt.append((tuple(map(add, scaled, key)), child))
+        layer = nxt
+    return sorted(corner for corner, _ in layer)
+
+
 def leaf_representatives(tree: CubeTree,
                          limit: int = MAX_LEAF_ENUM) -> PointSet:
     """One point per leaf cube: the lower-left corner (deterministic,
     always inside the half-open leaf footprint)."""
     scale = tree.base**tree.depth
-    pts = []
-    for path in tree.iter_leaf_paths(limit):
-        pts.append(tuple(
-            Fraction(_digits_to_int([key[i] for key in path], tree.base),
-                     scale)
-            for i in range(tree.dim)))
-    return PointSet(tree.base, tree.dim, tuple(sorted(pts)))
+    return PointSet(tree.base, tree.dim, tuple(
+        tuple(Fraction(v, scale) for v in corner)
+        for corner in leaf_corners(tree, limit)))
 
 
 @dataclass(frozen=True)
@@ -555,7 +570,14 @@ def write_bdt(tree: CubeTree, limit: int = MAX_LEAF_ENUM) -> str:
     return "\n".join(lines[:1] + body) + "\n"
 
 
-def _parse_leaf_line(line, base, dim, depth, line_no) -> Path:
+def _digit_table(base: int) -> dict:
+    """The ASCII digit characters valid in base `base`, mapped to their
+    values; any other character (a superscript, a letter) is a bad
+    digit."""
+    return {str(i): i for i in range(min(base, 10))}
+
+
+def _parse_leaf_line(line, digits, dim, depth, line_no) -> Path:
     parts = line.split(",")
     if len(parts) != dim:
         raise SetFormatError(line_no, f"expected {dim} coordinates")
@@ -564,13 +586,12 @@ def _parse_leaf_line(line, base, dim, depth, line_no) -> Path:
         if len(part) != depth and depth > 0:
             raise SetFormatError(
                 line_no, f"digit string '{part}' must have length {depth}")
-        digs = []
-        for ch in part:
-            if not ch.isdigit() or int(ch) >= base:
-                raise SetFormatError(line_no, f"bad digit '{ch}'")
-            digs.append(int(ch))
-        axes.append(tuple(digs))
-    return tuple(tuple(axis[j] for axis in axes) for j in range(depth))
+        try:
+            axes.append([digits[ch] for ch in part])
+        except KeyError as exc:
+            raise SetFormatError(line_no,
+                                 f"bad digit '{exc.args[0]}'") from None
+    return tuple(zip(*axes)) if depth else ()
 
 
 def read_bdt(text: str) -> CubeTree:
@@ -588,13 +609,15 @@ def read_bdt(text: str) -> CubeTree:
         raise SetFormatError(1, f"bad header field: {exc}") from None
     paths = []
     seen = set()
+    digits = _digit_table(base)
     for i, line in enumerate(lines[1:], start=2):
-        if not line.strip():
+        # a depth-0 tree in d = 1 has one empty leaf line: the root
+        if not line.strip() and depth > 0:
             raise SetFormatError(i, "blank line")
         if line in seen:
             raise SetFormatError(i, f"duplicate leaf line '{line}'")
         seen.add(line)
-        paths.append(_parse_leaf_line(line.strip(), base, dim, depth, i))
+        paths.append(_parse_leaf_line(line.strip(), digits, dim, depth, i))
     if not paths:
         raise SetFormatError(2, "no leaf lines")
     return CubeTree.from_leaves(base, dim, depth, paths)
@@ -630,6 +653,7 @@ def read_wdt(text: str) -> WindowedSet:
     except ValueError as exc:
         raise SetFormatError(1, f"bad header field: {exc}") from None
     windows = []
+    digits = _digit_table(base)
     i = 1
     while i < len(lines):
         parts = lines[i].split()
@@ -651,7 +675,7 @@ def read_wdt(text: str) -> WindowedSet:
         if not leaf_lines:
             raise SetFormatError(i, "window has no leaf lines")
         depth = len(leaf_lines[0][1].split(",")[0])
-        paths = [_parse_leaf_line(line, base, dim, depth, ln)
+        paths = [_parse_leaf_line(line, digits, dim, depth, ln)
                  for ln, line in leaf_lines]
         tree = CubeTree.from_leaves(base, dim, depth, paths)
         windows.append(Window(offset, m, tree))

@@ -8,7 +8,7 @@ integer powers; nothing here touches floating point except the final
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd as math_gcd
+from math import floor as math_floor, gcd as math_gcd
 
 
 def iroot(n: int, k: int) -> int:
@@ -126,6 +126,47 @@ def badic_power_sum_le(base: int, term_exps: list[int], bound_exp: int,
             return False
         bits *= 2
     raise ArithmeticError("could not resolve power-sum comparison "
+                          f"within {max_bits} bits of precision")
+
+
+def _lambda_power(M: int, alpha: Fraction, k: int):
+    """lam^k = M^(-qk/p) for alpha = p/q as a Fraction, or None when it
+    is irrational."""
+    p, q = alpha.numerator, alpha.denominator
+    root = iroot(M ** (q * k), p)
+    return Fraction(1, root) if root**p == M ** (q * k) else None
+
+
+def floor_lambda(c: Fraction, M: int, alpha: Fraction, k: int,
+                 minus: int = None, max_bits: int = 65536) -> int:
+    """floor(c * lam^k), or floor(c * (lam^k - lam^minus)) when `minus`
+    is given, for lam = M^(-1/alpha) and rational c >= 0, exactly.
+
+    With alpha = p/q, x = c lam^k satisfies x^p = c^p / M^(qk), so
+    floor(x) = iroot(floor(x^p), p).  A difference of two powers is
+    exact when both are rational; otherwise it is irrational (the powers
+    of lam below the first rational one are linearly independent over
+    the rationals), so bracketing it between integer-root bounds on lam
+    of doubling precision ends once both ends have the same floor.
+    """
+    c = Fraction(c)
+    p, q = alpha.numerator, alpha.denominator
+    if minus is None:
+        return iroot(c.numerator**p
+                     // (c.denominator**p * M ** (q * k)), p)
+    a, b = _lambda_power(M, alpha, k), _lambda_power(M, alpha, minus)
+    if a is not None and b is not None:
+        return math_floor(c * (a - b))
+    bits = 32
+    while bits <= max_bits:
+        # r <= M^(q/p) 2^bits < r + 1, so lo < lam < hi
+        r = iroot(M**q << (bits * p), p)
+        lo, hi = Fraction(1 << bits, r + 1), Fraction(1 << bits, r)
+        low = math_floor(c * (lo**k - hi**minus))
+        if low == math_floor(c * (hi**k - lo**minus)):
+            return low
+        bits *= 2
+    raise ArithmeticError("could not resolve floor(c (lam^k - lam^j)) "
                           f"within {max_bits} bits of precision")
 
 

@@ -218,6 +218,19 @@ def _validate_target(M: int, dim: int, alpha: Fraction, eps: Fraction):
     return N, paper_corner_ok
 
 
+def _min_key_chain(node, sub) -> tuple:
+    """The keys of the source's minimum-key chain from the cube at `sub`
+    below `node` down to full depth, so that a kept cube is padded with
+    points of the source (the all-zero chain on a full tree)."""
+    for key in sub:
+        node = node.child(key)
+    chain = []
+    while node.children:
+        key, node = node.children[0]
+        chain.append(key)
+    return tuple(chain)
+
+
 def construct_subset_assouad(tree: CubeTree, alpha: Fraction, eps: Fraction,
                              stages: int, strategy: str = "greedy",
                              seed: int = 0) -> ConstructionTrace:
@@ -235,7 +248,6 @@ def construct_subset_assouad(tree: CubeTree, alpha: Fraction, eps: Fraction,
         raise DomainError(
             f"alpha {float(alpha):.6f} exceeds the source estimate "
             f"{source:.6f}")
-    zero = tuple(0 for _ in range(d))
     trace = ConstructionTrace(alpha, eps, N, paper_corner_ok=paper_corner_ok)
     leaves = set()
     n = 1
@@ -251,8 +263,9 @@ def construct_subset_assouad(tree: CubeTree, alpha: Fraction, eps: Fraction,
                       check_hypotheses=False)
         bound_ok = count_meets_power_bound(piece.leaf_count, M, n, N, eps / 2)
         new_leaves = set()
+        window = tree.node_at(path)
         for sub in piece.iter_leaf_paths():
-            full_path = path + sub + (zero,) * (D - level - n)
+            full_path = path + sub + _min_key_chain(window, sub)
             if full_path not in leaves:
                 new_leaves.add(full_path)
         leaves |= new_leaves

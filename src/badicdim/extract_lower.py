@@ -2,20 +2,26 @@
 geometrically shrinking radii, with the scale ratio chosen so that
 lambda^alpha * M = 1.
 
-Radii are exact: when M^(q/p) is an integer (alpha = p/q) everything is
-a Fraction; otherwise radii fall back to exact sympy powers so that all
-disjointness and nesting checks stay decidable.
+The construction and its verifier work on integer lattice points: the
+source's corners at one scale D (base^w for a tree).  For each radius
+pair they compute the three integer thresholds of `geometry.Level`
+once, exactly (`exactmath.floor_lambda`), so every in-ball,
+disjointness and nesting decision is one integer comparison, whether
+lambda = M^(-q/p) (alpha = p/q) is rational or not.  Centers become
+Fractions when they are stored in the `BallTree`.  Sympy only formats
+the irrational radii of the verification TSV.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import lcm
 
 from . import geometry
-from .core import CubeTree, DomainError, PointSet, leaf_representatives
+from .core import CubeTree, DomainError, PointSet, leaf_corners
 from .estimators import lower_dimension_report
-from .exactmath import iroot
+from .exactmath import floor_lambda, iroot, pow_at_most
 
 
 def _lambda_for(M: int, alpha: Fraction):
@@ -81,25 +87,26 @@ class BallTree:
 def select_packing_children(points, center, R, r, M: int):
     """Pick M centers (the anchor first) whose r-balls are pairwise
     disjoint and inside B(center, R): greedy lexicographic over the
-    packing candidates.  Requires packing count >= M + 3^d."""
+    packing candidates.  Requires packing count >= M + 3^d.  `R, r` are
+    exact radii, or a `geometry.Level` and None."""
     pts = sorted(set(tuple(p) for p in points))
     if center not in pts:
         raise DomainError("anchor center must belong to the point set")
+    lv = geometry.level_of(R, r)
     d = len(center)
-    achieved = len(geometry.greedy_packing(pts, center, R, r))
+    achieved = len(geometry.greedy_packing(pts, center, lv))
     if achieved < M + 3**d:
         raise DomainError(
             f"insufficient packing: need >= {M + 3**d}, achieved "
             f"{achieved}")
+    dist = geometry.dist_inf
     chosen = [center]
     for p in pts:
         if len(chosen) == M:
             break
-        if p == center:
+        if p == center or dist(p, center) > lv.nested:
             continue
-        if not geometry.ball_in_ball(p, r, center, R):
-            continue
-        if all(geometry.balls_disjoint(p, q, r) for q in chosen):
+        if all(dist(p, q) > lv.apart for q in chosen):
             chosen.append(p)
     if len(chosen) < M:
         raise DomainError(
@@ -107,18 +114,51 @@ def select_packing_children(points, center, R, r, M: int):
     return chosen
 
 
-def _tree_points(tree: CubeTree, params: LowerParams) -> PointSet:
-    """Corners of the tree at a resolution fine enough for the deepest
-    radius; avoids enumerating all leaves of very deep trees."""
-    r_min = params.radius(params.depth)
-    w = 1
-    while w < tree.depth and not Fraction(2, tree.base**w) <= r_min:
+def _level(params: LowerParams, D: int, j: int, k: int) -> geometry.Level:
+    """Integer thresholds of the radius pair (R_j, R_k) on the lattice of
+    spacing 1/D."""
+    c, M, alpha = params.R0 * D, params.M, Fraction(params.alpha)
+    return geometry.Level(floor_lambda(c, M, alpha, j),
+                          floor_lambda(2 * c, M, alpha, k),
+                          floor_lambda(c, M, alpha, j, k))
+
+
+def _lattice(points):
+    """(D, integer points) for rational points: D is their least common
+    denominator."""
+    D = lcm(*(v.denominator for x in points for v in x))
+    return D, [tuple(v.numerator * (D // v.denominator) for v in x)
+               for x in points]
+
+
+def _tree_lattice(tree: CubeTree, params: LowerParams):
+    """(D, sorted integer corners) of the tree at a depth w fine enough
+    for the deepest radius, D = base^w; avoids enumerating all leaves of
+    very deep trees."""
+    c, M, alpha = params.R0, params.M, Fraction(params.alpha)
+    w = 1  # the first w with 2 / base^w <= R_depth
+    while w < tree.depth and floor_lambda(c * tree.base**w, M, alpha,
+                                          params.depth) < 2:
         w += 1
     while w < tree.depth and tree.count_at_depth(w) < 4 * (
             params.M + 3**tree.dim):
         w += 1
-    return leaf_representatives(tree.subtree((), w) if w < tree.depth
-                                else tree)
+    w = min(w, tree.depth)
+    sub = tree.subtree((), w) if w < tree.depth else tree
+    return tree.base**w, leaf_corners(sub)
+
+
+def _check_source(source: CubeTree, params: LowerParams):
+    """The source's lower estimate at its last scale k must reach
+    alpha+eps: count >= base^(k (alpha+eps)), decided in integers."""
+    report = lower_dimension_report(source)
+    head = report.headline
+    last = report.records[-1]
+    target = Fraction(params.alpha + params.eps)
+    if not pow_at_most(source.base, last.k * target, last.count):
+        raise DomainError(
+            f"source lower estimate {head:.6f} below "
+            f"alpha+eps={float(target):.6f}")
 
 
 def construct_subset_lower(source, params: LowerParams,
@@ -127,33 +167,36 @@ def construct_subset_lower(source, params: LowerParams,
     PointSet or a CubeTree whose leaf corners are used)."""
     if isinstance(source, CubeTree):
         if check_source_estimate:
-            head = lower_dimension_report(source).headline
-            if head + 1e-9 < float(params.alpha + params.eps):
-                raise DomainError(
-                    f"source lower estimate {head:.6f} below "
-                    f"alpha+eps={float(params.alpha + params.eps):.6f}")
-        points = _tree_points(source, params)
+            _check_source(source, params)
+        D, pts = _tree_lattice(source, params)
     elif isinstance(source, PointSet):
-        points = source
+        D, pts = _lattice(source.points)
+        pts.sort()
     else:
         raise DomainError(f"unsupported source type {type(source)!r}")
-    pts = list(points.points)
     if not pts:
         raise DomainError("empty source set")
-    tree = BallTree(params, points.dim)
-    tree.centers[()] = min(pts)
+    centers = {(): pts[0]}
+    words = [()]
     for k in range(params.depth):
-        R, r = params.radius(k), params.radius(k + 1)
-        for word in tree.level_words(k):
-            x = tree.centers[word]
-            local = [p for p in pts if geometry.in_ball(p, x, R)]
+        lv = _level(params, D, k, k + 1)
+        next_words = []
+        for word in words:
+            x = centers[word]
+            local = geometry.ball_points(pts, x, lv.inside)
             try:
-                children = select_packing_children(local, x, R, r, params.M)
+                children = select_packing_children(local, x, lv, None,
+                                                   params.M)
             except DomainError as exc:
                 raise DomainError(
                     f"at word {word or '(root)'}: {exc}") from None
             for i, c in enumerate(children, start=1):
-                tree.centers[word + (i,)] = c
+                centers[word + (i,)] = c
+                next_words.append(word + (i,))
+        words = next_words
+    tree = BallTree(params, source.dim)
+    tree.centers = {w: tuple(Fraction(v, D) for v in x)
+                    for w, x in centers.items()}
     return tree
 
 
@@ -194,25 +237,24 @@ class LowerVerification:
         return "\n".join(lines) + "\n"
 
 
-def _check_invariants(tree: BallTree):
+def _check_invariants(tree: BallTree, D: int, lattice: dict):
     p = tree.params
+    dist = geometry.dist_inf
     failures = []
     for k in range(1, p.depth + 1):
         words = tree.level_words(k)
-        centers = [tree.centers[w] for w in words]
-        rk = p.radius(k)
+        centers = [lattice[w] for w in words]
+        lv = _level(p, D, k - 1, k)
         for i in range(len(centers)):
             for j in range(i + 1, len(centers)):
-                if not geometry.balls_disjoint(centers[i], centers[j], rk):
+                if not dist(centers[i], centers[j]) > lv.apart:
                     failures.append(
                         f"level {k}: balls at {words[i]} and {words[j]} "
                         f"intersect")
         for w in words:
-            parent = tree.centers[w[:-1]]
-            if not geometry.ball_in_ball(tree.centers[w], rk, parent,
-                                         p.radius(k - 1)):
+            if dist(lattice[w], lattice[w[:-1]]) > lv.nested:
                 failures.append(f"ball at {w} escapes its parent")
-            if w[-1] == 1 and tree.centers[w] != parent:
+            if w[-1] == 1 and lattice[w] != lattice[w[:-1]]:
                 failures.append(f"anchor violated at {w}")
     return failures
 
@@ -222,29 +264,33 @@ def verify_lower_bounds(tree: BallTree) -> LowerVerification:
     center x and every radius pair (R_j, R_{j+k}), check
     N*_r(F n B(x, R)) >= (R/r)^alpha / (M+1), where (R/r)^alpha = M^k
     exactly because lambda^alpha M = 1.  Also checks the level
-    cardinalities and the exact box-count ratio."""
+    cardinalities and the exact box-count ratio.  Packings are counted
+    on the centers' integer lattice."""
     p = tree.params
     M = p.M
-    failures = _check_invariants(tree)
+    D, points = _lattice(list(tree.centers.values()))
+    lattice = dict(zip(tree.centers, points))
+    failures = _check_invariants(tree, D, lattice)
     cardinality_ok = all(
         len(tree.level_words(k)) == M**k for k in range(p.depth + 1))
-    pts = tree.leaf_points
+    leaf_words = tree.level_words(p.depth)
+    ordered = sorted(lattice[w] for w in leaf_words)
     rows = []
     for j in range(p.depth):
         for k in range(1, p.depth - j + 1):
             R, r = p.radius(j), p.radius(j + k)
+            lv = _level(p, D, j, j + k)
             bound_num, bound_den = M**k, M + 1
-            for x in pts:
-                if tree.dim == 1:
-                    n_star = geometry.exact_packing(pts, x, R, r)
+            for w in leaf_words:
+                x = lattice[w]
+                local = geometry.ball_points(ordered, x, lv.inside)
+                if (tree.dim == 1
+                        or len(local) <= geometry.EXACT_PACKING_LIMIT):
+                    n_star = geometry.exact_packing(local, x, lv)
                 else:
-                    cands = [q for q in pts if geometry.in_ball(q, x, R)]
-                    if len(cands) <= geometry.EXACT_PACKING_LIMIT:
-                        n_star = geometry.exact_packing(pts, x, R, r)
-                    else:
-                        n_star = len(geometry.greedy_packing(pts, x, R, r))
+                    n_star = len(geometry.greedy_packing(local, x, lv))
                 ok = n_star * bound_den >= bound_num
-                rows.append(LowerBoundRow(x, R, r, n_star,
+                rows.append(LowerBoundRow(tree.centers[w], R, r, n_star,
                                           bound_num, bound_den, ok))
     # box ratio log(M^n) / -log(R0 lambda^n) as an exact rational
     q_, p_ = p.alpha.denominator, p.alpha.numerator

@@ -1,19 +1,50 @@
-"""Max-metric ball geometry on exact coordinates.
+"""Max-metric ball geometry with exact decisions.
 
 Balls are axis-aligned cubes: B(x, r) = prod_i [x_i - r, x_i + r].
-Disjointness of two closed r-balls is dist > 2r; containment
-B(y, r) subset B(c, R) is dist(y, c) + r <= R.  All comparisons are
-exact as long as the inputs support exact ordering (Fraction does;
-sympy expressions do too).
+Every decision compares a distance n = dist_inf(y, c) with one of the
+three thresholds of a radius pair (R, r), held in a `Level`:
+
+- y lies in B(c, R) iff n <= R (`inside`);
+- the r-balls at y and c are disjoint iff n > 2r (`apart`);
+- B(y, r) lies inside B(c, R) iff n <= R - r (`nested`).
+
+For exact coordinates (Fraction) the thresholds are these numbers
+themselves.  On an integer lattice of spacing 1/D they are the floors
+of R D, 2r D and (R - r) D: for an integer n, n <= t iff n <= floor(t)
+and n > t iff n > floor(t).  So a caller with irrational radii computes
+three integers once (`exactmath.floor_lambda`) and every decision is a
+comparison of integers.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from fractions import Fraction
+from operator import itemgetter
+from typing import NamedTuple
 
 from .core import DomainError
 
 EXACT_PACKING_LIMIT = 20
+
+
+class Level(NamedTuple):
+    """Decision thresholds of one radius pair (R, r); see the module
+    docstring."""
+
+    inside: object
+    apart: object
+    nested: object
+
+
+def level_of(R, r=None) -> Level:
+    """The thresholds of exact radii R > r, or `R` itself when it is
+    already a `Level` and `r` is left out (the integer-lattice case)."""
+    if r is None:
+        return R
+    if not r < R:
+        raise DomainError("packing requires r < R")
+    return Level(R, 2 * r, R - r)
 
 
 def dist_inf(x, y) -> Fraction:
@@ -32,59 +63,77 @@ def in_ball(y, c, R) -> bool:
     return dist_inf(y, c) <= R
 
 
-def greedy_packing(points, center, R, r):
+def ball_points(pts, center, inside) -> list:
+    """The points of the lexicographically sorted list `pts` within
+    distance `inside` of `center`, in order.  Their first coordinates
+    form one bisected slice, which in d = 1 is the whole answer."""
+    c0 = center[0]
+    lo = bisect_left(pts, (c0 - inside,))
+    hi = bisect_right(pts, c0 + inside, lo, key=itemgetter(0))
+    if len(center) == 1:
+        return pts[lo:hi]
+    return [p for p in pts[lo:hi] if dist_inf(p, center) <= inside]
+
+
+def _sweep(cands, apart) -> list:
+    """Greedy packing of sorted 1-D points: keep a point when it lies
+    more than `apart` past the last point kept.  The last kept point is
+    the nearest kept one, so this is the lexicographic greedy, and it is
+    a maximum packing (interval scheduling)."""
+    kept = []
+    last = None
+    for p in cands:
+        if last is None or p[0] - last > apart:
+            kept.append(p)
+            last = p[0]
+    return kept
+
+
+def greedy_packing(points, center, R, r=None):
     """Maximal packing: scan candidates in lexicographic order, accept a
     point if it lies in B(center, R) and its r-ball is disjoint from all
     accepted balls.  Returns the accepted centers (a valid packing-number
-    lower-bound certificate).
+    lower-bound certificate).  `R, r` are exact radii or a `Level` (see
+    `level_of`).
 
     Packings count disjoint r-balls with centers in B(center, R); this
     makes every point of the ball a candidate, which is what the
     cover/packing sandwich argument needs."""
-    if not r < R:
-        raise DomainError("packing requires r < R")
+    lv = level_of(R, r)
+    cands = ball_points(sorted(points), center, lv.inside)
+    if len(center) == 1:
+        return _sweep(cands, lv.apart)
     accepted = []
-    for p in sorted(points):
-        if not in_ball(p, center, R):
-            continue
-        if all(balls_disjoint(p, q, r) for q in accepted):
+    for p in cands:
+        if all(dist_inf(p, q) > lv.apart for q in accepted):
             accepted.append(p)
     return accepted
 
 
-def exact_packing_1d(points, center, R, r) -> int:
-    """Exact maximum packing for d = 1 via interval scheduling."""
-    if not r < R:
-        raise DomainError("packing requires r < R")
-    cands = sorted(p[0] for p in points if in_ball(p, center, R))
-    count = 0
-    last = None
-    for x in cands:
-        if last is None or x - last > 2 * r:
-            count += 1
-            last = x
-    return count
+def exact_packing_1d(points, center, R, r=None) -> int:
+    """Exact maximum packing for d = 1: the greedy sweep is optimal."""
+    lv = level_of(R, r)
+    return len(_sweep(ball_points(sorted(points), center, lv.inside),
+                      lv.apart))
 
 
-def exact_packing(points, center, R, r,
+def exact_packing(points, center, R, r=None,
                   limit: int = EXACT_PACKING_LIMIT) -> int:
     """True maximum packing number N*_r(points  intersect  B(center, R)).
 
     d = 1 is solved exactly at any size; otherwise branch and bound over
     at most `limit` candidates (hard error above, never a silent
-    fallback).
+    fallback).  `R, r` are exact radii or a `Level` (see `level_of`).
     """
-    if not r < R:
-        raise DomainError("packing requires r < R")
-    pts = sorted(points)
-    if pts and len(pts[0]) == 1:
-        return exact_packing_1d(pts, center, R, r)
-    cands = [p for p in pts if in_ball(p, center, R)]
+    lv = level_of(R, r)
+    if len(center) == 1:
+        return exact_packing_1d(points, center, lv)
+    cands = ball_points(sorted(points), center, lv.inside)
     if len(cands) > limit:
         raise DomainError(
             f"exact packing limited to {limit} candidates, got {len(cands)}")
     n = len(cands)
-    conflict = [[not balls_disjoint(cands[i], cands[j], r)
+    conflict = [[not dist_inf(cands[i], cands[j]) > lv.apart
                  for j in range(n)] for i in range(n)]
     best = 0
 

@@ -163,6 +163,14 @@ def test_malformed_file_reports_line(tmp_path, capsys):
     assert "line 3" in err
 
 
+def test_superscript_digit_exits_2(tmp_path, capsys):
+    bad = tmp_path / "bad.bdt"
+    bad.write_text("bdt b=4 d=1 n=2\n00\n0\u00b2\n", encoding="utf-8")
+    code, _, err = run(capsys, "info", "--in", str(bad))
+    assert code == 2
+    assert "line 3" in err and "Traceback" not in err
+
+
 def test_workers_flag_same_output(tmp_path, capsys):
     path = str(tmp_path / "w.wdt")
     run(capsys, "gen", "lattice-window", "--base", "2", "--dim", "1",

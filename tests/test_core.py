@@ -138,6 +138,30 @@ def test_bdt_parse_errors_report_lines():
     assert e.value.line_no == 3  # duplicate leaf
 
 
+@pytest.mark.parametrize("dim", [1, 2])
+def test_depth0_roundtrip(dim):
+    # the root's leaf line is empty in d = 1 and "," in d = 2
+    t = CubeTree.full(2, dim, 0)
+    back = read_bdt(write_bdt(t))
+    assert back.depth == 0 and back.leaf_count == 1
+    assert back.contains_tree(t) and t.contains_tree(back)
+    ws = WindowedSet(2, dim, [Window((0,) * dim, 0, t)])
+    wback = read_wdt(write_wdt(ws))
+    assert wback.windows[0].tree.depth == 0
+    assert wback.windows[0].tree.leaf_count == 1
+
+
+@pytest.mark.parametrize("digit", ["\u00b2", "\u0663", "a", "-"])
+def test_non_ascii_or_bad_digit_is_a_format_error(digit):
+    # '\u00b2' (superscript two) passes str.isdigit() but not int()
+    with pytest.raises(SetFormatError) as e:
+        read_bdt(f"bdt b=4 d=1 n=2\n01\n0{digit}\n")
+    assert e.value.line_no == 3
+    with pytest.raises(SetFormatError) as e:
+        read_wdt(f"wdt b=4 d=1 windows=1\nwindow off=0 m=2\n{digit}1\n")
+    assert e.value.line_no == 3
+
+
 def test_wdt_roundtrip():
     t1 = CubeTree.full(2, 1, 2)
     t2 = CubeTree.from_leaves(2, 1, 2, [((0,), (1,))])

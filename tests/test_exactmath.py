@@ -2,11 +2,11 @@ import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from badicdim.exactmath import (badic_power_sum_le, count_meets_power_bound,
-                                floor_power, iroot, parse_fraction,
-                                pow_at_least, pow_at_most)
+                                floor_lambda, floor_power, iroot,
+                                parse_fraction, pow_at_least, pow_at_most)
 
 
 @given(st.integers(min_value=0, max_value=10**24),
@@ -85,6 +85,49 @@ def test_power_sum_matches_float_when_unambiguous(base, exps, bound, t):
     rhs = base ** (bound * float(t))
     if abs(lhs - rhs) > 1e-6 * max(lhs, rhs):
         assert badic_power_sum_le(base, exps, bound, t) == (lhs < rhs)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(min_value=2, max_value=7),
+       st.builds(Fraction, st.integers(min_value=1, max_value=5),
+                 st.integers(min_value=1, max_value=5)),
+       st.builds(Fraction, st.integers(min_value=1, max_value=9),
+                 st.integers(min_value=1, max_value=9)),
+       st.one_of(st.integers(min_value=1, max_value=6**6),
+                 st.integers(min_value=1, max_value=10**40)),
+       st.integers(min_value=0, max_value=4),
+       st.one_of(st.none(), st.integers(min_value=1, max_value=3)))
+def test_floor_lambda_matches_sympy_floor(M, alpha, R0, D, k, step):
+    import sympy
+    if alpha > 1:
+        alpha = 1 / alpha
+    p, q = alpha.numerator, alpha.denominator
+    lam = sympy.Integer(M) ** sympy.Rational(-q, p)
+    c = sympy.Rational(R0.numerator * D, R0.denominator)
+    if step is None:
+        expected = sympy.floor(c * lam**k)
+    else:
+        expected = sympy.floor(c * (lam**k - lam ** (k + step)))
+    minus = None if step is None else k + step
+    assert floor_lambda(R0 * D, M, alpha, k, minus) == int(expected)
+
+
+def test_floor_lambda_examples():
+    # lambda = 1/16 (M = 4, alpha = 1/2): floor(100/16) = 6
+    assert floor_lambda(Fraction(100), 4, Fraction(1, 2), 1) == 6
+    assert floor_lambda(Fraction(256), 4, Fraction(1, 2), 1, 2) == 15
+    # lambda = 5^(-5/2) = 0.01788...: floor(1000 lambda) = 17,
+    # floor(1000 (lambda - lambda^2)) = 17
+    assert floor_lambda(Fraction(1000), 5, Fraction(2, 5), 1) == 17
+    assert floor_lambda(Fraction(1000), 5, Fraction(2, 5), 1, 2) == 17
+    # lambda = 2^(-9/2): lambda^0 - lambda^2 = 1 - 2^-9 is rational
+    assert floor_lambda(Fraction(2**9), 2, Fraction(2, 9), 0, 2) == 511
+    # at c = 10^40 the 32-bit bounds on lambda are far too coarse, so
+    # the bracket must be refined before the floor is certain
+    import sympy
+    lam = sympy.Integer(5) ** sympy.Rational(-5, 2)
+    assert floor_lambda(Fraction(10**40), 5, Fraction(2, 5), 1, 2) == int(
+        sympy.floor(10**40 * (lam - lam**2)))
 
 
 def test_parse_fraction():

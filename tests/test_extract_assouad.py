@@ -133,6 +133,16 @@ def test_construct_assouad_resolution_exhaustion():
         construct_subset_assouad(E, Fraction(1, 2), Fraction(1, 4), 5)
 
 
+@pytest.mark.parametrize("seed", range(12))
+def test_construct_assouad_output_is_subset_of_random_source(seed):
+    # random trees lack the all-zero chain below most cubes, so kept
+    # cubes must be padded with chains the source holds
+    source = random_branching_tree(2, 1, 20, 2, seed).rebase(4)
+    trace = construct_subset_assouad(source, Fraction(1, 4),
+                                     Fraction(1, 4), 2)
+    assert source.contains_tree(trace.tree)
+
+
 def test_construct_trace_tsv_columns():
     E = CubeTree.full(2, 1, 20).rebase(4)
     trace = construct_subset_assouad(E, Fraction(1, 2), Fraction(1, 4), 2)
