@@ -10,6 +10,10 @@ from __future__ import annotations
 from fractions import Fraction
 from math import floor as math_floor, gcd as math_gcd
 
+# Precision cap of the bracketing loops below.  Both loops are proven to
+# end; the cap only turns runaway work into an ArithmeticError.
+_MAX_BITS = 65536
+
 
 def iroot(n: int, k: int) -> int:
     """Floor of the k-th root of a nonnegative integer."""
@@ -70,7 +74,7 @@ def count_meets_power_bound(count: int, base: int, n: int, N: int,
 
 
 def badic_power_sum_le(base: int, term_exps: list[int], bound_exp: int,
-                       alpha_eps: Fraction, max_bits: int = 65536) -> bool:
+                       alpha_eps: Fraction, max_bits: int = _MAX_BITS) -> bool:
     """Decide sum_i (b^e_i)^t <= (b^L)^t exactly, t = alpha_eps > 0.
 
     All quantities are powers of `base` with rational exponent n_i/q.
@@ -138,7 +142,7 @@ def _lambda_power(M: int, alpha: Fraction, k: int):
 
 
 def floor_lambda(c: Fraction, M: int, alpha: Fraction, k: int,
-                 minus: int = None, max_bits: int = 65536) -> int:
+                 minus: int = None) -> int:
     """floor(c * lam^k), or floor(c * (lam^k - lam^minus)) when `minus`
     is given, for lam = M^(-1/alpha) and rational c >= 0, exactly.
 
@@ -158,7 +162,7 @@ def floor_lambda(c: Fraction, M: int, alpha: Fraction, k: int,
     if a is not None and b is not None:
         return math_floor(c * (a - b))
     bits = 32
-    while bits <= max_bits:
+    while bits <= _MAX_BITS:
         # r <= M^(q/p) 2^bits < r + 1, so lo < lam < hi
         r = iroot(M**q << (bits * p), p)
         lo, hi = Fraction(1 << bits, r + 1), Fraction(1 << bits, r)
@@ -167,7 +171,7 @@ def floor_lambda(c: Fraction, M: int, alpha: Fraction, k: int,
             return low
         bits *= 2
     raise ArithmeticError("could not resolve floor(c (lam^k - lam^j)) "
-                          f"within {max_bits} bits of precision")
+                          f"within {_MAX_BITS} bits of precision")
 
 
 def parse_fraction(text: str) -> Fraction:

@@ -275,11 +275,15 @@ def verify_lower_bounds(tree: BallTree) -> LowerVerification:
         len(tree.level_words(k)) == M**k for k in range(p.depth + 1))
     leaf_words = tree.level_words(p.depth)
     ordered = sorted(lattice[w] for w in leaf_words)
+    # packings read only the in-ball and disjointness thresholds, so the
+    # nesting one is not computed here
+    c, alpha = p.R0 * D, Fraction(p.alpha)
     rows = []
     for j in range(p.depth):
+        inside = floor_lambda(c, M, alpha, j)
         for k in range(1, p.depth - j + 1):
             R, r = p.radius(j), p.radius(j + k)
-            lv = _level(p, D, j, j + k)
+            lv = geometry.Level(inside, floor_lambda(2 * c, M, alpha, j + k))
             bound_num, bound_den = M**k, M + 1
             for w in leaf_words:
                 x = lattice[w]

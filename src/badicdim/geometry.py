@@ -30,11 +30,11 @@ EXACT_PACKING_LIMIT = 20
 
 class Level(NamedTuple):
     """Decision thresholds of one radius pair (R, r); see the module
-    docstring."""
+    docstring.  Packings read only `inside` and `apart`."""
 
     inside: object
     apart: object
-    nested: object
+    nested: object = None
 
 
 def level_of(R, r=None) -> Level:
@@ -68,7 +68,7 @@ def ball_points(pts, center, inside) -> list:
     distance `inside` of `center`, in order.  Their first coordinates
     form one bisected slice, which in d = 1 is the whole answer."""
     c0 = center[0]
-    lo = bisect_left(pts, (c0 - inside,))
+    lo = bisect_left(pts, c0 - inside, key=itemgetter(0))
     hi = bisect_right(pts, c0 + inside, lo, key=itemgetter(0))
     if len(center) == 1:
         return pts[lo:hi]

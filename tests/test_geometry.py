@@ -40,6 +40,19 @@ def test_exact_packing_examples():
                                   Fraction(3, 20)) == 2
 
 
+def test_packings_accept_points_as_lists():
+    pts1 = [[Fraction(0)], [H], [Fraction(1)]]
+    assert geometry.greedy_packing(pts1, [H], Fraction(3, 5),
+                                   Fraction(1, 5)) == pts1
+    assert geometry.exact_packing(pts1, [H], Fraction(3, 5),
+                                  Fraction(1, 5)) == 3
+    pts2 = [[Fraction(0), Fraction(0)], [H, Fraction(0)], [Fraction(1), H]]
+    assert len(geometry.greedy_packing(pts2, [H, Fraction(0)], Fraction(1),
+                                       Fraction(1, 5))) == 3
+    assert geometry.exact_packing(pts2, [H, Fraction(0)], Fraction(1),
+                                  Fraction(1, 5)) == 3
+
+
 def _brute_force_packing(points, center, R, r):
     cands = [p for p in points if geometry.in_ball(p, center, R)]
     best = 0
