@@ -85,13 +85,11 @@ def _cmd_estimate(args) -> int:
     else:
         sub = kind.removeprefix("star-")
         if isinstance(obj, CubeTree):
-            report = estimators.star_dimension_report(
-                obj, "local", args.kmax, args.workers)
+            report = estimators.star_dimension_report(obj, "local", args.kmax)
             k_max = args.kmax or obj.depth
         else:
             k_max = args.kmax or max(w.tree.depth for w in obj.windows)
-            report = estimators.star_dimension_report(
-                obj, sub, k_max, args.workers)
+            report = estimators.star_dimension_report(obj, sub, k_max)
     _emit(report.to_tsv(), args.report)
     print(f"estimate={report.headline:.6f} kind={report.kind} "
           f"depth={k_max}")
@@ -368,7 +366,9 @@ def build_parser() -> argparse.ArgumentParser:
     est.add_argument("--kind", default="star-local",
                      choices=["star-local", "star-global", "lower-cover"])
     est.add_argument("--kmax", type=int)
-    est.add_argument("--workers", type=int, default=1)
+    # accepted and ignored: the kernel has one thread, and the benchmark's
+    # workloads still pass --workers 1
+    est.add_argument("--workers", type=int, help=argparse.SUPPRESS)
     est.add_argument("--report")
     est.set_defaults(func=_cmd_estimate)
 

@@ -144,6 +144,7 @@ class CubeTree:
         self.depth = depth
         self.root = root
         self._counts = {}
+        self._profile = None
 
     # -- construction -------------------------------------------------
 
@@ -233,8 +234,9 @@ class CubeTree:
 
     def levels(self) -> Iterator[dict]:
         """Yield, per level, a dict mapping each distinct node object to
-        its lexicographically smallest path.  Shared subtrees appear
-        once, which keeps traversal cheap on huge homogeneous trees."""
+        its lexicographically smallest path, in ascending path order.
+        Shared subtrees appear once, which keeps traversal cheap on huge
+        homogeneous trees."""
         current = {self.root: ()}
         yield current
         for _ in range(self.depth):
@@ -246,6 +248,44 @@ class CubeTree:
                         nxt[child] = path + (key,)
             current = nxt
             yield current
+
+    def count_profile(self) -> tuple:
+        """The count profile `(maxima, minima)`: `maxima[i][k - 1]` is
+        `(count, path)` for the level-i node with the most depth-k
+        descendants, k = 1..depth-i, ties going to the smallest path;
+        `minima` likewise for the fewest.  Built in one `levels()` walk
+        and cached, since the tree is immutable."""
+        if self._profile is None:
+            maxima, minima = [], []
+            for level, nodes in enumerate(self.levels()):
+                paths = list(nodes.values())  # ascending
+                top, bottom = [], []
+                for k in range(1, self.depth - level + 1):
+                    counts = [self.descendant_count(node, k)
+                              for node in nodes]
+                    hi, lo = max(counts), min(counts)
+                    top.append((hi, paths[counts.index(hi)]))
+                    bottom.append((lo, paths[counts.index(lo)]))
+                maxima.append(top)
+                minima.append(bottom)
+            self._profile = (maxima, minima)
+        return self._profile
+
+    def extreme_count(self, k: int, largest: bool = True, lo: int = 0,
+                      hi: int = None) -> tuple:
+        """`(count, level, path)` of the node of level lo..hi (default
+        depth - k) with the most (or, if not `largest`, the fewest)
+        depth-k descendants; ties go to the smallest level, then the
+        smallest path."""
+        maxima, minima = self.count_profile()
+        table = maxima if largest else minima
+        best = None
+        for level in range(lo, (self.depth - k if hi is None else hi) + 1):
+            count, path = table[level][k - 1]
+            if best is None or (count > best[0] if largest
+                                else count < best[0]):
+                best = (count, level, path)
+        return best
 
     def iter_leaf_paths(self, limit: int = MAX_LEAF_ENUM) -> Iterator[Path]:
         if self.leaf_count > limit:

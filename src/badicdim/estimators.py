@@ -7,14 +7,12 @@ log-ratio column of the reports.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
 
 from . import geometry
 from .core import (BadicCube, CubeTree, DomainError, PointSet, WindowedSet)
 
-MAX_CANDIDATE_ENUM = 2_000_000
 COVER_METHOD_TAG = "badic-cells"
 
 
@@ -74,16 +72,7 @@ def count_hit_subcubes(tree: CubeTree, cube: BadicCube, k: int) -> int:
 def _tree_h_star(tree: CubeTree, k: int):
     if not 1 <= k <= tree.depth:
         raise DomainError(f"k {k} outside 1..{tree.depth}")
-    best = None  # (count, level, path)
-    for level, nodes in enumerate(tree.levels()):
-        if level > tree.depth - k:
-            break
-        for node, path in nodes.items():
-            c = tree.descendant_count(node, k)
-            key = (-c, level, path)
-            if best is None or key < best:
-                best = key
-    count, level, path = -best[0], best[1], best[2]
+    count, _, path = tree.extreme_count(k)
     return count, tree.cube(path)
 
 
@@ -106,34 +95,7 @@ def _windowed_boxes(wset: WindowedSet):
     return unit, boxes
 
 
-def _count_subcells_impl(base, boxes, corner, side_units, sub_units, dim,
-                         limit=MAX_CANDIDATE_ENUM):
-    """Subcells of side `sub_units` inside the cube at `corner` (side
-    `side_units`) intersecting the union of the aligned leaf boxes."""
-    full = 0
-    partial = set()
-    for c, e in boxes:
-        leaf_side = base**e
-        if leaf_side <= side_units:
-            if tuple((x // side_units) * side_units for x in c) != corner:
-                continue
-            if leaf_side >= sub_units:
-                add = (leaf_side // sub_units) ** dim
-                full += add
-                if full > limit:
-                    raise DomainError("subcell enumeration guard exceeded")
-            else:
-                partial.add(tuple(x // sub_units for x in c))
-                if len(partial) > limit:
-                    raise DomainError("subcell enumeration guard exceeded")
-        else:
-            if tuple((x // leaf_side) * leaf_side for x in corner) == c:
-                # cube entirely inside the set
-                return (side_units // sub_units) ** dim
-    return full + len(partial)
-
-
-def _windowed_h_star(wset: WindowedSet, k: int, kind: str, workers: int = 1):
+def _windowed_h_star(wset: WindowedSet, k: int, kind: str):
     b, d = wset.base, wset.dim
     unit, boxes = _windowed_boxes(wset)
     if kind == "local":
@@ -144,71 +106,54 @@ def _windowed_h_star(wset: WindowedSet, k: int, kind: str, workers: int = 1):
         while b ** (j_hi - unit) < span:
             j_hi += 1
         j_hi += 1
-    tasks = []
+    full = b ** (k * d)  # the count of a candidate cube inside the set
+    best = None  # (-count, j, corner): ties to the smallest j, then corner
     for j in range(unit + k, j_hi + 1):
         side_units = b ** (j - unit)
         sub_units = b ** (j - k - unit)
-        # bucket the leaf boxes by the candidate cube containing them,
-        # so each candidate only sees its own boxes
+        # bucket the leaf boxes by the candidate cube containing them; a
+        # leaf larger than the candidate cube fills every candidate inside
+        # it, and its own corner is the smallest of them
         buckets = {}
-        full_corners = set()
         for c, e in boxes:
             leaf_side = b**e
-            if leaf_side <= side_units:
-                corner = tuple((x // side_units) * side_units for x in c)
-                buckets.setdefault(corner, []).append((c, e))
+            if leaf_side > side_units:
+                key = (-full, j, c)
+                if best is None or key < best:
+                    best = key
             else:
-                span_cubes = (leaf_side // side_units) ** d
-                if span_cubes > MAX_CANDIDATE_ENUM:
-                    raise DomainError("candidate cube guard exceeded")
-                steps = [range(x, x + leaf_side, side_units) for x in c]
-                stack = [()]
-                for rng in steps:
-                    stack = [t + (v,) for t in stack for v in rng]
-                full_corners.update(stack)
-        full_count = (side_units // sub_units) ** d
-        for corner in sorted(full_corners):
-            tasks.append((j, corner, None, full_count))
-        for corner in sorted(buckets):
-            if corner not in full_corners:
-                tasks.append((j, corner,
-                              (buckets[corner], side_units, sub_units), 0))
-    if not tasks:
+                corner = tuple((x // side_units) * side_units for x in c)
+                buckets.setdefault(corner, []).append((c, leaf_side))
+        for corner, bucket in buckets.items():
+            count = 0
+            cells = set()
+            for c, leaf_side in bucket:
+                if leaf_side >= sub_units:
+                    count += (leaf_side // sub_units) ** d
+                else:
+                    cells.add(tuple(x // sub_units for x in c))
+            key = (-count - len(cells), j, corner)
+            if best is None or key < best:
+                best = key
+    if best is None:
         raise DomainError(f"no admissible cubes for k={k} ({kind})")
-
-    def evaluate(task):
-        j, corner, work, full_count = task
-        if work is None:
-            return full_count, j, corner
-        bucket, side_units, sub_units = work
-        cnt = _count_subcells_impl(b, bucket, corner, side_units,
-                                   sub_units, d)
-        return cnt, j, corner
-
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(evaluate, tasks))
-    else:
-        results = [evaluate(t) for t in tasks]
-    best = min(((-c, j, corner) for c, j, corner in results))
-    count = -best[0]
     witness = f"side=b^{best[1]} corner_units={best[2]} unit_exp={unit}"
-    return count, witness
+    return -best[0], witness
 
 
-def h_star(obj, k: int, kind: str = "local", workers: int = 1):
+def h_star(obj, k: int, kind: str = "local"):
     """H*_{b^k}: max over admissible cubes Q of the hit-subcube count,
     with an argmax witness (ties: smallest level, then lexicographic)."""
     if isinstance(obj, CubeTree):
         count, cube = _tree_h_star(obj, k)
         return count, cube
     if isinstance(obj, WindowedSet):
-        return _windowed_h_star(obj, k, kind, workers)
+        return _windowed_h_star(obj, k, kind)
     raise DomainError(f"unsupported set type {type(obj)!r}")
 
 
-def star_dimension_report(obj, kind: str = "local", k_max: int = None,
-                          workers: int = 1) -> DimensionReport:
+def star_dimension_report(obj, kind: str = "local",
+                          k_max: int = None) -> DimensionReport:
     if isinstance(obj, CubeTree):
         if k_max is None:
             k_max = obj.depth
@@ -221,7 +166,7 @@ def star_dimension_report(obj, kind: str = "local", k_max: int = None,
         base = obj.base
     report = DimensionReport(kind=f"star-{kind}", base=base)
     for k in range(1, k_max + 1):
-        count, witness = h_star(obj, k, kind, workers)
+        count, witness = h_star(obj, k, kind)
         report.records.append(ScaleRecord(
             k, count, str(witness), _log_ratio(count, k, base)))
     return report
@@ -240,16 +185,7 @@ def lower_dimension_report(tree: CubeTree,
         raise DomainError(f"k_max {k_max} exceeds depth {tree.depth}")
     report = DimensionReport(kind="lower-cover", base=tree.base)
     for k in range(1, k_max + 1):
-        best = None
-        for level, nodes in enumerate(tree.levels()):
-            if level > tree.depth - k:
-                break
-            for node, path in nodes.items():
-                c = tree.descendant_count(node, k)
-                key = (c, level, path)
-                if best is None or key < best:
-                    best = key
-        count, _, path = best
+        count, _, path = tree.extreme_count(k, largest=False)
         report.records.append(ScaleRecord(
             k, count, str(tree.cube(path)), _log_ratio(count, k, tree.base)))
     return report

@@ -12,7 +12,7 @@ from fractions import Fraction
 
 from .core import (CubeNode, CubeTree, DomainError, Window, WindowedSet,
                    _Interner, _LEAF)
-from .estimators import star_dimension_report
+from .estimators import _log_ratio, star_dimension_report
 from .exactmath import (badic_power_sum_le, count_meets_power_bound,
                         floor_power, pow_at_least, pow_at_most)
 
@@ -53,14 +53,13 @@ def check_prune_hypotheses(tree: CubeTree, params: PruneParams):
     if not pow_at_most(M, params.s * n, tree.leaf_count):
         raise DomainError(
             f"leaf count {tree.leaf_count} below M^(n*s)")
-    for level, nodes in enumerate(tree.levels()):
-        if level == tree.depth:
-            break
-        for node, path in nodes.items():
-            if len(node.children) > cap_limit:
-                raise DomainError(
-                    f"node {path} has {len(node.children)} children, "
-                    f"cap floor(M^(s+eps))={cap_limit}")
+    maxima, _ = tree.count_profile()
+    for row in maxima[:tree.depth]:
+        children, path = row[0]  # a node's children are its k = 1 count
+        if children > cap_limit:
+            raise DomainError(
+                f"node {path} has {children} children, "
+                f"cap floor(M^(s+eps))={cap_limit}")
 
 
 def prune_with_caps(tree: CubeTree, caps) -> CubeTree:
@@ -148,18 +147,7 @@ def find_dense_window(tree: CubeTree, n: int):
     hi = tree.depth - n
     if hi < 0:
         raise DomainError("depth budget exceeded")
-    best = None
-    for level, nodes in enumerate(tree.levels()):
-        if level > hi:
-            break
-        if level < lo:
-            continue
-        for node, path in nodes.items():
-            c = tree.descendant_count(node, n)
-            key = (-c, level, path)
-            if best is None or key < best:
-                best = key
-    count, level, path = -best[0], best[1], best[2]
+    count, level, path = tree.extreme_count(n, lo=lo, hi=hi)
     return path, level, count
 
 
@@ -243,11 +231,12 @@ def construct_subset_assouad(tree: CubeTree, alpha: Fraction, eps: Fraction,
     N, paper_corner_ok = _validate_target(M, d, alpha, eps)
     if stages < 1:
         raise DomainError("need at least one stage")
-    source = star_dimension_report(tree, "local", k_max=D).headline
-    if float(alpha) > source + 1e-9:
+    # the source estimate is the root's leaf count at k = D, so
+    # alpha > s exactly when M^(alpha D) > leaf count
+    if not pow_at_most(M, alpha * D, tree.leaf_count):
         raise DomainError(
             f"alpha {float(alpha):.6f} exceeds the source estimate "
-            f"{source:.6f}")
+            f"{_log_ratio(tree.leaf_count, D, M):.6f}")
     trace = ConstructionTrace(alpha, eps, N, paper_corner_ok=paper_corner_ok)
     leaves = set()
     n = 1
@@ -427,9 +416,8 @@ def sandwich_assemble(tree: CubeTree, alpha, levels: int) -> LadderResult:
     b = [s + (alpha - s) * (1 - 2.0 ** (1 - n)) for n in range(1, levels + 2)]
     i_mids = [(a[n] + a[n + 1]) / 2 for n in range(levels)]
     j_mids = [(b[n + 1] + b[n]) / 2 for n in range(levels)]
-    max_children = [
-        max((len(node.children) for node in layer), default=1)
-        for layer in tree.levels()][:D]
+    maxima, _ = tree.count_profile()
+    max_children = [row[0][0] for row in maxima[:D]]
 
     caps_b = []
     ub = max_children

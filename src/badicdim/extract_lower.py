@@ -16,6 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from math import lcm
 
 from . import geometry
@@ -52,7 +53,7 @@ class LowerParams:
         if self.R0 <= 0:
             raise DomainError("R0 must be positive")
 
-    @property
+    @cached_property
     def lam(self):
         return _lambda_for(self.M, Fraction(self.alpha))
 

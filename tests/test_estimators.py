@@ -100,13 +100,6 @@ def test_windowed_local_vs_global():
     assert glo.headline == 1.0                          # exactly d
 
 
-def test_windowed_workers_deterministic():
-    ws = lattice_window(2, 1, 5)
-    a = star_dimension_report(ws, "global", k_max=5, workers=1)
-    b = star_dimension_report(ws, "global", k_max=5, workers=4)
-    assert a.to_tsv() == b.to_tsv()
-
-
 def test_lower_report_examples():
     rep = lower_dimension_report(_cantor(8))
     assert all(abs(r.log_ratio - LOG2_3) < 1e-9 for r in rep.records)

@@ -121,6 +121,18 @@ def test_construct_assouad_alpha_too_large():
         construct_subset_assouad(E, Fraction(9, 10), Fraction(1, 4), 2)
 
 
+def test_construct_assouad_source_check_is_exact():
+    # log_3 2 = 0.6309297535..., and 16266/25781 lies above it by about
+    # 9e-10: inside a 1e-9 float tolerance, yet not a valid target
+    E = digit_cantor(3, 1, [0, 2], 12).rebase(6)
+    with pytest.raises(DomainError, match="exceeds the source estimate "
+                                          "0.630930"):
+        construct_subset_assouad(E, Fraction(16266, 25781),
+                                 Fraction(1, 4), 1)
+    trace = construct_subset_assouad(E, Fraction(5, 8), Fraction(1, 4), 1)
+    assert E.contains_tree(trace.tree)
+
+
 def test_construct_assouad_corner_condition_named():
     E = CubeTree.full(2, 1, 12).rebase(2)  # M = 4
     with pytest.raises(DomainError, match="N\\+1 > M"):
