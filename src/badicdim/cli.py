@@ -9,6 +9,7 @@ never wall-clock); reports go to stdout unless --out/--report is given.
 from __future__ import annotations
 
 import argparse
+import functools
 import random
 import sys
 from fractions import Fraction
@@ -337,6 +338,7 @@ def _cmd_info(args) -> int:
 # -- parser ------------------------------------------------------------
 
 
+@functools.cache  # one parser per process; parsing leaves it unchanged
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="badicdim",

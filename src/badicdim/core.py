@@ -12,7 +12,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import add
+from functools import cache
+from itertools import groupby
+from operator import add, itemgetter, mul
 from typing import Iterator
 
 MAX_LEAF_ENUM = 2_000_000
@@ -52,21 +54,16 @@ class CubeNode:
 _LEAF = CubeNode(())
 
 
-class _Interner:
-    """Hash-cons nodes so identical subtrees are one object."""
-
-    def __init__(self):
-        self._memo = {}
+class _Interner(dict):
+    """Hash-cons nodes so identical subtrees are one object.  Nodes hash
+    and compare by identity, so a children tuple is its own signature."""
 
     def node(self, children: tuple) -> CubeNode:
-        if not children:
-            return _LEAF
-        sig = tuple((k, id(c)) for k, c in children)
-        got = self._memo.get(sig)
-        if got is None:
-            got = CubeNode(children)
-            self._memo[sig] = got
-        return got
+        return self[children] if children else _LEAF
+
+    def __missing__(self, children):
+        node = self[children] = CubeNode(children)
+        return node
 
 
 @dataclass(frozen=True)
@@ -110,19 +107,11 @@ class BadicCube:
     def side(self) -> Fraction:
         return Fraction(1, self.base**self.level)
 
-    def coord_strings(self) -> tuple:
-        if self.base > 10:
-            raise DomainError("digit strings require base <= 10")
-        return tuple("".join(str(dig) for dig in axis)
-                      for axis in self.coords)
-
     def __str__(self):
         if self.level == 0:
             return "root"
-        if self.base <= 10:
-            return ",".join(self.coord_strings())
-        return ",".join("." .join(str(d) for d in axis)
-                        for axis in self.coords)
+        sep = "" if self.base <= 10 else "."
+        return ",".join(sep.join(map(str, axis)) for axis in self.coords)
 
 
 def _digits_to_int(digits, base: int) -> int:
@@ -173,33 +162,33 @@ class CubeTree:
     @classmethod
     def from_leaves(cls, base: int, dim: int, depth: int,
                     leaf_paths) -> "CubeTree":
-        paths = sorted(set(leaf_paths))
+        # sorting makes duplicates adjacent; it is linear on sorted input
+        paths = [p for p, _ in groupby(sorted(leaf_paths))]
         if not paths:
             raise DomainError("tree needs at least one leaf")
-        for p in paths:
-            if len(p) != depth:
-                raise DomainError("leaf path length must equal depth")
-            for key in p:
-                if len(key) != dim or any(
-                        not 0 <= dig < base for dig in key):
+
+        def bad(key):
+            return len(key) != dim or any(not 0 <= dig < base for dig in key)
+
+        if any(len(p) != depth for p in paths) or any(
+                map(bad, set().union(*paths))):
+            for p in paths:  # name the first bad path
+                if len(p) != depth:
+                    raise DomainError("leaf path length must equal depth")
+                for key in filter(bad, p):
                     raise DomainError(f"bad digit key {key}")
-        interner = _Interner()
-
-        def build(lo: int, hi: int, level: int) -> CubeNode:
-            if level == depth:
-                return _LEAF
-            children = []
-            i = lo
-            while i < hi:
-                key = paths[i][level]
-                j = i
-                while j < hi and paths[j][level] == key:
-                    j += 1
-                children.append((key, build(i, j, level + 1)))
-                i = j
-            return interner.node(tuple(children))
-
-        return cls(base, dim, depth, build(0, len(paths), 0))
+        # bottom-up: per level, consecutive items sharing a prefix are
+        # the (key, child) pairs of one node
+        intern, pair = _Interner().node, itemgetter(1)
+        heads, nodes = paths, [_LEAF] * len(paths)
+        for level in range(depth - 1, -1, -1):
+            items = zip(map(itemgetter(slice(level)), heads),
+                        zip(map(itemgetter(level), heads), nodes))
+            heads, nodes = [], []
+            for prefix, group in groupby(items, key=itemgetter(0)):
+                heads.append(prefix)
+                nodes.append(intern(tuple(map(pair, group))))
+        return cls(base, dim, depth, nodes[0])
 
     # -- queries ------------------------------------------------------
 
@@ -212,16 +201,29 @@ class CubeTree:
         return node
 
     def descendant_count(self, node: CubeNode, k: int) -> int:
-        """Number of depth-k descendants of `node` (exact)."""
+        """Number of depth-k descendants of `node` (exact), memoised per
+        (node, k); an explicit stack stands in for recursion."""
         if k == 0:
             return 1
         memo = self._counts
         got = memo.get((id(node), k))
-        if got is None:
-            got = sum(self.descendant_count(c, k - 1)
-                      for _, c in node.children)
-            memo[(id(node), k)] = got
-        return got
+        if got is not None:
+            return got
+        stack = [(node, k)]
+        while stack:
+            cur, j = stack[-1]
+            total = 0
+            for _, child in cur.children:
+                got = 1 if j == 1 else memo.get((id(child), j - 1))
+                if got is None:  # count this child first
+                    stack.append((child, j - 1))
+                    total = None
+                elif total is not None:
+                    total += got
+            if total is not None:
+                memo[(id(cur), j)] = total
+                stack.pop()
+        return memo[(id(node), k)]
 
     def count_at_depth(self, k: int) -> int:
         if not 0 <= k <= self.depth:
@@ -287,19 +289,21 @@ class CubeTree:
                 best = (count, level, path)
         return best
 
-    def iter_leaf_paths(self, limit: int = MAX_LEAF_ENUM) -> Iterator[Path]:
+    def leaf_values(self, start, step, limit: int = MAX_LEAF_ENUM) -> list:
+        """One value per leaf, in path order, built level by level:
+        `start` at the root and `step(value, key)` down each edge."""
         if self.leaf_count > limit:
             raise DomainError(
                 f"leaf enumeration of {self.leaf_count} exceeds {limit}")
+        layer = [(start, self.root)]
+        for _ in range(self.depth):
+            layer = [(step(value, key), child) for value, node in layer
+                     for key, child in node.children]
+        return [value for value, _ in layer]
 
-        def walk(node, prefix):
-            if len(prefix) == self.depth:
-                yield prefix
-                return
-            for key, child in node.children:
-                yield from walk(child, prefix + (key,))
-
-        yield from walk(self.root, ())
+    def iter_leaf_paths(self, limit: int = MAX_LEAF_ENUM) -> Iterator[Path]:
+        yield from self.leaf_values((), lambda path, key: path + (key,),
+                                    limit)
 
     def cube(self, path: Path) -> BadicCube:
         return BadicCube.from_path(self.base, self.dim, path)
@@ -524,20 +528,11 @@ class PointSet:
 
 def leaf_corners(tree: CubeTree, limit: int = MAX_LEAF_ENUM) -> list:
     """The lower-left corners of the leaf cubes as integer points at
-    scale base^depth (corner * base^depth), sorted.  One level-order
-    pass: a child's corner is its parent's times base plus its key."""
-    if tree.leaf_count > limit:
-        raise DomainError(
-            f"leaf enumeration of {tree.leaf_count} exceeds {limit}")
-    layer = [((0,) * tree.dim, tree.root)]
-    for _ in range(tree.depth):
-        nxt = []
-        for corner, node in layer:
-            scaled = tuple([c * tree.base for c in corner])
-            for key, child in node.children:
-                nxt.append((tuple(map(add, scaled, key)), child))
-        layer = nxt
-    return sorted(corner for corner, _ in layer)
+    scale base^depth (corner * base^depth), sorted: a child's corner is
+    its parent's times base plus its key."""
+    bases = (tree.base,) * tree.dim
+    return sorted(tree.leaf_values((0,) * tree.dim, lambda corner, key: tuple(
+        map(add, map(mul, corner, bases), key)), limit))
 
 
 def leaf_representatives(tree: CubeTree,
@@ -576,9 +571,27 @@ class WindowedSet:
                 raise DomainError("window side exponent must be >= 0")
         _check_disjoint(ws, base, dim)
         self.windows = tuple(ws)
+        self._boxes = None
 
     def __len__(self):
         return len(self.windows)
+
+    def leaf_boxes(self) -> tuple:
+        """`(unit, boxes)`: every window's leaf cubes as `(corner, e)` in
+        integer units b^unit, unit = min(side_exp - depth, 0), with side
+        b^e units.  Cached, since the set is immutable."""
+        if self._boxes is None:
+            unit = min(min(w.side_exp - w.tree.depth for w in self.windows),
+                       0)
+            boxes = []
+            for w in self.windows:
+                e = w.side_exp - w.tree.depth - unit
+                scale = self.base**e
+                off = [o * self.base**-unit for o in w.offset]
+                boxes += [(tuple([o + c * scale for o, c in zip(off, corner)]),
+                           e) for corner in leaf_corners(w.tree)]
+            self._boxes = (unit, boxes)
+        return self._boxes
 
 
 def _check_disjoint(windows, base, dim):
@@ -599,65 +612,95 @@ def _check_disjoint(windows, base, dim):
 # -- file formats ----------------------------------------------------
 
 
+def _leaf_lines(tree: CubeTree, limit: int) -> list:
+    """The sorted .bdt/.wdt leaf lines: per leaf, its digit strings, one
+    per axis (its parent's plus its key's digits), joined by commas."""
+    return sorted(map(",".join, tree.leaf_values(
+        ("",) * tree.dim,
+        lambda axes, key: tuple(map(add, axes, _key_chars(key))), limit)))
+
+
+@cache
+def _key_chars(key: Key) -> tuple:
+    return tuple(map(str, key))
+
+
 def write_bdt(tree: CubeTree, limit: int = MAX_LEAF_ENUM) -> str:
     if tree.base > 10:
         raise DomainError(".bdt digit strings require base <= 10")
-    lines = [f"bdt b={tree.base} d={tree.dim} n={tree.depth}"]
-    for path in tree.iter_leaf_paths(limit):
-        cube = BadicCube.from_path(tree.base, tree.dim, path)
-        lines.append(",".join(cube.coord_strings()))
-    body = sorted(lines[1:])
-    return "\n".join(lines[:1] + body) + "\n"
+    header = f"bdt b={tree.base} d={tree.dim} n={tree.depth}"
+    return "\n".join([header, *_leaf_lines(tree, limit)]) + "\n"
 
 
-def _digit_table(base: int) -> dict:
-    """The ASCII digit characters valid in base `base`, mapped to their
-    values; any other character (a superscript, a letter) is a bad
-    digit."""
-    return {str(i): i for i in range(min(base, 10))}
+@cache
+class _KeyTable(dict):
+    """One per base: a leaf line's character (d = 1) or tuple of axis
+    characters -> key; KeyError if not an ASCII digit below the base."""
+
+    def __init__(self, base: int):
+        super().__init__()
+        self.digits = {str(i): i for i in range(min(base, 10))}
+
+    def __missing__(self, chars):
+        key = self[chars] = tuple(self.digits[ch] for ch in chars)
+        return key
 
 
-def _parse_leaf_line(line, digits, dim, depth, line_no) -> Path:
-    parts = line.split(",")
-    if len(parts) != dim:
-        raise SetFormatError(line_no, f"expected {dim} coordinates")
-    axes = []
-    for part in parts:
-        if len(part) != depth and depth > 0:
-            raise SetFormatError(
-                line_no, f"digit string '{part}' must have length {depth}")
-        try:
-            axes.append([digits[ch] for ch in part])
-        except KeyError as exc:
-            raise SetFormatError(line_no,
-                                 f"bad digit '{exc.args[0]}'") from None
-    return tuple(zip(*axes)) if depth else ()
+def _leaf_paths(rows, base: int, dim: int, depth: int, unique: bool) -> list:
+    """Key paths of `(line number, line)` leaf rows; with `unique`
+    (.bdt), a blank or repeated line is an error too."""
+    table = _KeyTable(base)
+    seen = set()
+    paths = []
+    for line_no, raw in rows:
+        line = raw.strip()
+        if unique:
+            # a depth-0 tree in d = 1 has one empty leaf line: the root
+            if not line and depth > 0:
+                raise SetFormatError(line_no, "blank line")
+            if raw in seen:
+                raise SetFormatError(line_no, f"duplicate leaf line '{raw}'")
+            seen.add(raw)
+        parts = line.split(",")
+        if len(parts) != dim:
+            raise SetFormatError(line_no, f"expected {dim} coordinates")
+        if depth and all(len(part) == depth for part in parts):
+            try:
+                paths.append(tuple(map(table.__getitem__,
+                                       line if dim == 1 else zip(*parts))))
+                continue
+            except KeyError:
+                pass
+        for part in parts:  # the first bad part, axis by axis
+            if len(part) != depth and depth > 0:
+                raise SetFormatError(
+                    line_no, f"digit string '{part}' must have length {depth}")
+            for ch in part:
+                if ch not in table.digits:
+                    raise SetFormatError(line_no, f"bad digit '{ch}'")
+        paths.append(())  # depth 0: every line is the root
+    return paths
 
 
-def read_bdt(text: str) -> CubeTree:
+def _header(text: str, usage: str) -> tuple:
+    """`text`'s lines and the integer fields of its `usage`-like header."""
     lines = text.splitlines()
     if not lines:
         raise SetFormatError(1, "empty file")
-    header = lines[0].split()
-    if len(header) != 4 or header[0] != "bdt":
-        raise SetFormatError(1, "expected header 'bdt b=<b> d=<d> n=<n>'")
+    header, fields = lines[0].split(), usage.split()
+    if len(header) != 4 or header[0] != fields[0]:
+        raise SetFormatError(1, f"expected header '{usage}'")
     try:
-        base = int(header[1].removeprefix("b="))
-        dim = int(header[2].removeprefix("d="))
-        depth = int(header[3].removeprefix("n="))
+        return lines, [int(h.removeprefix(f[:f.index("=") + 1]))
+                       for h, f in zip(header[1:], fields[1:])]
     except ValueError as exc:
         raise SetFormatError(1, f"bad header field: {exc}") from None
-    paths = []
-    seen = set()
-    digits = _digit_table(base)
-    for i, line in enumerate(lines[1:], start=2):
-        # a depth-0 tree in d = 1 has one empty leaf line: the root
-        if not line.strip() and depth > 0:
-            raise SetFormatError(i, "blank line")
-        if line in seen:
-            raise SetFormatError(i, f"duplicate leaf line '{line}'")
-        seen.add(line)
-        paths.append(_parse_leaf_line(line.strip(), digits, dim, depth, i))
+
+
+def read_bdt(text: str) -> CubeTree:
+    lines, (base, dim, depth) = _header(text, "bdt b=<b> d=<d> n=<n>")
+    paths = _leaf_paths(enumerate(lines[1:], start=2), base, dim, depth,
+                        unique=True)
     if not paths:
         raise SetFormatError(2, "no leaf lines")
     return CubeTree.from_leaves(base, dim, depth, paths)
@@ -670,30 +713,13 @@ def write_wdt(wset: WindowedSet, limit: int = MAX_LEAF_ENUM) -> str:
     for w in wset.windows:
         off = ",".join(str(o) for o in w.offset)
         lines.append(f"window off={off} m={w.side_exp}")
-        leaf_lines = []
-        for path in w.tree.iter_leaf_paths(limit):
-            cube = BadicCube.from_path(wset.base, wset.dim, path)
-            leaf_lines.append(",".join(cube.coord_strings()))
-        lines.extend(sorted(leaf_lines))
+        lines += _leaf_lines(w.tree, limit)
     return "\n".join(lines) + "\n"
 
 
 def read_wdt(text: str) -> WindowedSet:
-    lines = text.splitlines()
-    if not lines:
-        raise SetFormatError(1, "empty file")
-    header = lines[0].split()
-    if len(header) != 4 or header[0] != "wdt":
-        raise SetFormatError(
-            1, "expected header 'wdt b=<b> d=<d> windows=<k>'")
-    try:
-        base = int(header[1].removeprefix("b="))
-        dim = int(header[2].removeprefix("d="))
-        nwin = int(header[3].removeprefix("windows="))
-    except ValueError as exc:
-        raise SetFormatError(1, f"bad header field: {exc}") from None
+    lines, (base, dim, nwin) = _header(text, "wdt b=<b> d=<d> windows=<k>")
     windows = []
-    digits = _digit_table(base)
     i = 1
     while i < len(lines):
         parts = lines[i].split()
@@ -707,16 +733,14 @@ def read_wdt(text: str) -> WindowedSet:
             raise SetFormatError(i + 1, f"bad window field: {exc}") from None
         if len(offset) != dim:
             raise SetFormatError(i + 1, "offset dimension mismatch")
-        i += 1
-        leaf_lines = []
+        start = i = i + 1
         while i < len(lines) and not lines[i].startswith("window "):
-            leaf_lines.append((i + 1, lines[i].strip()))
             i += 1
-        if not leaf_lines:
+        if i == start:
             raise SetFormatError(i, "window has no leaf lines")
-        depth = len(leaf_lines[0][1].split(",")[0])
-        paths = [_parse_leaf_line(line, digits, dim, depth, ln)
-                 for ln, line in leaf_lines]
+        depth = len(lines[start].strip().split(",")[0])
+        paths = _leaf_paths(zip(range(start + 1, i + 1), lines[start:i]),
+                            base, dim, depth, unique=False)
         tree = CubeTree.from_leaves(base, dim, depth, paths)
         windows.append(Window(offset, m, tree))
     if len(windows) != nwin:

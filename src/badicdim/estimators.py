@@ -76,28 +76,9 @@ def _tree_h_star(tree: CubeTree, k: int):
     return count, tree.cube(path)
 
 
-def _windowed_boxes(wset: WindowedSet):
-    """All leaf cubes as (corner, side_exp) in integer units b^U."""
-    b = wset.base
-    unit = min(min(w.side_exp - w.tree.depth for w in wset.windows), 0)
-    boxes = []
-    for w in wset.windows:
-        n = w.tree.depth
-        e = (w.side_exp - n) - unit
-        off_units = tuple(o * b**(-unit) for o in w.offset)
-        for path in w.tree.iter_leaf_paths():
-            corner = tuple(
-                off_units[i]
-                + sum(path[j][i] * b**(w.side_exp - j - 1 - unit)
-                      for j in range(n))
-                for i in range(wset.dim))
-            boxes.append((corner, e))
-    return unit, boxes
-
-
 def _windowed_h_star(wset: WindowedSet, k: int, kind: str):
     b, d = wset.base, wset.dim
-    unit, boxes = _windowed_boxes(wset)
+    unit, boxes = wset.leaf_boxes()
     if kind == "local":
         j_hi = 0
     else:

@@ -2,7 +2,7 @@ import math
 
 import pytest
 
-from badicdim.cli import main
+from badicdim.cli import build_parser, main
 from badicdim.core import read_bdt
 
 
@@ -183,6 +183,19 @@ def test_workers_flag_same_output(tmp_path, capsys):
         assert code == 0
         outs.append(out)
     assert outs[0] == outs[1] == outs[2]
+
+
+def test_one_parser_serves_every_call(tmp_path, capsys):
+    assert build_parser() is build_parser()
+    # a usage error exits 2 and leaves the shared parser usable
+    with pytest.raises(SystemExit) as e:
+        main(["estimate", "--kind", "no-such-kind"])
+    assert e.value.code == 2
+    path = str(tmp_path / "f.bdt")
+    assert run(capsys, "gen", "full-cube", "--base", "2", "--dim", "1",
+               "--depth", "3", "--out", path)[0] == 0
+    code, out, _ = run(capsys, "info", "--in", path)
+    assert code == 0 and out.splitlines()[1] == "leaves=8"
 
 
 def test_verify_subcommands_pass(capsys):
