@@ -66,6 +66,27 @@ class _Interner(dict):
         return node
 
 
+def rebuild(start, depth: int, children) -> CubeNode:
+    """The hash-consed depth-`depth` tree grown from the hashable state
+    `start`, where `children(state, level)` lists a state's `(key, child
+    state)` pairs in key order.  The walk goes down level by level and
+    expands each distinct state of a level once, then interns the nodes
+    bottom-up; there is no recursion."""
+    states, edges = [start], []
+    for level in range(depth):
+        index = {}  # child state -> its position in the next level
+        edges.append([[(key, index.setdefault(child, len(index)))
+                       for key, child in children(state, level)]
+                      for state in states])
+        states = list(index)
+    intern = _Interner().node
+    nodes = [_LEAF] * len(states)
+    for level_edges in reversed(edges):
+        nodes = [intern(tuple([(key, nodes[i]) for key, i in pairs]))
+                 for pairs in level_edges]
+    return nodes[0]
+
+
 @dataclass(frozen=True)
 class BadicCube:
     """A level-n base-b cube in [0,1]^d, identified by d digit strings."""
@@ -313,20 +334,17 @@ class CubeTree:
         if (other.base, other.dim, other.depth) != \
                 (self.base, self.dim, self.depth):
             return False
-        memo = set()
-
-        def covered(a: CubeNode, b: CubeNode) -> bool:
-            sig = (id(a), id(b))
-            if sig in memo:
-                return True
-            for key, bc in b.children:
-                ac = a.child(key)
-                if ac is None or not covered(ac, bc):
-                    return False
-            memo.add(sig)
-            return True
-
-        return covered(self.root, other.root)
+        pairs = {(self.root, other.root)}
+        for _ in range(self.depth):  # level by level, each pair once
+            below = set()
+            for a, b in pairs:
+                kids = dict(a.children)
+                for key, child in b.children:
+                    if key not in kids:
+                        return False
+                    below.add((kids[key], child))
+            pairs = below
+        return True
 
     def __eq__(self, other):
         return (isinstance(other, CubeTree)
@@ -346,53 +364,24 @@ class CubeTree:
             raise DomainError(
                 f"subtree depth {depth} exceeds remaining "
                 f"{self.depth - len(path)} levels")
-        interner = _Interner()
-        memo = {}
-
-        def trunc(cur, k):
-            if k == 0:
-                return _LEAF
-            sig = (id(cur), k)
-            got = memo.get(sig)
-            if got is None:
-                got = interner.node(tuple(
-                    (key, trunc(child, k - 1)) for key, child in cur.children))
-                memo[sig] = got
-            return got
-
-        return CubeTree(self.base, self.dim, depth, trunc(node, depth))
+        return CubeTree(self.base, self.dim, depth, rebuild(
+            node, depth, lambda cur, level: cur.children))
 
     def union(self, other: "CubeTree") -> "CubeTree":
         if (other.base, other.dim, other.depth) != \
                 (self.base, self.dim, self.depth):
             raise DomainError("union requires matching base/dim/depth")
-        interner = _Interner()
-        memo = {}
 
-        def merge(a, b):
-            if a is b:
-                return a
-            sig = (id(a), id(b))
-            got = memo.get(sig)
-            if got is not None:
-                return got
-            keys = sorted(set(k for k, _ in a.children)
-                          | set(k for k, _ in b.children))
-            children = []
-            for key in keys:
-                ca, cb = a.child(key), b.child(key)
-                if ca is None:
-                    children.append((key, cb))
-                elif cb is None:
-                    children.append((key, ca))
-                else:
-                    children.append((key, merge(ca, cb)))
-            node = interner.node(tuple(children))
-            memo[sig] = node
-            return node
+        def children(nodes, level):  # a state: the distinct nodes merged
+            merged = {}
+            for node in nodes:
+                for key, child in node.children:
+                    merged.setdefault(key, {})[child] = None
+            return [(key, tuple(merged[key])) for key in sorted(merged)]
 
-        return CubeTree(self.base, self.dim, self.depth,
-                        merge(self.root, other.root))
+        return CubeTree(self.base, self.dim, self.depth, rebuild(
+            tuple(dict.fromkeys((self.root, other.root))), self.depth,
+            children))
 
     def rebase(self, t: int) -> "CubeTree":
         """View the tree in base b^t; depth truncates to a multiple of t."""
@@ -400,37 +389,20 @@ class CubeTree:
             raise DomainError("rebase factor must be >= 1")
         if t == 1:
             return self
-        new_depth = self.depth // t
-        b, d = self.base, self.dim
-        interner = _Interner()
-        memo = {}
+        bases = (self.base,) * self.dim
 
-        def conv(node, levels_left):
-            if levels_left == 0:
-                return _LEAF
-            sig = (id(node), levels_left)
-            got = memo.get(sig)
-            if got is not None:
-                return got
-            children = []
+        def children(node, level):
+            # the depth-t descendants, their t keys combined per axis;
+            # for d >= 2 path order is not key order
+            layer = [((0,) * self.dim, node)]
+            for _ in range(t):
+                layer = [(tuple(map(add, map(mul, digit, bases), key)), child)
+                         for digit, cur in layer
+                         for key, child in cur.children]
+            return sorted(layer, key=itemgetter(0))
 
-            def descend(cur, keys):
-                if len(keys) == t:
-                    digit = tuple(
-                        _digits_to_int([k[i] for k in keys], b)
-                        for i in range(d))
-                    children.append((digit, conv(cur, levels_left - 1)))
-                    return
-                for key, child in cur.children:
-                    descend(child, keys + [key])
-
-            descend(node, [])
-            children.sort(key=lambda item: item[0])
-            out = interner.node(tuple(children))
-            memo[sig] = out
-            return out
-
-        return CubeTree(b**t, d, new_depth, conv(self.root, new_depth))
+        return CubeTree(self.base**t, self.dim, self.depth // t,
+                        rebuild(self.root, self.depth // t, children))
 
     def debase(self, b: int) -> "CubeTree":
         """Inverse of rebase: view a base b^t tree in base b, with depth
@@ -444,43 +416,32 @@ class CubeTree:
             raise DomainError(f"base {self.base} is not a power of {b}")
         if t == 1:
             return self
-        d = self.dim
-        interner = _Interner()
-        memo = {}
+        splits = {}  # node -> its children as (t base-b keys, child)
 
-        def split_key(key):
-            """One base-b^t key -> t base-b keys."""
-            digs = []
-            vals = list(key)
-            for _ in range(t):
-                digs.append(tuple(v % b for v in vals))
-                vals = [v // b for v in vals]
-            return tuple(reversed(digs))
+        def split(node):
+            if node not in splits:
+                splits[node] = out = []
+                for key, child in node.children:
+                    digits = []
+                    for _ in range(t):
+                        digits.append(tuple(v % b for v in key))
+                        key = tuple(v // b for v in key)
+                    out.append((tuple(reversed(digits)), child))
+            return splits[node]
 
-        def conv(node):
-            got = memo.get(id(node))
-            if got is not None:
-                return got
-            groups = {}
-            for key, child in node.children:
-                groups[split_key(key)] = conv(child)
+        def children(state, level):
+            # a state: a base-b^t node and the base-b keys read below it
+            node, head = state
+            j = len(head)
+            below = {}
+            for digits, child in split(node):
+                if digits[:j] == head:
+                    below[digits[j]] = (child, ()) if j + 1 == t else \
+                        (node, digits[:j + 1])
+            return sorted(below.items(), key=itemgetter(0))
 
-            def build(level, items):
-                if level == t:
-                    # all items share the full split prefix
-                    return next(iter(items.values()))
-                buckets = {}
-                for keys, sub in items.items():
-                    buckets.setdefault(keys[level], {})[keys] = sub
-                return interner.node(tuple(
-                    (k, build(level + 1, buckets[k]))
-                    for k in sorted(buckets)))
-
-            out = build(0, groups) if groups else _LEAF
-            memo[id(node)] = out
-            return out
-
-        return CubeTree(b, d, self.depth * t, conv(self.root))
+        return CubeTree(b, self.dim, self.depth * t,
+                        rebuild((self.root, ()), self.depth * t, children))
 
 
 def all_keys(base: int, dim: int) -> list:

@@ -9,9 +9,10 @@ import math
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
+from operator import itemgetter
 
-from .core import (CubeNode, CubeTree, DomainError, Window, WindowedSet,
-                   _Interner, _LEAF)
+from .core import (CubeTree, DomainError, Window, WindowedSet, _Interner,
+                   _LEAF, rebuild)
 from .estimators import _log_ratio, star_dimension_report
 from .exactmath import (badic_power_sum_le, count_meets_power_bound,
                         floor_power, pow_at_least, pow_at_most)
@@ -69,27 +70,16 @@ def prune_with_caps(tree: CubeTree, caps) -> CubeTree:
     caps = list(caps)
     if len(caps) != tree.depth:
         raise DomainError("need one cap per level")
-    interner = _Interner()
-    memo = {}
 
-    def go(node, level):
-        if level == tree.depth:
-            return _LEAF
-        sig = (id(node), level)
-        got = memo.get(sig)
-        if got is not None:
-            return got
+    def children(node, level):
         remaining = tree.depth - level - 1
         ranked = sorted(
             node.children,
             key=lambda kc: (-tree.descendant_count(kc[1], remaining), kc[0]))
-        kept = sorted(ranked[:caps[level]], key=lambda kc: kc[0])
-        out = interner.node(tuple(
-            (key, go(child, level + 1)) for key, child in kept))
-        memo[sig] = out
-        return out
+        return sorted(ranked[:caps[level]], key=itemgetter(0))
 
-    return CubeTree(tree.base, tree.dim, tree.depth, go(tree.root, 0))
+    return CubeTree(tree.base, tree.dim, tree.depth,
+                    rebuild(tree.root, tree.depth, children))
 
 
 def _prune_random(tree: CubeTree, cap: int, rng: random.Random) -> CubeTree:

@@ -21,18 +21,18 @@ from math import lcm
 
 from . import geometry
 from .core import CubeTree, DomainError, PointSet, leaf_corners
-from .estimators import lower_dimension_report
-from .exactmath import floor_lambda, iroot, pow_at_most
+from .estimators import _log_ratio
+from .exactmath import _lambda_power, floor_lambda, pow_at_most
 
 
 def _lambda_for(M: int, alpha: Fraction):
     """lambda = M^(-q/p) for alpha = p/q, exact."""
-    p, q = alpha.numerator, alpha.denominator
-    root = iroot(M**q, p)
-    if root**p == M**q:
-        return Fraction(1, root)
+    lam = _lambda_power(M, alpha, 1)
+    if lam is not None:
+        return lam
     import sympy
-    return sympy.Integer(M) ** sympy.Rational(-q, p)
+    return sympy.Integer(M) ** sympy.Rational(-alpha.denominator,
+                                              alpha.numerator)
 
 
 @dataclass(frozen=True)
@@ -150,16 +150,17 @@ def _tree_lattice(tree: CubeTree, params: LowerParams):
 
 
 def _check_source(source: CubeTree, params: LowerParams):
-    """The source's lower estimate at its last scale k must reach
-    alpha+eps: count >= base^(k (alpha+eps)), decided in integers."""
-    report = lower_dimension_report(source)
-    head = report.headline
-    last = report.records[-1]
+    """The source's lower estimate at its last scale k = depth, the
+    root's leaf count, must reach alpha+eps: count >= base^(k
+    (alpha+eps)), decided in integers."""
+    count, k = source.leaf_count, source.depth
+    if k == 0:
+        raise DomainError("empty report has no headline")
     target = Fraction(params.alpha + params.eps)
-    if not pow_at_most(source.base, last.k * target, last.count):
+    if not pow_at_most(source.base, k * target, count):
         raise DomainError(
-            f"source lower estimate {head:.6f} below "
-            f"alpha+eps={float(target):.6f}")
+            f"source lower estimate {_log_ratio(count, k, source.base):.6f} "
+            f"below alpha+eps={float(target):.6f}")
 
 
 def construct_subset_lower(source, params: LowerParams,

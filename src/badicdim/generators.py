@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 
 from . import geometry
 from .core import (CubeNode, CubeTree, DomainError, Window, WindowedSet,
-                   _Interner, _LEAF, all_keys)
+                   _LEAF, all_keys)
 
 FAMILIES = ("digit-cantor", "full-cube", "lattice-window", "integer-cantor",
             "one-over-k", "prop5-union", "random-branching")

@@ -103,6 +103,12 @@ def test_construct_rejects_low_source_estimate():
         construct_subset_lower(chain, LowerParams(Fraction(1, 2), 2, 2))
 
 
+def test_construct_rejects_depth0_source():
+    with pytest.raises(DomainError, match="^empty report has no headline$"):
+        construct_subset_lower(CubeTree.full(2, 1, 0),
+                               LowerParams(Fraction(1, 2), 2, 0))
+
+
 def test_construct_failure_names_word():
     ps = PointSet.of(4, 1, [(Fraction(i, 16),) for i in range(8)])
     with pytest.raises(DomainError, match="at word"):
