@@ -251,9 +251,7 @@ def _verify_prune_bound(seed: int, samples: int):
         depth = rng.randint(2, 5)
         tree = generators.random_branching_tree(
             M, 1, depth, M, rng.randrange(1 << 30))
-        max_kids = max(
-            (len(n.children)
-             for layer in tree.levels() for n in layer), default=1)
+        max_kids = tree.extreme_count(1)[0]
         # smallest eps (denominator 6) making every N <= max_kids
         # admissible: the lemma requires N <= M^(s+eps) with s = 0 here
         num = 0
@@ -268,9 +266,7 @@ def _verify_prune_bound(seed: int, samples: int):
                                            eps):
                 failures.append(
                     f"leaf bound failed: M={M} depth={depth} N={N}")
-            over = max(
-                (len(n.children)
-                 for layer in pruned.levels() for n in layer), default=0)
+            over = pruned.extreme_count(1)[0]
             if over > N:
                 failures.append(
                     f"cap violated: M={M} depth={depth} N={N} got {over}")

@@ -87,6 +87,28 @@ def rebuild(start, depth: int, children) -> CubeNode:
     return nodes[0]
 
 
+def grow_preorder(start, depth: int, children) -> CubeNode:
+    """Like `rebuild`, but `children(state, level)` is called once per
+    path, in depth-first preorder (for callers drawing from an rng), and
+    a stack of open nodes stands in for recursion."""
+    if depth == 0:
+        return _LEAF
+    intern = _Interner().node
+    stack = [(children(start, 0), [])]
+    while True:
+        pairs, done = stack[-1]
+        if len(stack) == depth:  # the pairs' children are leaves
+            done = [_LEAF] * len(pairs)
+        elif len(done) < len(pairs):
+            stack.append((children(pairs[len(done)][1], len(stack)), []))
+            continue
+        node = intern(tuple(zip(map(itemgetter(0), pairs), done)))
+        stack.pop()
+        if not stack:
+            return node
+        stack[-1][1].append(node)
+
+
 @dataclass(frozen=True)
 class BadicCube:
     """A level-n base-b cube in [0,1]^d, identified by d digit strings."""
@@ -257,15 +279,14 @@ class CubeTree:
 
     def levels(self) -> Iterator[dict]:
         """Yield, per level, a dict mapping each distinct node object to
-        its lexicographically smallest path, in ascending path order.
-        Shared subtrees appear once, which keeps traversal cheap on huge
-        homogeneous trees."""
+        its lexicographically smallest path, in ascending path order
+        (parents go in path order, children in key order).  Shared
+        subtrees appear once: traversal stays cheap on homogeneous trees."""
         current = {self.root: ()}
         yield current
         for _ in range(self.depth):
             nxt = {}
-            for node, path in sorted(current.items(),
-                                     key=lambda item: item[1]):
+            for node, path in current.items():
                 for key, child in node.children:
                     if child not in nxt:
                         nxt[child] = path + (key,)
@@ -276,22 +297,27 @@ class CubeTree:
         """The count profile `(maxima, minima)`: `maxima[i][k - 1]` is
         `(count, path)` for the level-i node with the most depth-k
         descendants, k = 1..depth-i, ties going to the smallest path;
-        `minima` likewise for the fewest.  Built in one `levels()` walk
-        and cached, since the tree is immutable."""
+        `minima` likewise for the fewest.  Built bottom-up after one
+        `levels()` walk from per-node count vectors (entry k - 1: the
+        depth-k count), keeping only the level below's; cached."""
         if self._profile is None:
-            maxima, minima = [], []
-            for level, nodes in enumerate(self.levels()):
+            levels = list(self.levels())
+            below = dict.fromkeys(levels.pop(), ())
+            maxima, minima = [[]], [[]]
+            while levels:
+                nodes = levels.pop()
+                vectors = [(len(node.children), *map(sum, zip(*[
+                    below[child] for _, child in node.children])))
+                    for node in nodes]
+                below = dict(zip(nodes, vectors))
                 paths = list(nodes.values())  # ascending
-                top, bottom = [], []
-                for k in range(1, self.depth - level + 1):
-                    counts = [self.descendant_count(node, k)
-                              for node in nodes]
-                    hi, lo = max(counts), min(counts)
-                    top.append((hi, paths[counts.index(hi)]))
-                    bottom.append((lo, paths[counts.index(lo)]))
-                maxima.append(top)
-                minima.append(bottom)
-            self._profile = (maxima, minima)
+                columns = list(zip(*vectors))  # one per k
+                for table, pick in ((maxima, max), (minima, min)):
+                    best = list(map(pick, columns))
+                    first = map(tuple.index, columns, best)  # smallest path
+                    table.append(list(zip(best, map(paths.__getitem__,
+                                                    first))))
+            self._profile = (maxima[::-1], minima[::-1])
         return self._profile
 
     def extreme_count(self, k: int, largest: bool = True, lo: int = 0,
@@ -301,14 +327,11 @@ class CubeTree:
         depth-k descendants; ties go to the smallest level, then the
         smallest path."""
         maxima, minima = self.count_profile()
-        table = maxima if largest else minima
-        best = None
-        for level in range(lo, (self.depth - k if hi is None else hi) + 1):
-            count, path = table[level][k - 1]
-            if best is None or (count > best[0] if largest
-                                else count < best[0]):
-                best = (count, level, path)
-        return best
+        rows = [row[k - 1] for row in (maxima if largest else minima)[
+            lo:(self.depth - k if hi is None else hi) + 1]]
+        counts = [count for count, _ in rows]
+        i = counts.index((max if largest else min)(counts))
+        return counts[i], lo + i, rows[i][1]
 
     def leaf_values(self, start, step, limit: int = MAX_LEAF_ENUM) -> list:
         """One value per leaf, in path order, built level by level:

@@ -11,8 +11,8 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from operator import itemgetter
 
-from .core import (CubeTree, DomainError, Window, WindowedSet, _Interner,
-                   _LEAF, rebuild)
+from .core import (CubeTree, DomainError, Window, WindowedSet,
+                   grow_preorder, rebuild)
 from .estimators import _log_ratio, star_dimension_report
 from .exactmath import (badic_power_sum_le, count_meets_power_bound,
                         floor_power, pow_at_least, pow_at_most)
@@ -82,21 +82,6 @@ def prune_with_caps(tree: CubeTree, caps) -> CubeTree:
                     rebuild(tree.root, tree.depth, children))
 
 
-def _prune_random(tree: CubeTree, cap: int, rng: random.Random) -> CubeTree:
-    interner = _Interner()
-
-    def go(node, level):
-        if level == tree.depth:
-            return _LEAF
-        kids = list(node.children)
-        take = min(cap, len(kids))
-        picked = sorted(rng.sample(kids, take), key=lambda kc: kc[0])
-        return interner.node(tuple(
-            (key, go(child, level + 1)) for key, child in picked))
-
-    return CubeTree(tree.base, tree.dim, tree.depth, go(tree.root, 0))
-
-
 def prune(tree: CubeTree, params: PruneParams,
           check_hypotheses: bool = True) -> CubeTree:
     """Restrict the tree to <= N children per node while keeping at
@@ -117,8 +102,14 @@ def prune(tree: CubeTree, params: PruneParams,
                 f"N^n M^(-n eps)")
         return out
     rng = random.Random(params.seed)
+
+    def children(node, level):
+        picked = rng.sample(node.children, min(N, len(node.children)))
+        return sorted(picked, key=itemgetter(0))
+
     for _ in range(params.retries):
-        out = _prune_random(tree, N, rng)
+        out = CubeTree(tree.base, tree.dim, tree.depth,
+                       grow_preorder(tree.root, tree.depth, children))
         if count_meets_power_bound(out.leaf_count, M, n, N, params.eps):
             return out
     raise DomainError(

@@ -89,8 +89,9 @@ def select_packing_children(points, center, R, r, M: int):
     """Pick M centers (the anchor first) whose r-balls are pairwise
     disjoint and inside B(center, R): greedy lexicographic over the
     packing candidates.  Requires packing count >= M + 3^d.  `R, r` are
-    exact radii, or a `geometry.Level` and None."""
-    pts = sorted(set(tuple(p) for p in points))
+    exact radii, or a `geometry.Level` and None.  `points` may come in
+    any order and repeat: a point is never apart from itself."""
+    pts = sorted(points)
     if center not in pts:
         raise DomainError("anchor center must belong to the point set")
     lv = geometry.level_of(R, r)

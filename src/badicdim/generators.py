@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 
 from . import geometry
 from .core import (CubeNode, CubeTree, DomainError, Window, WindowedSet,
-                   _LEAF, all_keys)
+                   _LEAF, all_keys, grow_preorder)
 
 FAMILIES = ("digit-cantor", "full-cube", "lattice-window", "integer-cantor",
             "one-over-k", "prop5-union", "random-branching")
@@ -46,22 +46,14 @@ def full_cube(base: int, dim: int, depth: int) -> CubeTree:
     return CubeTree.full(base, dim, depth)
 
 
-def _chain_node(depth: int, dim: int) -> CubeNode:
-    zero = tuple(0 for _ in range(dim))
-    node = _LEAF
-    for _ in range(depth):
-        node = CubeNode(((zero, node),))
-    return node
-
-
 def _window_tree(base: int, dim: int, m: int, cell_keys, chain: int
                  ) -> CubeTree:
     """Tree over a side-b^m window: m levels of lattice structure given
     by `cell_keys`, then `chain` levels of single-corner chains so each
     occupied unit cell holds one point (local star estimate 0)."""
-    node = _chain_node(chain, dim)
-    for _ in range(m):
-        node = CubeNode(tuple((k, node) for k in sorted(cell_keys)))
+    node = _LEAF
+    for keys in [[(0,) * dim]] * chain + [sorted(cell_keys)] * m:
+        node = CubeNode(tuple((k, node) for k in keys))
     return CubeTree(base, dim, m + chain, node)
 
 
@@ -140,14 +132,11 @@ def random_branching_tree(base: int, dim: int, depth: int,
     rng = random.Random(seed)
     keys = all_keys(base, dim)
 
-    def build(level: int) -> CubeNode:
-        if level == depth:
-            return _LEAF
-        n_children = rng.randint(1, max_children)
-        picked = sorted(rng.sample(keys, n_children))
-        return CubeNode(tuple((k, build(level + 1)) for k in picked))
+    def children(state, level):
+        picked = sorted(rng.sample(keys, rng.randint(1, max_children)))
+        return [(key, None) for key in picked]
 
-    return CubeTree(base, dim, depth, build(0))
+    return CubeTree(base, dim, depth, grow_preorder(None, depth, children))
 
 
 def generate(spec: GeneratorSpec):

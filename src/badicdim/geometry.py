@@ -90,17 +90,17 @@ def _sweep(cands, apart) -> list:
 
 
 def greedy_packing(points, center, R, r=None):
-    """Maximal packing: scan candidates in lexicographic order, accept a
-    point if it lies in B(center, R) and its r-ball is disjoint from all
-    accepted balls.  Returns the accepted centers (a valid packing-number
-    lower-bound certificate).  `R, r` are exact radii or a `Level` (see
-    `level_of`).
+    """Maximal packing: scan the lexicographically sorted list `points`
+    in order, accept a point if it lies in B(center, R) and its r-ball
+    is disjoint from all accepted balls.  Returns the accepted centers
+    (a valid packing-number lower-bound certificate).  `R, r` are exact
+    radii or a `Level` (see `level_of`).
 
     Packings count disjoint r-balls with centers in B(center, R); this
     makes every point of the ball a candidate, which is what the
     cover/packing sandwich argument needs."""
     lv = level_of(R, r)
-    cands = ball_points(sorted(points), center, lv.inside)
+    cands = ball_points(points, center, lv.inside)
     if len(center) == 1:
         return _sweep(cands, lv.apart)
     accepted = []

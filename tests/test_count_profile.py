@@ -5,7 +5,8 @@ import itertools
 
 from hypothesis import given, settings, strategies as st
 
-from badicdim.core import CubeTree, Window, WindowedSet, leaf_corners
+from badicdim.core import (CubeNode, CubeTree, Window, WindowedSet,
+                           leaf_corners)
 from badicdim.estimators import (h_star, lower_dimension_report,
                                  star_dimension_report)
 from badicdim.extract_assouad import find_dense_window
@@ -59,6 +60,46 @@ def test_profile_readers_match_flat_recounts(seed, b, d, depth, kids):
         assert find_dense_window(tree, n) == (path, level, count)
 
 
+def _unshared(tree):
+    """A copy of `tree` with one node object per path."""
+    def copy(node):
+        return CubeNode(tuple((key, copy(child))
+                              for key, child in node.children))
+
+    return CubeTree(tree.base, tree.dim, tree.depth, copy(tree.root))
+
+
+def _readings(tree):
+    return (star_dimension_report(tree).to_tsv(),
+            lower_dimension_report(tree).to_tsv(),
+            [find_dense_window(tree, n) for n in range(1, tree.depth + 1)])
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 10**6), st.sampled_from([2, 3]),
+       st.sampled_from([1, 2]), st.integers(2, 6), st.integers(1, 3))
+def test_profile_does_not_depend_on_sharing(seed, b, d, depth, kids):
+    tree = random_branching_tree(b, d, depth, min(kids, b**d), seed)
+    for form in (tree, tree.rebase(2)):
+        copies = [form, _unshared(form), CubeTree.from_leaves(
+            form.base, form.dim, form.depth, form.iter_leaf_paths())]
+        first = _readings(copies[0])
+        for copy in copies[1:]:
+            assert _readings(copy) == first
+
+
+def test_profile_of_deep_trees_needs_no_recursion():
+    for tree in (random_branching_tree(2, 1, 1500, 1, 0),
+                 CubeTree.full(2, 1, 1500)):
+        star = star_dimension_report(tree).records
+        lower = lower_dimension_report(tree).records
+        full = tree.leaf_count > 1
+        assert [r.count for r in star] == \
+            [2**k if full else 1 for k in range(1, 1501)]
+        assert [r.count for r in lower] == [r.count for r in star]
+        assert star[-1].witness == lower[-1].witness == "root"
+
+
 def test_profile_is_one_walk_per_tree(monkeypatch):
     walks = []
     levels = CubeTree.levels
@@ -67,7 +108,11 @@ def test_profile_is_one_walk_per_tree(monkeypatch):
         walks.append(self)
         return levels(self)
 
+    def uncounted(self, node, k):
+        raise AssertionError("the profile sums count vectors instead")
+
     monkeypatch.setattr(CubeTree, "levels", counted)
+    monkeypatch.setattr(CubeTree, "descendant_count", uncounted)
     tree = random_branching_tree(2, 1, 8, 2, seed=5)
     star_dimension_report(tree)
     lower_dimension_report(tree)

@@ -66,6 +66,42 @@ def test_random_prune_reproducible_and_bounded():
     assert count_meets_power_bound(a.leaf_count, 4, 3, 2, Fraction(1, 2))
 
 
+def _preorder_prune_paths(tree, cap, seed):
+    """The leaf paths of a random prune's first attempt, drawn by a
+    recursive depth-first walk: one rng draw per node, in preorder."""
+    rng = random.Random(seed)
+
+    def walk(node, path):
+        if len(path) == tree.depth:
+            yield path
+            return
+        picked = rng.sample(list(node.children), min(cap, len(node.children)))
+        for key, child in sorted(picked, key=lambda kc: kc[0]):
+            yield from walk(child, path + (key,))
+
+    return list(walk(tree.root, ()))
+
+
+def test_random_prune_draws_in_preorder():
+    for seed in range(30):
+        tree = random_branching_tree(2, 2, 5, 4, seed)
+        for cap in (1, 2, 3):
+            # eps = 1 puts the bound below one leaf: the first attempt
+            # is kept
+            out = prune(tree, PruneParams(2, 5, cap, Fraction(0), Fraction(1),
+                                          strategy="random", seed=seed),
+                        check_hypotheses=False)
+            assert list(out.iter_leaf_paths()) == \
+                _preorder_prune_paths(tree, cap, seed)
+
+
+def test_random_prune_of_a_deep_tree():
+    out = prune(CubeTree.full(2, 1, 1500),
+                PruneParams(2, 1500, 1, Fraction(0), Fraction(1),
+                            strategy="random"), check_hypotheses=False)
+    assert out.leaf_count == 1 and out.depth == 1500
+
+
 def test_random_prune_expectation():
     # proof-fidelity check: mean realized leaf count over seeded runs
     # stays above N^n M^(-n eps) within 3 standard errors

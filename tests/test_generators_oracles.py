@@ -1,10 +1,12 @@
 import math
+import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from badicdim.core import CubeTree, DomainError, WindowedSet, \
-    leaf_representatives, PointSet
+    all_keys, leaf_representatives, PointSet
 from badicdim.estimators import h_star, packing_count, \
     star_dimension_report
 from badicdim.generators import (FAMILIES, GeneratorSpec, digit_cantor,
@@ -68,6 +70,32 @@ def test_random_branching_reproducible():
     c = random_branching_tree(2, 1, 4, 2, seed=2)
     assert a == b
     assert (a == c) is False or a.leaf_count == c.leaf_count
+
+
+def _preorder_leaf_paths(base, dim, depth, max_children, seed):
+    """The leaf paths of `random_branching_tree`, drawn by a recursive
+    depth-first walk: one rng draw per internal node, in preorder."""
+    rng = random.Random(seed)
+    keys = all_keys(base, dim)
+
+    def walk(path):
+        if len(path) == depth:
+            yield path
+            return
+        for key in sorted(rng.sample(keys, rng.randint(1, max_children))):
+            yield from walk(path + (key,))
+
+    return list(walk(()))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 10**6), st.sampled_from([2, 3]),
+       st.sampled_from([1, 2]), st.integers(0, 7), st.integers(1, 9))
+def test_random_branching_draws_in_preorder(seed, b, d, depth, kids):
+    kids = min(kids, b**d)
+    tree = random_branching_tree(b, d, depth, kids, seed)
+    assert list(tree.iter_leaf_paths()) == \
+        _preorder_leaf_paths(b, d, depth, kids, seed)
 
 
 def test_random_branching_respects_max_children():

@@ -48,6 +48,20 @@ def _regroup(path, t, base):
     return tuple(out)
 
 
+def _ascending(tree):
+    return all(list(level.values()) == sorted(level.values())
+               for level in tree.levels())
+
+
+def test_levels_are_in_ascending_path_order():
+    for seed in range(6):
+        a, b = (random_branching_tree(3, 2, 4, 5, seed + i) for i in (0, 9))
+        r = a.rebase(2)
+        for tree in (a, r, r.debase(3), prune_with_caps(a, [2, 1, 3, 2]),
+                     a.union(b)):
+            assert tree.dim == 2 and _ascending(tree)
+
+
 @st.composite
 def _trees(draw):
     base = draw(st.sampled_from([2, 3]))
@@ -66,6 +80,7 @@ def _trees(draw):
 def test_transforms_match_flat_leaf_sets(case):
     (a, b), caps = case
     pa, pb = _paths(a), _paths(b)
+    assert _hash_consed(a)
 
     for k in range(a.depth + 1):
         sub = a.subtree((), k)
