@@ -109,6 +109,38 @@ def grow_preorder(start, depth: int, children) -> CubeNode:
         stack[-1][1].append(node)
 
 
+def descend(layer: list, levels: int, step) -> list:
+    """The `(value, node)` pairs `levels` levels below `layer`'s, in path
+    order: `step(value, key)` down each edge."""
+    for _ in range(levels):
+        layer = [(step(value, key), child) for value, node in layer
+                 for key, child in node.children]
+    return layer
+
+
+def corner_step(base: int, dim: int):
+    """The `step` of integer corners in units of their side: a child's
+    corner is its parent's times base plus its key."""
+    bases = (base,) * dim
+    return lambda corner, key: tuple(map(add, map(mul, corner, bases), key))
+
+
+def corner_walk(layer: dict, levels: int, step, pick=min, key=None) -> dict:
+    """Walk `levels` levels down from `layer` (node -> corner), keeping
+    per distinct node the corner of its paths that `pick` chooses under
+    `key`.  A `corner_step` keeps the order of corners and of each
+    coordinate, so parents' choices decide their children's."""
+    for _ in range(levels):
+        below = {}
+        for node, corner in layer.items():
+            for edge, child in node.children:
+                c = step(corner, edge)
+                below[child] = pick(below[child], c, key=key) \
+                    if child in below else c
+        layer = below
+    return layer
+
+
 @dataclass(frozen=True)
 class BadicCube:
     """A level-n base-b cube in [0,1]^d, identified by d digit strings."""
@@ -339,11 +371,8 @@ class CubeTree:
         if self.leaf_count > limit:
             raise DomainError(
                 f"leaf enumeration of {self.leaf_count} exceeds {limit}")
-        layer = [(start, self.root)]
-        for _ in range(self.depth):
-            layer = [(step(value, key), child) for value, node in layer
-                     for key, child in node.children]
-        return [value for value, _ in layer]
+        return [value for value, _ in descend([(start, self.root)],
+                                              self.depth, step)]
 
     def iter_leaf_paths(self, limit: int = MAX_LEAF_ENUM) -> Iterator[Path]:
         yield from self.leaf_values((), lambda path, key: path + (key,),
@@ -412,17 +441,13 @@ class CubeTree:
             raise DomainError("rebase factor must be >= 1")
         if t == 1:
             return self
-        bases = (self.base,) * self.dim
+        step = corner_step(self.base, self.dim)
 
         def children(node, level):
             # the depth-t descendants, their t keys combined per axis;
             # for d >= 2 path order is not key order
-            layer = [((0,) * self.dim, node)]
-            for _ in range(t):
-                layer = [(tuple(map(add, map(mul, digit, bases), key)), child)
-                         for digit, cur in layer
-                         for key, child in cur.children]
-            return sorted(layer, key=itemgetter(0))
+            return sorted(descend([((0,) * self.dim, node)], t, step),
+                          key=itemgetter(0))
 
         return CubeTree(self.base**t, self.dim, self.depth // t,
                         rebuild(self.root, self.depth // t, children))
@@ -514,9 +539,8 @@ def leaf_corners(tree: CubeTree, limit: int = MAX_LEAF_ENUM) -> list:
     """The lower-left corners of the leaf cubes as integer points at
     scale base^depth (corner * base^depth), sorted: a child's corner is
     its parent's times base plus its key."""
-    bases = (tree.base,) * tree.dim
-    return sorted(tree.leaf_values((0,) * tree.dim, lambda corner, key: tuple(
-        map(add, map(mul, corner, bases), key)), limit))
+    return sorted(tree.leaf_values((0,) * tree.dim,
+                                   corner_step(tree.base, tree.dim), limit))
 
 
 def leaf_representatives(tree: CubeTree,
@@ -555,27 +579,59 @@ class WindowedSet:
                 raise DomainError("window side exponent must be >= 0")
         _check_disjoint(ws, base, dim)
         self.windows = tuple(ws)
-        self._boxes = None
+        self._forest = None
 
     def __len__(self):
         return len(self.windows)
 
-    def leaf_boxes(self) -> tuple:
-        """`(unit, boxes)`: every window's leaf cubes as `(corner, e)` in
-        integer units b^unit, unit = min(side_exp - depth, 0), with side
-        b^e units.  Cached, since the set is immutable."""
-        if self._boxes is None:
+    def lattice_forest(self) -> tuple:
+        """`(unit, j_hi, roots)`: cells of side b^unit, unit = min(side_exp
+        - depth, 0); global scales up to b^j_hi, b times the first power
+        of b that the largest coordinate reaches; and by corner, the
+        aligned cubes of side b^top, top = max(j_hi, 0), that the set
+        meets, as `(corner in units of b^top, depth top - unit tree)`.
+        A window is grafted at its coarsest level of aligned cubes no
+        larger than b^top (an aligned one at its root), its leaves
+        coarser than a cell made one shared full subtree; above the
+        grafts, one node is interned per cube.  Cached."""
+        if self._forest is None:
+            b, d = self.base, self.dim
             unit = min(min(w.side_exp - w.tree.depth for w in self.windows),
                        0)
-            boxes = []
+            step = corner_step(b, d)
+            span = max(o * b**-unit + (c[i] + 1) * b**(
+                w.side_exp - w.tree.depth - unit) for w in self.windows
+                for i, o in enumerate(w.offset) for c in corner_walk(
+                    {w.tree.root: (0,) * d}, w.tree.depth, step, max,
+                    itemgetter(i)).values())
+            j_hi = unit + 1
+            while b**(j_hi - 1 - unit) < span:
+                j_hi += 1
+            top, full = max(j_hi, 0), [(key, None) for key in all_keys(b, d)]
+            grafts = {}  # level j -> {corner in units of b^j: node}
             for w in self.windows:
-                e = w.side_exp - w.tree.depth - unit
-                scale = self.base**e
-                off = [o * self.base**-unit for o in w.offset]
-                boxes += [(tuple([o + c * scale for o, c in zip(off, corner)]),
-                           e) for corner in leaf_corners(w.tree)]
-            self._boxes = (unit, boxes)
-        return self._boxes
+                n, j = w.tree.depth, min(w.side_exp, top)
+                while any(o % b**j for o in w.offset):
+                    j -= 1
+                root = w.tree.root if w.side_exp - n == unit else rebuild(
+                    w.tree.root, w.side_exp - unit,
+                    lambda node, level: node.children if level < n else full)
+                cells = descend([((0,) * d, root)], w.side_exp - j, step)
+                shift = [o // b**j for o in w.offset]
+                grafts.setdefault(j, {}).update(
+                    (tuple(map(add, c, shift)), node) for c, node in cells)
+            intern, layer = _Interner().node, {}
+            for level in range(min(grafts), top + 1):
+                parents = {}  # key order is corner order within a parent
+                for c, node in sorted(layer.items()):
+                    parents.setdefault(tuple([x // b for x in c]), []).append(
+                        (tuple([x % b for x in c]), node))
+                layer = {c: intern(tuple(kids)) for c, kids in parents.items()}
+                layer.update(grafts.get(level, ()))
+            self._forest = (unit, j_hi, [
+                (c, CubeTree(b, d, top - unit, node))
+                for c, node in sorted(layer.items())])
+        return self._forest
 
 
 def _check_disjoint(windows, base, dim):

@@ -11,7 +11,8 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from . import geometry
-from .core import (BadicCube, CubeTree, DomainError, PointSet, WindowedSet)
+from .core import (BadicCube, CubeTree, DomainError, PointSet, WindowedSet,
+                   corner_step, corner_walk)
 
 COVER_METHOD_TAG = "badic-cells"
 
@@ -77,49 +78,26 @@ def _tree_h_star(tree: CubeTree, k: int):
 
 
 def _windowed_h_star(wset: WindowedSet, k: int, kind: str):
-    b, d = wset.base, wset.dim
-    unit, boxes = wset.leaf_boxes()
-    if kind == "local":
-        j_hi = 0
-    else:
-        span = max(max(c[i] + b**e for c, e in boxes) for i in range(d))
-        j_hi = unit
-        while b ** (j_hi - unit) < span:
-            j_hi += 1
-        j_hi += 1
-    full = b ** (k * d)  # the count of a candidate cube inside the set
-    best = None  # (-count, j, corner): ties to the smallest j, then corner
-    for j in range(unit + k, j_hi + 1):
-        side_units = b ** (j - unit)
-        sub_units = b ** (j - k - unit)
-        # bucket the leaf boxes by the candidate cube containing them; a
-        # leaf larger than the candidate cube fills every candidate inside
-        # it, and its own corner is the smallest of them
-        buckets = {}
-        for c, e in boxes:
-            leaf_side = b**e
-            if leaf_side > side_units:
-                key = (-full, j, c)
-                if best is None or key < best:
-                    best = key
-            else:
-                corner = tuple((x // side_units) * side_units for x in c)
-                buckets.setdefault(corner, []).append((c, leaf_side))
-        for corner, bucket in buckets.items():
-            count = 0
-            cells = set()
-            for c, leaf_side in bucket:
-                if leaf_side >= sub_units:
-                    count += (leaf_side // sub_units) ** d
-                else:
-                    cells.add(tuple(x // sub_units for x in c))
-            key = (-count - len(cells), j, corner)
-            if best is None or key < best:
-                best = key
-    if best is None:
+    """Counts are reads of the lattice forest's count profiles, smallest
+    side first; the witness is one corner walk down to the winning side."""
+    unit, j_hi, roots = wset.lattice_forest()
+    top = unit + roots[0][1].depth
+    scales = range(unit + k, (0 if kind == "local" else j_hi) + 1)
+    if not scales:
         raise DomainError(f"no admissible cubes for k={k} ({kind})")
-    witness = f"side=b^{best[1]} corner_units={best[2]} unit_exp={unit}"
-    return -best[0], witness
+    counts = [max(tree.count_profile()[0][top - j][k - 1][0]
+                  for _, tree in roots) for j in scales]
+    count = max(counts)
+    j = scales[counts.index(count)]  # the smallest side with the count
+    tree = roots[0][1]  # any tree counts any node's descendants
+    corner = min(c for node, c in corner_walk(
+        {t.root: c for c, t in reversed(roots)}, top - j,
+        corner_step(wset.base, wset.dim)).items()
+        if tree.descendant_count(node, k) == count)
+    side = wset.base ** (j - unit)
+    witness = (f"side=b^{j} corner_units={tuple(x * side for x in corner)} "
+               f"unit_exp={unit}")
+    return count, witness
 
 
 def h_star(obj, k: int, kind: str = "local"):

@@ -103,12 +103,10 @@ def select_packing_children(points, center, R, r, M: int):
             f"{achieved}")
     dist = geometry.dist_inf
     chosen = [center]
-    for p in pts:
+    for p in geometry.ball_points(pts, center, lv.nested):
         if len(chosen) == M:
             break
-        if p == center or dist(p, center) > lv.nested:
-            continue
-        if all(dist(p, q) > lv.apart for q in chosen):
+        if p != center and all(dist(p, q) > lv.apart for q in chosen):
             chosen.append(p)
     if len(chosen) < M:
         raise DomainError(

@@ -44,6 +44,21 @@ def test_estimate_report_file_and_kinds(tmp_path, capsys):
     assert "estimate=0.000000" in out
 
 
+def test_estimate_counts_misaligned_coarse_leaves_by_cell(tmp_path, capsys):
+    # one window [1, 10) of side-1 leaves, offset 1 off the base-3 grid:
+    # the aligned cube [0, 9) holds the cells 1..8, and [3, 6) is the
+    # first side-3 cube with 3 of them
+    path = tmp_path / "w.wdt"
+    path.write_text("wdt b=3 d=1 windows=1\nwindow off=1 m=2\n0\n1\n2\n")
+    code, out, _ = run(capsys, "estimate", "--in", str(path), "--kind",
+                       "star-global", "--kmax", "2")
+    assert code == 0
+    assert out.splitlines()[1:3] == [
+        "1\t3\t1.000000\tside=b^1 corner_units=(3,) unit_exp=0",
+        f"2\t8\t{math.log(8) / math.log(9):.6f}\t"
+        "side=b^2 corner_units=(0,) unit_exp=0"]
+
+
 def test_estimate_lower_cover(tmp_path, capsys):
     path = str(tmp_path / "full.bdt")
     run(capsys, "gen", "full-cube", "--base", "2", "--dim", "1",

@@ -3,10 +3,10 @@ recounts from the leaf list alone."""
 
 import itertools
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
-from badicdim.core import (CubeNode, CubeTree, Window, WindowedSet,
-                           leaf_corners)
+from badicdim.core import (CubeNode, CubeTree, DomainError, Window,
+                           WindowedSet, leaf_corners)
 from badicdim.estimators import (h_star, lower_dimension_report,
                                  star_dimension_report)
 from badicdim.extract_assouad import find_dense_window
@@ -126,7 +126,9 @@ def test_profile_is_one_walk_per_tree(monkeypatch):
 
 def _flat_windowed_h_star(wset, k, kind):
     """H* and its witness from every occupied unit cell, scanning each
-    aligned candidate cube (ties to the smallest side, then corner)."""
+    aligned candidate cube of side up to b^(top + 1), b^top the first
+    power of b past the largest coordinate (ties to the smallest side,
+    then corner)."""
     b = wset.base
     unit = min(min(w.side_exp - w.tree.depth for w in wset.windows), 0)
     cells = set()
@@ -137,11 +139,14 @@ def _flat_windowed_h_star(wset, k, kind):
                       for o, x in zip(w.offset, corner)]
             cells.update(itertools.product(
                 *(range(x, x + leaf) for x in origin)))
-    top = unit
+    top = unit  # b^top: the first power past the largest coordinate
     while b ** (top - unit) <= max(max(c) for c in cells):
         top += 1
+    scales = range(unit + k, (0 if kind == "local" else top + 1) + 1)
+    if not scales:
+        raise DomainError(f"no admissible cubes for k={k} ({kind})")
     best = None
-    for j in range(unit + k, (0 if kind == "local" else top + 2) + 1):
+    for j in scales:
         side, sub = b ** (j - unit), b ** (j - k - unit)
         per_cube = {}
         for c in cells:
@@ -168,6 +173,8 @@ def _coarse_and_fine():
             Window((4, 0), 2, CubeTree.full(2, 2, 1)),
             Window((0, 8), 3, random_branching_tree(2, 2, 1, 2, 4))]),
         prop5_union(3, [0, 2], [0, 1, 2], 2, 3, chain=1),
+        # side-3 leaves one cell off the base-3 grid
+        WindowedSet(3, 1, [Window((1,), 2, CubeTree.full(3, 1, 1))]),
     ]
 
 
@@ -194,3 +201,69 @@ def test_windowed_full_leaf_witness_is_its_corner():
         8, "side=b^-2 corner_units=(256,) unit_exp=-5")
     assert h_star(wset, 4, "local") == (
         16, "side=b^-1 corner_units=(256,) unit_exp=-5")
+
+
+def _answer(kernel, wset, k, kind):
+    try:
+        return kernel(wset, k, kind)
+    except DomainError as exc:
+        return str(exc)
+
+
+@st.composite
+def _windowed_sets(draw):
+    """Up to three disjoint windows at any integer offset, negative and
+    off the grid included, with leaves finer or coarser than one unit."""
+    b, d = draw(st.sampled_from([2, 3])), draw(st.sampled_from([1, 2]))
+    windows = []
+    for _ in range(draw(st.integers(1, 3))):
+        m, n = draw(st.integers(0, 2)), draw(st.integers(0, 2))
+        offset = tuple(draw(st.integers(-12, 12)) * draw(
+            st.sampled_from([1, b, b * b])) for _ in range(d))
+        tree = random_branching_tree(b, d, n, draw(st.integers(1, b**d)),
+                                     draw(st.integers(0, 10**6)))
+        try:
+            WindowedSet(b, d, windows + [Window(offset, m, tree)])
+        except DomainError:  # overlapping footprints
+            continue
+        windows.append(Window(offset, m, tree))
+    unit = min(min(w.side_exp - w.tree.depth for w in windows), 0)
+    assume(sum(b ** ((w.side_exp - unit) * d) for w in windows) <= 2000)
+    return WindowedSet(b, d, windows)
+
+
+@settings(max_examples=100, deadline=None)
+@given(_windowed_sets())
+def test_windowed_kernel_matches_flat_oracle(wset):
+    for kind in ("local", "global"):
+        for k in itertools.count(1):
+            got = _answer(h_star, wset, k, kind)
+            assert got == _answer(_flat_windowed_h_star, wset, k, kind), \
+                (kind, k)
+            if isinstance(got, str):  # no scale admits k, nor any larger k
+                break
+
+
+def test_windowed_kernel_on_a_deep_window():
+    chain = CubeTree.from_leaves(2, 1, 1500, [((1,),) * 1500])
+    wset = WindowedSet(2, 1, [Window((4,), 0, chain)])
+    for kind in ("local", "global"):
+        report = star_dimension_report(wset, kind, 3)
+        assert [r.count for r in report.records] == [1, 1, 1]
+    assert h_star(wset, 1500, "global") == (
+        1, f"side=b^0 corner_units=({4 * 2**1500},) unit_exp=-1500")
+
+
+def test_lattice_forest_shares_the_window_trees():
+    wset = prop5_union(4, [0, 2], [0, 1, 2], 6, 8)
+    unit, j_hi, roots = wset.lattice_forest()
+    top = unit + roots[0][1].depth
+    forest = set().union(*(level for _, tree in roots
+                           for level in tree.levels()))
+    windows = set().union(*(level for w in wset.windows
+                            for level in w.tree.levels()))
+    # both windows are aligned: each is grafted at its root, level side_exp
+    grafts = sum(top - w.side_exp for w in wset.windows)
+    assert len(roots) == 1
+    assert len(forest) <= len(windows) + grafts
+    assert {w.tree.root for w in wset.windows} <= forest

@@ -1,5 +1,5 @@
 """Set I/O: `.bdt`/`.wdt` round trips, the bottom-up builder's sharing,
-pinned error texts, deep trees and the windowed leaf boxes."""
+pinned error texts and deep trees."""
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -7,8 +7,7 @@ from hypothesis import given, settings, strategies as st
 from badicdim.core import (CubeTree, DomainError, SetFormatError, Window,
                            WindowedSet, read_bdt, read_wdt, write_bdt,
                            write_wdt)
-from badicdim.generators import (integer_cantor, prop5_union,
-                                 random_branching_tree)
+from badicdim.generators import random_branching_tree
 
 
 def _nodes(tree):
@@ -110,28 +109,3 @@ def test_write_refuses_too_many_leaves():
     with pytest.raises(DomainError) as e:
         write_bdt(CubeTree.full(2, 1, 3), limit=7)
     assert str(e.value) == "leaf enumeration of 8 exceeds 7"
-
-
-@pytest.mark.parametrize("wset", [
-    prop5_union(4, [0, 2], [0, 1, 2], 3, 4),
-    integer_cantor(3, 2, 2, [0, 2], chain=1, offset=(-5, 7)),
-    WindowedSet(3, 2, [
-        Window((0, 0), 2, random_branching_tree(3, 2, 3, 4, 1)),
-        Window((20, 0), 1, random_branching_tree(3, 2, 2, 5, 2))]),
-])
-def test_leaf_boxes_match_a_per_digit_sum_and_are_cached(wset):
-    unit, boxes = wset.leaf_boxes()
-    b = wset.base
-    assert unit == min(min(w.side_exp - w.tree.depth
-                           for w in wset.windows), 0)
-    expected = []
-    for w in wset.windows:
-        n = w.tree.depth
-        for path in w.tree.iter_leaf_paths():
-            expected.append((tuple(
-                w.offset[i] * b**-unit
-                + sum(path[j][i] * b**(w.side_exp - j - 1 - unit)
-                      for j in range(n))
-                for i in range(wset.dim)), w.side_exp - n - unit))
-    assert sorted(boxes) == sorted(expected)
-    assert wset.leaf_boxes() is wset.leaf_boxes()
