@@ -10,10 +10,11 @@ any depth.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
-from itertools import groupby
+from itertools import groupby, product
 from operator import add, itemgetter, mul
 from typing import Iterator
 
@@ -84,6 +85,20 @@ def rebuild(start, depth: int, children) -> CubeNode:
     for level_edges in reversed(edges):
         nodes = [intern(tuple([(key, nodes[i]) for key, i in pairs]))
                  for pairs in level_edges]
+    return nodes[0]
+
+
+def build_sorted(heads: list, depth: int, width: int, edge) -> CubeNode:
+    """The tree of the sorted distinct strings or tuples `heads`, built
+    bottom-up; `edge` keys the `width` items of each distinct edge once."""
+    intern, pair, nodes = _Interner().node, itemgetter(1), [_LEAF] * len(heads)
+    for cut in range((depth - 1) * width, -1, -width):
+        items = zip(map(itemgetter(slice(cut)), heads), zip(
+            map(edge, map(itemgetter(slice(cut, None)), heads)), nodes))
+        heads, nodes = [], []
+        for prefix, group in groupby(items, key=itemgetter(0)):
+            heads.append(prefix)
+            nodes.append(intern(tuple(map(pair, group))))
     return nodes[0]
 
 
@@ -252,18 +267,8 @@ class CubeTree:
                     raise DomainError("leaf path length must equal depth")
                 for key in filter(bad, p):
                     raise DomainError(f"bad digit key {key}")
-        # bottom-up: per level, consecutive items sharing a prefix are
-        # the (key, child) pairs of one node
-        intern, pair = _Interner().node, itemgetter(1)
-        heads, nodes = paths, [_LEAF] * len(paths)
-        for level in range(depth - 1, -1, -1):
-            items = zip(map(itemgetter(slice(level)), heads),
-                        zip(map(itemgetter(level), heads), nodes))
-            heads, nodes = [], []
-            for prefix, group in groupby(items, key=itemgetter(0)):
-                heads.append(prefix)
-                nodes.append(intern(tuple(map(pair, group))))
-        return cls(base, dim, depth, nodes[0])
+        return cls(base, dim, depth,
+                   build_sorted(paths, depth, 1, itemgetter(0)))
 
     # -- queries ------------------------------------------------------
 
@@ -587,7 +592,7 @@ class WindowedSet:
     def lattice_forest(self) -> tuple:
         """`(unit, j_hi, roots)`: cells of side b^unit, unit = min(side_exp
         - depth, 0); global scales up to b^j_hi, b times the first power
-        of b that the largest coordinate reaches; and by corner, the
+        of b that the largest absolute coordinate reaches; by corner, the
         aligned cubes of side b^top, top = max(j_hi, 0), that the set
         meets, as `(corner in units of b^top, depth top - unit tree)`.
         A window is grafted at its coarsest level of aligned cubes no
@@ -598,12 +603,14 @@ class WindowedSet:
             b, d = self.base, self.dim
             unit = min(min(w.side_exp - w.tree.depth for w in self.windows),
                        0)
-            step = corner_step(b, d)
-            span = max(o * b**-unit + (c[i] + 1) * b**(
-                w.side_exp - w.tree.depth - unit) for w in self.windows
-                for i, o in enumerate(w.offset) for c in corner_walk(
-                    {w.tree.root: (0,) * d}, w.tree.depth, step, max,
-                    itemgetter(i)).values())
+            step, span = corner_step(b, d), 0  # span: largest |coordinate|
+            for w in self.windows:
+                leaf = b**(w.side_exp - w.tree.depth - unit)  # in cells
+                for i, pick in product(range(d), (max, min)):
+                    for c in corner_walk({w.tree.root: (0,) * d}, w.tree.depth,
+                                         step, pick, itemgetter(i)).values():
+                        x = w.offset[i] * b**-unit + c[i] * leaf
+                        span = max(span, x + leaf, -x)
             j_hi = unit + 1
             while b**(j_hi - 1 - unit) < span:
                 j_hi += 1
@@ -653,16 +660,22 @@ def _check_disjoint(windows, base, dim):
 
 
 def _leaf_lines(tree: CubeTree, limit: int) -> list:
-    """The sorted .bdt/.wdt leaf lines: per leaf, its digit strings, one
-    per axis (its parent's plus its key's digits), joined by commas."""
-    return sorted(map(",".join, tree.leaf_values(
-        ("",) * tree.dim,
-        lambda axes, key: tuple(map(add, axes, _key_chars(key))), limit)))
+    """The sorted .bdt/.wdt leaf lines: level-major digit strings (the
+    parent's plus the key's digits), split into axes for d >= 2."""
+    d, lines = tree.dim, tree.leaf_values(
+        "", lambda head, key: head + _key_chars(key), limit)
+    return sorted(lines if d == 1 else map(",".join, map(itemgetter(
+        *[slice(i, None, d) for i in range(d)]), lines)))
 
 
 @cache
-def _key_chars(key: Key) -> tuple:
-    return tuple(map(str, key))
+def _key_chars(key: Key) -> str:
+    return "".join(map(str, key))
+
+
+@cache
+def _key(chars: str) -> Key:
+    return tuple(map(int, chars))
 
 
 def write_bdt(tree: CubeTree, limit: int = MAX_LEAF_ENUM) -> str:
@@ -672,54 +685,50 @@ def write_bdt(tree: CubeTree, limit: int = MAX_LEAF_ENUM) -> str:
     return "\n".join([header, *_leaf_lines(tree, limit)]) + "\n"
 
 
-@cache
-class _KeyTable(dict):
-    """One per base: a leaf line's character (d = 1) or tuple of axis
-    characters -> key; KeyError if not an ASCII digit below the base."""
+def _leaf_tree(lines: list, first: int, base: int, dim: int, depth: int,
+               unique: bool) -> CubeTree:
+    """The tree of leaf `lines` numbered from `first`: one regex checks
+    them all, and only if it fails does a line scan name the bad line."""
+    rows = list(map(str.strip, lines))
+    if not rows:
+        raise SetFormatError(first, "no leaf lines")
+    text, digits = "\n".join(rows), "0123456789"[:max(base, 0)]
+    cap = len(text) + 1  # a count above any line's length matches no line
+    part = (f"[{digits}]" if digits else "(?!)") + (
+        f"{{{min(depth, cap)}}}" if depth > 0 else "*")  # any at depth 0
+    line = f"{part}(?:,{part}){{{min(dim - 1, cap)}}}" if dim > 0 else "(?!)"
+    if not re.fullmatch(f"{line}(?:\n{line})*", text) or \
+            unique and len(set(lines)) < len(lines):
+        raise _line_error(lines, first, digits, dim, depth, unique)
+    if depth < 0:  # no leaf line has a negative length
+        raise DomainError("leaf path length must equal depth")
+    if dim > 1 and depth > 0:  # level-major: interleave the axes
+        rows = map("".join, map(itemgetter(*[i * (depth + 1) + level for (
+            level, i) in product(range(depth), range(dim))]), rows))
+    return CubeTree(base, dim, depth, build_sorted(
+        list(dict.fromkeys(sorted(rows))), depth, dim, _key))
 
-    def __init__(self, base: int):
-        super().__init__()
-        self.digits = {str(i): i for i in range(min(base, 10))}
 
-    def __missing__(self, chars):
-        key = self[chars] = tuple(self.digits[ch] for ch in chars)
-        return key
-
-
-def _leaf_paths(rows, base: int, dim: int, depth: int, unique: bool) -> list:
-    """Key paths of `(line number, line)` leaf rows; with `unique`
-    (.bdt), a blank or repeated line is an error too."""
-    table = _KeyTable(base)
+def _line_error(lines: list, first: int, digits: str, dim: int, depth: int,
+                unique: bool) -> SetFormatError:
+    """The first bad leaf line's error; with `unique` (.bdt), a blank
+    (unless depth is 0) or repeated line is one too."""
     seen = set()
-    paths = []
-    for line_no, raw in rows:
-        line = raw.strip()
-        if unique:
-            # a depth-0 tree in d = 1 has one empty leaf line: the root
-            if not line and depth > 0:
-                raise SetFormatError(line_no, "blank line")
-            if raw in seen:
-                raise SetFormatError(line_no, f"duplicate leaf line '{raw}'")
-            seen.add(raw)
-        parts = line.split(",")
+    for line_no, raw in enumerate(lines, first):
+        if unique and depth > 0 and not raw.strip():
+            return SetFormatError(line_no, "blank line")
+        if unique and raw in seen:
+            return SetFormatError(line_no, f"duplicate leaf line '{raw}'")
+        seen.add(raw)
+        parts = raw.strip().split(",")
         if len(parts) != dim:
-            raise SetFormatError(line_no, f"expected {dim} coordinates")
-        if depth and all(len(part) == depth for part in parts):
-            try:
-                paths.append(tuple(map(table.__getitem__,
-                                       line if dim == 1 else zip(*parts))))
-                continue
-            except KeyError:
-                pass
-        for part in parts:  # the first bad part, axis by axis
+            return SetFormatError(line_no, f"expected {dim} coordinates")
+        for part in parts:  # axis by axis
             if len(part) != depth and depth > 0:
-                raise SetFormatError(
+                return SetFormatError(
                     line_no, f"digit string '{part}' must have length {depth}")
-            for ch in part:
-                if ch not in table.digits:
-                    raise SetFormatError(line_no, f"bad digit '{ch}'")
-        paths.append(())  # depth 0: every line is the root
-    return paths
+            for ch in filter(lambda ch: ch not in digits, part):
+                return SetFormatError(line_no, f"bad digit '{ch}'")
 
 
 def _header(text: str, usage: str) -> tuple:
@@ -739,11 +748,7 @@ def _header(text: str, usage: str) -> tuple:
 
 def read_bdt(text: str) -> CubeTree:
     lines, (base, dim, depth) = _header(text, "bdt b=<b> d=<d> n=<n>")
-    paths = _leaf_paths(enumerate(lines[1:], start=2), base, dim, depth,
-                        unique=True)
-    if not paths:
-        raise SetFormatError(2, "no leaf lines")
-    return CubeTree.from_leaves(base, dim, depth, paths)
+    return _leaf_tree(lines[1:], 2, base, dim, depth, unique=True)
 
 
 def write_wdt(wset: WindowedSet, limit: int = MAX_LEAF_ENUM) -> str:
@@ -759,8 +764,7 @@ def write_wdt(wset: WindowedSet, limit: int = MAX_LEAF_ENUM) -> str:
 
 def read_wdt(text: str) -> WindowedSet:
     lines, (base, dim, nwin) = _header(text, "wdt b=<b> d=<d> windows=<k>")
-    windows = []
-    i = 1
+    windows, i = [], 1
     while i < len(lines):
         parts = lines[i].split()
         if len(parts) != 3 or parts[0] != "window":
@@ -779,10 +783,8 @@ def read_wdt(text: str) -> WindowedSet:
         if i == start:
             raise SetFormatError(i, "window has no leaf lines")
         depth = len(lines[start].strip().split(",")[0])
-        paths = _leaf_paths(zip(range(start + 1, i + 1), lines[start:i]),
-                            base, dim, depth, unique=False)
-        tree = CubeTree.from_leaves(base, dim, depth, paths)
-        windows.append(Window(offset, m, tree))
+        windows.append(Window(offset, m, _leaf_tree(
+            lines[start:i], start + 1, base, dim, depth, unique=False)))
     if len(windows) != nwin:
         raise SetFormatError(
             1, f"header declares {nwin} windows, found {len(windows)}")

@@ -42,8 +42,9 @@ def floor_power(base: int, exp: Fraction) -> int:
     return iroot(base**p, q)
 
 
-def pow_at_least(base: int, exp: Fraction, value: int) -> bool:
-    """True iff base ** exp >= value (exact, rational exp of any sign)."""
+def pow_at_least(base: int, exp: Fraction, value) -> bool:
+    """True iff base ** exp >= value (exact, rational exp of any sign and
+    an int or Fraction value)."""
     if value <= 0:
         return True
     p, q = exp.numerator, exp.denominator

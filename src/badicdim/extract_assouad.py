@@ -253,13 +253,24 @@ def construct_subset_assouad(tree: CubeTree, alpha: Fraction, eps: Fraction,
     report = star_dimension_report(out, "local", k_max=trace.k_star)
     trace.headline = report.headline
     trace.delta = d * math.log(2) / (trace.k_star * math.log(M))
-    lo = float(alpha - eps) - trace.delta
-    hi = float(alpha + eps) + trace.delta
-    if not lo <= trace.headline <= hi:
+    if not headline_in_window(report.records[-1].count, M, d, trace.k_star,
+                              alpha, eps):
+        lo = float(alpha - eps) - trace.delta
+        hi = float(alpha + eps) + trace.delta
         raise DomainError(
             f"achieved headline {trace.headline:.6f} outside "
             f"[{lo:.6f}, {hi:.6f}]")
     return trace
+
+
+def headline_in_window(count: int, M: int, d: int, k: int, alpha: Fraction,
+                       eps: Fraction) -> bool:
+    """Whether the headline log(count) / (k log M) lies in [alpha - eps
+    - delta, alpha + eps + delta], delta = d log 2 / (k log M), decided
+    exactly (alpha - eps may be negative): M^(k(alpha - eps)) <= 2^d
+    count and count <= 2^d M^(k(alpha + eps))."""
+    return pow_at_most(M, k * (alpha - eps), 2**d * count) and \
+        pow_at_least(M, k * (alpha + eps), Fraction(count, 2**d))
 
 
 def check_gap_condition(windows, alpha_eps: Fraction, base: int) -> bool:

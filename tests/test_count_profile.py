@@ -127,8 +127,8 @@ def test_profile_is_one_walk_per_tree(monkeypatch):
 def _flat_windowed_h_star(wset, k, kind):
     """H* and its witness from every occupied unit cell, scanning each
     aligned candidate cube of side up to b^(top + 1), b^top the first
-    power of b past the largest coordinate (ties to the smallest side,
-    then corner)."""
+    power of b that reaches the largest absolute coordinate (ties to the
+    smallest side, then corner)."""
     b = wset.base
     unit = min(min(w.side_exp - w.tree.depth for w in wset.windows), 0)
     cells = set()
@@ -139,8 +139,8 @@ def _flat_windowed_h_star(wset, k, kind):
                       for o, x in zip(w.offset, corner)]
             cells.update(itertools.product(
                 *(range(x, x + leaf) for x in origin)))
-    top = unit  # b^top: the first power past the largest coordinate
-    while b ** (top - unit) <= max(max(c) for c in cells):
+    top = unit  # b^top: the first power reaching the largest |coordinate|
+    while b ** (top - unit) < max(max(x + 1, -x) for c in cells for x in c):
         top += 1
     scales = range(unit + k, (0 if kind == "local" else top + 1) + 1)
     if not scales:
@@ -242,6 +242,18 @@ def test_windowed_kernel_matches_flat_oracle(wset):
                 (kind, k)
             if isinstance(got, str):  # no scale admits k, nor any larger k
                 break
+
+
+def test_global_range_reaches_negative_coordinates():
+    # the side-4 cube [-4, 0) holds all four cells, as [4, 8) does at
+    # offset 4; a range from the largest coordinate alone stopped at side 2
+    for offset in (-4, 4):
+        wset = WindowedSet(2, 1, [
+            Window((offset,), 2, CubeTree.full(2, 1, 2))])
+        assert h_star(wset, 2, "global") == (
+            4, f"side=b^2 corner_units=({offset},) unit_exp=0")
+        assert h_star(wset, 2, "global") == \
+            _flat_windowed_h_star(wset, 2, "global")
 
 
 def test_windowed_kernel_on_a_deep_window():

@@ -4,16 +4,18 @@ import statistics
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from badicdim.core import CubeTree, DomainError, Window, WindowedSet
-from badicdim.estimators import star_dimension_report
-from badicdim.exactmath import count_meets_power_bound
+from badicdim.estimators import _log_ratio, star_dimension_report
+from badicdim.exactmath import count_meets_power_bound, floor_power
 from badicdim.extract_assouad import (PruneParams, check_gap_condition,
                                       check_prune_hypotheses,
                                       construct_subset_assouad,
                                       construct_subset_assouad_global,
-                                      find_dense_window, plan_caps, prune,
-                                      prune_with_caps, sandwich_assemble)
+                                      find_dense_window, headline_in_window,
+                                      plan_caps, prune, prune_with_caps,
+                                      sandwich_assemble)
 from badicdim.generators import (digit_cantor, full_cube, integer_cantor,
                                  random_branching_tree)
 
@@ -268,3 +270,30 @@ def test_sandwich_alpha_out_of_range():
     E = CubeTree.full(2, 1, 12)
     with pytest.raises(DomainError):
         sandwich_assemble(E, 1.5, 1)
+
+
+@st.composite
+def _headline_cases(draw):
+    """A count, at random or next to one end of the headline window."""
+    M, d, k = draw(st.integers(2, 16)), draw(st.integers(1, 3)), \
+        draw(st.integers(1, 8))
+    alpha = Fraction(draw(st.integers(1, 24)), draw(st.integers(1, 8)))
+    eps = Fraction(draw(st.integers(0, 12)), draw(st.integers(1, 8)))
+    ends = [floor_power(M, k * (alpha + eps)) * 2**d]
+    if alpha > eps:
+        ends.append(floor_power(M, k * (alpha - eps)) // 2**d)
+    count = max(1, draw(st.sampled_from(ends)) + draw(st.integers(-2, 2))
+                if draw(st.booleans()) else draw(st.integers(1, M**(k * d))))
+    return count, M, d, k, alpha, eps
+
+
+@settings(max_examples=300, deadline=None)
+@given(_headline_cases())
+def test_exact_headline_window_agrees_with_float(case):
+    count, M, d, k, alpha, eps = case
+    delta = d * math.log(2) / (k * math.log(M))
+    lo, hi = float(alpha - eps) - delta, float(alpha + eps) + delta
+    headline = _log_ratio(count, k, M)
+    if min(abs(headline - lo), abs(headline - hi)) > 1e-6:
+        assert headline_in_window(count, M, d, k, alpha, eps) == \
+            (lo <= headline <= hi)

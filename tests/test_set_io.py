@@ -1,5 +1,6 @@
 """Set I/O: `.bdt`/`.wdt` round trips, the bottom-up builder's sharing,
-pinned error texts and deep trees."""
+pinned error texts, a parser fuzz against a flat parser and deep
+trees."""
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -43,6 +44,10 @@ def _trees(draw):
 def test_round_trips_keep_text_set_and_sharing(trees):
     for t in trees:
         text = write_bdt(t)
+        # a flat writer: per leaf, its digits axis by axis, lines sorted
+        assert text.splitlines()[1:] == sorted(",".join(
+            "".join(str(key[i]) for key in path) for i in range(t.dim))
+            for path in t.iter_leaf_paths())
         back = read_bdt(text)
         assert write_bdt(back) == text
         assert back == t
@@ -87,6 +92,17 @@ def test_parse_errors_are_pinned(text, line_no, message):
     assert str(e.value) == f"line {line_no}: {message}"
 
 
+@pytest.mark.parametrize("header, message", [
+    ("bdt b=2 d=1 n=4294967296", "digit string '01' must have length "
+     "4294967296"),
+    (f"bdt b=2 d={10**30} n=2", f"expected {10**30} coordinates"),
+])
+def test_counts_beyond_any_line_are_format_errors(header, message):
+    with pytest.raises(SetFormatError) as e:
+        read_bdt(f"{header}\n01\n")
+    assert str(e.value) == f"line 2: {message}"
+
+
 @pytest.mark.parametrize("paths, message", [
     ([((1,),), ((0,), (5,))], "bad digit key (5,)"),
     ([((0,),), ((1,), (5,))], "leaf path length must equal depth"),
@@ -109,3 +125,108 @@ def test_write_refuses_too_many_leaves():
     with pytest.raises(DomainError) as e:
         write_bdt(CubeTree.full(2, 1, 3), limit=7)
     assert str(e.value) == "leaf enumeration of 8 exceeds 7"
+
+
+def _mutate(draw, lines, base):
+    """`lines` after one to three edits a hand-edited file might have."""
+    lines = list(lines)
+    for _ in range(draw(st.integers(1, 3))):
+        i = draw(st.integers(0, len(lines) - 1))
+        line, at = lines[i], draw(st.integers(0, len(lines[i])))
+        kind = draw(st.sampled_from(["pad", "duplicate", "blank", "reorder",
+                                     "length", "comma", "digit", "super"]))
+        if kind == "pad":
+            pad = draw(st.sampled_from([" ", "\t", "  "]))
+            lines[i] = draw(st.sampled_from([pad + line, line + pad]))
+        elif kind == "duplicate":
+            lines.insert(draw(st.integers(0, len(lines))), line)
+        elif kind == "blank":
+            lines.insert(draw(st.integers(0, len(lines))), "")
+        elif kind == "reorder":
+            lines = draw(st.permutations(lines))
+        elif kind == "length":  # one digit fewer or more on one axis
+            axes = line.split(",")
+            a = draw(st.integers(0, len(axes) - 1))
+            axes[a] = axes[a][:-1] if axes[a] and draw(st.booleans()) \
+                else axes[a] + "0"
+            lines[i] = ",".join(axes)
+        elif kind == "comma":  # one comma more or fewer
+            lines[i] = line.replace(",", "", 1) if "," in line and \
+                draw(st.booleans()) else line[:at] + "," + line[at:]
+        else:  # a digit >= base (or, in base 10, a superscript two)
+            ch = "\u00b2" if kind == "super" or base == 10 else \
+                str(draw(st.integers(base, 9)))
+            lines[i] = line[:at] + ch + line[at + 1:]
+    return lines
+
+
+def _flat_parse(lines, first, base, dim, depth, unique):
+    """`(number of the first bad line, None)` or `(None, leaf paths)`: a
+    line is `dim` comma-joined strings of `depth` digits below `base`
+    (any number at depth 0) around whitespace, and with `unique` no raw
+    line repeats."""
+    leaves = set()
+    for line_no, raw in enumerate(lines, first):
+        parts = raw.strip().split(",")
+        if len(parts) != dim or unique and raw in lines[:line_no - first] \
+                or any(depth and len(p) != depth or
+                       any(ch not in "0123456789"[:base] for ch in p)
+                       for p in parts):
+            return line_no, None
+        leaves.add(tuple(tuple(int(p[j]) for p in parts)
+                         for j in range(depth)))
+    return None, leaves
+
+
+@st.composite
+def _mutated_texts(draw):
+    """A written `.bdt` or two-window `.wdt` as its header and blocks of
+    `(window line or None, leaf lines)`, one block's leaf lines mutated."""
+    base, dim = draw(st.integers(2, 10)), draw(st.sampled_from([1, 2]))
+    trees = [random_branching_tree(base, dim, draw(st.integers(0, 5)),
+                                   draw(st.integers(1, min(3, base**dim))),
+                                   draw(st.integers(0, 10**6)))
+             for _ in range(2)]
+    if draw(st.booleans()):
+        a = trees[0]
+        header = [f"bdt b={base} d={dim} n={a.depth}"]
+        blocks = [(None, write_bdt(a).splitlines()[1:])]
+    else:
+        a, b = trees
+        wset = WindowedSet(base, dim, [
+            Window((0,) * dim, a.depth, a),
+            Window((3 * base**a.depth,) + (0,) * (dim - 1), 1, b)])
+        text = write_wdt(wset).splitlines()
+        header = text[:1]
+        starts = [i for i, line in enumerate(text) if line[:7] == "window "]
+        blocks = [(text[i], text[i + 1:j]) for i, j in
+                  zip(starts, starts[1:] + [len(text)])]
+    i = draw(st.integers(0, len(blocks) - 1))
+    blocks[i] = (blocks[i][0], _mutate(draw, blocks[i][1], base))
+    return header, blocks, base, dim
+
+
+@settings(max_examples=300, deadline=None)
+@given(_mutated_texts())
+def test_mutated_texts_parse_like_a_flat_parser(case):
+    header, blocks, base, dim = case
+    lines, verdicts = list(header), []
+    for window, leaf_lines in blocks:
+        lines += [window] * (window is not None)
+        depth = int(header[0].rpartition("=")[2]) if window is None else \
+            len(leaf_lines[0].strip().split(",")[0])
+        verdicts.append(_flat_parse(leaf_lines, len(lines) + 1, base, dim,
+                                    depth, unique=window is None))
+        lines += leaf_lines
+    text = "\n".join(lines) + "\n"
+    bad = [line_no for line_no, _ in verdicts if line_no is not None]
+    read = read_bdt if header[0].startswith("bdt") else read_wdt
+    try:
+        got = read(text)
+    except (SetFormatError, DomainError) as e:
+        assert bad and getattr(e, "line_no", None) == bad[0], (text, e)
+        return
+    assert not bad, text
+    trees = [got] if read is read_bdt else [w.tree for w in got.windows]
+    assert [list(t.iter_leaf_paths()) for t in trees] == \
+        [sorted(leaves) for _, leaves in verdicts]
