@@ -15,10 +15,12 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
 from itertools import groupby, product
+from math import ceil, log
 from operator import add, itemgetter, mul
 from typing import Iterator
 
 MAX_LEAF_ENUM = 2_000_000
+DIGITS = "0123456789abcdefghijklmnopqrstuvwxyz"  # .bdt/.wdt, base <= 36
 
 
 class DomainError(ValueError):
@@ -104,16 +106,21 @@ def build_sorted(heads: list, depth: int, width: int, edge) -> CubeNode:
 
 def grow_preorder(start, depth: int, children) -> CubeNode:
     """Like `rebuild`, but `children(state, level)` is called once per
-    path, in depth-first preorder (for callers drawing from an rng), and
-    a stack of open nodes stands in for recursion."""
-    if depth == 0:
-        return _LEAF
+    path in depth-first preorder (to draw from an rng) on a stack of open
+    nodes; a last-level node is interned as soon as its children are."""
     intern = _Interner().node
+
+    def last(state):  # a node whose children are leaves
+        return intern(tuple([(key, _LEAF)
+                             for key, _ in children(state, depth - 1)]))
+
+    if depth <= 1:
+        return last(start) if depth else _LEAF
     stack = [(children(start, 0), [])]
     while True:
         pairs, done = stack[-1]
-        if len(stack) == depth:  # the pairs' children are leaves
-            done = [_LEAF] * len(pairs)
+        if len(stack) == depth - 1:  # the pairs' children are last-level
+            done += [last(state) for _, state in pairs]
         elif len(done) < len(pairs):
             stack.append((children(pairs[len(done)][1], len(stack)), []))
             continue
@@ -122,6 +129,40 @@ def grow_preorder(start, depth: int, children) -> CubeNode:
         if not stack:
             return node
         stack[-1][1].append(node)
+
+
+def rng_draws(rng) -> tuple:
+    """`(below, sample)`: CPython's `rng.randrange(n)` and the sorted
+    `rng.sample(range(n), k)`, drawn bit for bit from `rng.getrandbits`,
+    so seeded trees do not hang on a Python version's `random` module."""
+    bits = rng.getrandbits
+
+    def below(n):  # a rejection loop over n.bit_length() bits
+        w = n.bit_length()
+        r = bits(w)
+        while r >= n:
+            r = bits(w)
+        return r
+
+    def sample(n, k):
+        if not 0 <= k <= n:
+            raise DomainError(f"cannot draw {k} of {n}")
+        if n > 21 + (4**ceil(log(3 * k, 4)) if k > 5 else 0):
+            picked = set()
+            while len(picked) < k:
+                picked.add(below(n))
+            return sorted(picked)
+        pool, picked = list(range(n)), []
+        for i in range(n, n - k, -1):  # below(i), inlined
+            w = i.bit_length()
+            r = bits(w)
+            while r >= i:
+                r = bits(w)
+            picked.append(pool[r])
+            pool[r] = pool[i - 1]
+        return sorted(picked)
+
+    return below, sample
 
 
 def descend(layer: list, levels: int, step) -> list:
@@ -670,17 +711,17 @@ def _leaf_lines(tree: CubeTree, limit: int) -> list:
 
 @cache
 def _key_chars(key: Key) -> str:
-    return "".join(map(str, key))
+    return "".join(map(DIGITS.__getitem__, key))
 
 
 @cache
 def _key(chars: str) -> Key:
-    return tuple(map(int, chars))
+    return tuple(map(DIGITS.index, chars))
 
 
 def write_bdt(tree: CubeTree, limit: int = MAX_LEAF_ENUM) -> str:
-    if tree.base > 10:
-        raise DomainError(".bdt digit strings require base <= 10")
+    if tree.base > 36:
+        raise DomainError(".bdt digit strings require base <= 36")
     header = f"bdt b={tree.base} d={tree.dim} n={tree.depth}"
     return "\n".join([header, *_leaf_lines(tree, limit)]) + "\n"
 
@@ -692,10 +733,10 @@ def _leaf_tree(lines: list, first: int, base: int, dim: int, depth: int,
     rows = list(map(str.strip, lines))
     if not rows:
         raise SetFormatError(first, "no leaf lines")
-    text, digits = "\n".join(rows), "0123456789"[:max(base, 0)]
+    text, digits = "\n".join(rows), DIGITS[:max(base, 0)]
     cap = len(text) + 1  # a count above any line's length matches no line
     part = (f"[{digits}]" if digits else "(?!)") + (
-        f"{{{min(depth, cap)}}}" if depth > 0 else "*")  # any at depth 0
+        f"{{{min(depth, cap)}}}" if depth >= 0 else "*")
     line = f"{part}(?:,{part}){{{min(dim - 1, cap)}}}" if dim > 0 else "(?!)"
     if not re.fullmatch(f"{line}(?:\n{line})*", text) or \
             unique and len(set(lines)) < len(lines):
@@ -724,7 +765,7 @@ def _line_error(lines: list, first: int, digits: str, dim: int, depth: int,
         if len(parts) != dim:
             return SetFormatError(line_no, f"expected {dim} coordinates")
         for part in parts:  # axis by axis
-            if len(part) != depth and depth > 0:
+            if len(part) != depth and depth >= 0:
                 return SetFormatError(
                     line_no, f"digit string '{part}' must have length {depth}")
             for ch in filter(lambda ch: ch not in digits, part):
@@ -752,8 +793,8 @@ def read_bdt(text: str) -> CubeTree:
 
 
 def write_wdt(wset: WindowedSet, limit: int = MAX_LEAF_ENUM) -> str:
-    if wset.base > 10:
-        raise DomainError(".wdt digit strings require base <= 10")
+    if wset.base > 36:
+        raise DomainError(".wdt digit strings require base <= 36")
     lines = [f"wdt b={wset.base} d={wset.dim} windows={len(wset.windows)}"]
     for w in wset.windows:
         off = ",".join(str(o) for o in w.offset)

@@ -12,7 +12,7 @@ from fractions import Fraction
 from operator import itemgetter
 
 from .core import (CubeTree, DomainError, Window, WindowedSet,
-                   grow_preorder, rebuild)
+                   grow_preorder, rebuild, rng_draws)
 from .estimators import _log_ratio, star_dimension_report
 from .exactmath import (badic_power_sum_le, count_meets_power_bound,
                         floor_power, pow_at_least, pow_at_most)
@@ -101,11 +101,11 @@ def prune(tree: CubeTree, params: PruneParams,
                 f"greedy prune kept {out.leaf_count} leaves, below "
                 f"N^n M^(-n eps)")
         return out
-    rng = random.Random(params.seed)
+    _, sample = rng_draws(random.Random(params.seed))
 
-    def children(node, level):
-        picked = rng.sample(node.children, min(N, len(node.children)))
-        return sorted(picked, key=itemgetter(0))
+    def children(node, level):  # children are key-sorted
+        kids = node.children
+        return [kids[i] for i in sample(len(kids), min(N, len(kids)))]
 
     for _ in range(params.retries):
         out = CubeTree(tree.base, tree.dim, tree.depth,

@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 
 from . import geometry
 from .core import (CubeNode, CubeTree, DomainError, Window, WindowedSet,
-                   _LEAF, all_keys, grow_preorder)
+                   _LEAF, all_keys, grow_preorder, rng_draws)
 
 FAMILIES = ("digit-cantor", "full-cube", "lattice-window", "integer-cantor",
             "one-over-k", "prop5-union", "random-branching")
@@ -129,12 +129,11 @@ def random_branching_tree(base: int, dim: int, depth: int,
     1 and max_children children."""
     if not 1 <= max_children <= base**dim:
         raise DomainError("need 1 <= max_children <= b^d")
-    rng = random.Random(seed)
-    keys = all_keys(base, dim)
+    below, sample = rng_draws(random.Random(seed))
+    pairs = [(key, None) for key in all_keys(base, dim)]  # key-sorted
 
-    def children(state, level):
-        picked = sorted(rng.sample(keys, rng.randint(1, max_children)))
-        return [(key, None) for key in picked]
+    def children(state, level):  # as sample(keys, randint(1, max_children))
+        return [pairs[i] for i in sample(len(pairs), 1 + below(max_children))]
 
     return CubeTree(base, dim, depth, grow_preorder(None, depth, children))
 

@@ -1,7 +1,8 @@
-"""The benchmark's two workloads that parse set files, run once at
-`--seconds 0`: each recounts what the CLI wrote and read with its own
-flat checks, so a fault in the readers or writers shows as
-`correct: false` or a failed operation."""
+"""Benchmark workloads run once at `--seconds 0`.  The two that parse
+set files recount what the CLI wrote and read with their own flat
+checks, so a fault in the readers or writers shows as `correct: false`
+or a failed operation; `random_trees` runs the reports, the prune and
+the ladder on seeded random trees in memory."""
 
 import json
 import subprocess
@@ -13,12 +14,22 @@ import pytest
 ROOT = Path(__file__).resolve().parent.parent
 
 
-@pytest.mark.parametrize("workload", ["io_files", "windowed"])
-def test_file_workloads_run_correctly(workload):
+def _run(workload):
     run = subprocess.run(
         [sys.executable, "bench/run.py", "--workload", workload, "--seed",
          "1", "--seconds", "0", "--trace", "0"],
         cwd=ROOT, capture_output=True, text=True, timeout=600, check=True)
     last = json.loads(run.stdout.splitlines()[-1])
     assert last["correct"] is True, run.stdout
-    assert last["failed"] == 0, run.stdout
+    return last
+
+
+@pytest.mark.parametrize("workload", ["io_files", "windowed"])
+def test_file_workloads_run_correctly(workload):
+    assert _run(workload)["failed"] == 0
+
+
+def test_random_trees_workload_runs_correctly():
+    # one of its 19 operations is the known `sandwich_assemble` fault
+    last = _run("random_trees")
+    assert last["failed"] * 19 == last["attempted"]

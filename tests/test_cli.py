@@ -3,7 +3,7 @@ import math
 import pytest
 
 from badicdim.cli import build_parser, main
-from badicdim.core import read_bdt
+from badicdim.core import read_bdt, read_wdt, write_wdt
 
 
 def run(capsys, *argv):
@@ -134,6 +134,28 @@ def test_extract_assouad_global_pipeline(tmp_path, capsys):
                        "star-global", "--kmax", "2")
     assert code == 0
     assert "estimate=0.500000" in out
+
+
+def test_base_16_sets_are_written_and_read_back(tmp_path, capsys):
+    src = str(tmp_path / "ic.wdt")
+    out_path = str(tmp_path / "sub.wdt")
+    assert run(capsys, "gen", "integer-cantor", "--base", "16", "--dim", "1",
+               "--m", "2", "--digits", "0,3,10,15", "--chain", "2",
+               "--out", src)[0] == 0
+    assert open(src).read().splitlines()[2:5] == ["0000", "0300", "0a00"]
+    code, _, _ = run(capsys, "extract", "assouad-global", "--alpha", "1/2",
+                     "--eps", "1/4", "--in", src, "--out", out_path)
+    assert code == 0
+    sub = read_wdt(open(out_path).read())
+    assert sub.base == 16 and write_wdt(sub) == open(out_path).read()
+    code, out, _ = run(capsys, "estimate", "--in", out_path, "--kind",
+                       "star-global", "--kmax", "2")
+    assert code == 0
+    assert "estimate=0.500000" in out
+    full = str(tmp_path / "full.bdt")
+    assert run(capsys, "gen", "full-cube", "--base", "16", "--dim", "1",
+               "--depth", "2", "--out", full)[0] == 0
+    assert read_bdt(open(full).read()).leaf_count == 256
 
 
 def test_extract_lower_pipeline(tmp_path, capsys):

@@ -5,9 +5,9 @@ trees."""
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from badicdim.core import (CubeTree, DomainError, SetFormatError, Window,
-                           WindowedSet, read_bdt, read_wdt, write_bdt,
-                           write_wdt)
+from badicdim.core import (DIGITS, CubeTree, DomainError, SetFormatError,
+                           Window, WindowedSet, read_bdt, read_wdt,
+                           write_bdt, write_wdt)
 from badicdim.generators import random_branching_tree
 
 
@@ -31,7 +31,7 @@ def _distinct_subtrees(tree):
 
 @st.composite
 def _trees(draw):
-    base = draw(st.integers(2, 10))
+    base = draw(st.integers(2, 36))
     dim = draw(st.sampled_from([1, 2]))
     depth = draw(st.integers(0, 6))
     cap = draw(st.integers(1, min(3, base**dim)))
@@ -46,7 +46,7 @@ def test_round_trips_keep_text_set_and_sharing(trees):
         text = write_bdt(t)
         # a flat writer: per leaf, its digits axis by axis, lines sorted
         assert text.splitlines()[1:] == sorted(",".join(
-            "".join(str(key[i]) for key in path) for i in range(t.dim))
+            "".join(DIGITS[key[i]] for key in path) for i in range(t.dim))
             for path in t.iter_leaf_paths())
         back = read_bdt(text)
         assert write_bdt(back) == text
@@ -83,6 +83,13 @@ def test_round_trips_keep_text_set_and_sharing(trees):
      "digit string '0' must have length 2"),
     ("wdt b=3 d=1 windows=1\nwindow off=0 m=1\n01\n0²\n", 4,
      "bad digit '²'"),
+    ("bdt b=16 d=1 n=2\n0f\ng0\n", 3, "bad digit 'g'"),
+    ("bdt b=16 d=1 n=2\n0F\n", 2, "bad digit 'F'"),
+    # at depth 0 the only leaf is the root, written as empty axes
+    ("bdt b=2 d=1 n=0\n0101\n", 2,
+     "digit string '0101' must have length 0"),
+    ("wdt b=2 d=1 windows=1\nwindow off=0 m=1\n\n01\n", 4,
+     "digit string '01' must have length 0"),
 ])
 def test_parse_errors_are_pinned(text, line_no, message):
     read = read_bdt if text.startswith("bdt") else read_wdt
@@ -121,6 +128,22 @@ def test_depth_3000_chain_round_trips():
     assert write_bdt(back) == write_bdt(tree)
 
 
+def test_bases_up_to_36_write_letters_and_round_trip():
+    assert write_bdt(CubeTree.full(36, 1, 1)).splitlines()[1:] == list(DIGITS)
+    tree = random_branching_tree(16, 2, 3, 40, 1)
+    text = write_bdt(tree)
+    assert set("abcdef") <= set(text)
+    assert read_bdt(text) == tree and write_bdt(read_bdt(text)) == text
+    wset = WindowedSet(16, 2, [Window((0, 0), 3, tree),
+                               Window((4096, 0), 1, tree.subtree((), 1))])
+    assert write_wdt(read_wdt(write_wdt(wset))) == write_wdt(wset)
+    big = CubeTree.full(37, 1, 1)
+    for write, arg in ((write_bdt, big), (write_wdt, WindowedSet(
+            37, 1, [Window((0,), 1, big)]))):
+        with pytest.raises(DomainError, match="require base <= 36"):
+            write(arg)
+
+
 def test_write_refuses_too_many_leaves():
     with pytest.raises(DomainError) as e:
         write_bdt(CubeTree.full(2, 1, 3), limit=7)
@@ -153,9 +176,9 @@ def _mutate(draw, lines, base):
         elif kind == "comma":  # one comma more or fewer
             lines[i] = line.replace(",", "", 1) if "," in line and \
                 draw(st.booleans()) else line[:at] + "," + line[at:]
-        else:  # a digit >= base (or, in base 10, a superscript two)
-            ch = "\u00b2" if kind == "super" or base == 10 else \
-                str(draw(st.integers(base, 9)))
+        else:  # a digit >= base (or a superscript two)
+            ch = "\u00b2" if kind == "super" else \
+                draw(st.sampled_from(DIGITS[base:] + DIGITS[10:].upper()))
             lines[i] = line[:at] + ch + line[at + 1:]
     return lines
 
@@ -163,17 +186,17 @@ def _mutate(draw, lines, base):
 def _flat_parse(lines, first, base, dim, depth, unique):
     """`(number of the first bad line, None)` or `(None, leaf paths)`: a
     line is `dim` comma-joined strings of `depth` digits below `base`
-    (any number at depth 0) around whitespace, and with `unique` no raw
-    line repeats."""
+    (none at depth 0) around whitespace, and with `unique` no raw line
+    repeats."""
     leaves = set()
     for line_no, raw in enumerate(lines, first):
         parts = raw.strip().split(",")
         if len(parts) != dim or unique and raw in lines[:line_no - first] \
-                or any(depth and len(p) != depth or
-                       any(ch not in "0123456789"[:base] for ch in p)
+                or any(len(p) != depth or
+                       any(ch not in DIGITS[:base] for ch in p)
                        for p in parts):
             return line_no, None
-        leaves.add(tuple(tuple(int(p[j]) for p in parts)
+        leaves.add(tuple(tuple(int(p[j], 36) for p in parts)
                          for j in range(depth)))
     return None, leaves
 
@@ -182,7 +205,7 @@ def _flat_parse(lines, first, base, dim, depth, unique):
 def _mutated_texts(draw):
     """A written `.bdt` or two-window `.wdt` as its header and blocks of
     `(window line or None, leaf lines)`, one block's leaf lines mutated."""
-    base, dim = draw(st.integers(2, 10)), draw(st.sampled_from([1, 2]))
+    base, dim = draw(st.integers(2, 16)), draw(st.sampled_from([1, 2]))
     trees = [random_branching_tree(base, dim, draw(st.integers(0, 5)),
                                    draw(st.integers(1, min(3, base**dim))),
                                    draw(st.integers(0, 10**6)))
