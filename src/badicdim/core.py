@@ -241,8 +241,16 @@ class BadicCube:
     def __str__(self):
         if self.level == 0:
             return "root"
-        sep = "" if self.base <= 10 else "."
-        return ",".join(sep.join(map(str, axis)) for axis in self.coords)
+        return ",".join(digit_text(axis, self.base) for axis in self.coords)
+
+
+def digit_text(digits, base: int) -> str:
+    """Base-`base` digits as report text, one `DIGITS` character each as
+    in set files; bases above 36 have no characters, so there the digits
+    are decimals joined by dots."""
+    if base <= len(DIGITS):
+        return "".join(map(DIGITS.__getitem__, digits))
+    return ".".join(map(str, digits))
 
 
 def _digits_to_int(digits, base: int) -> int:
@@ -781,10 +789,14 @@ def _header(text: str, usage: str) -> tuple:
     if len(header) != 4 or header[0] != fields[0]:
         raise SetFormatError(1, f"expected header '{usage}'")
     try:
-        return lines, [int(h.removeprefix(f[:f.index("=") + 1]))
-                       for h, f in zip(header[1:], fields[1:])]
+        values = [int(h.removeprefix(f[:f.index("=") + 1]))
+                  for h, f in zip(header[1:], fields[1:])]
     except ValueError as exc:
         raise SetFormatError(1, f"bad header field: {exc}") from None
+    if values[0] > len(DIGITS):  # the base: one digit character each
+        raise SetFormatError(
+            1, f"digit strings require base <= {len(DIGITS)}")
+    return lines, values
 
 
 def read_bdt(text: str) -> CubeTree:

@@ -7,8 +7,9 @@ integer powers; nothing here touches floating point except the final
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from fractions import Fraction
-from math import floor as math_floor, gcd as math_gcd
+from math import floor as math_floor, gcd as math_gcd, prod
 
 # Precision cap of the bracketing loops below.  Both loops are proven to
 # end; the cap only turns runaway work into an ArithmeticError.
@@ -134,12 +135,100 @@ def badic_power_sum_le(base: int, term_exps: list[int], bound_exp: int,
                           f"within {max_bits} bits of precision")
 
 
-def _lambda_power(M: int, alpha: Fraction, k: int):
-    """lam^k = M^(-qk/p) for alpha = p/q as a Fraction, or None when it
-    is irrational."""
-    p, q = alpha.numerator, alpha.denominator
-    root = iroot(M ** (q * k), p)
-    return Fraction(1, root) if root**p == M ** (q * k) else None
+def _factors(n: int) -> dict:
+    """The factor table of an integer n >= 2 that `_radicals` reads:
+    {r: j} when n = r^j with j > 1 maximal, else {prime: multiplicity}."""
+    for j in range(n.bit_length(), 1, -1):
+        r = iroot(n, j)
+        if r**j == n:
+            return {r: j}
+    out, p = {}, 2
+    while p * p <= n:
+        while n % p == 0:
+            out[p] = out.get(p, 0) + 1
+            n //= p
+        p += 1
+    if n > 1:
+        out[n] = 1
+    return out
+
+
+def _times(a: tuple, b: tuple) -> tuple:
+    """The product of two (coefficient, {exponent: radicand}) forms:
+    radicands of one exponent multiply."""
+    roots = dict(a[1])
+    for f, radicand in b[1].items():
+        roots[f] = roots.get(f, 1) * radicand
+    return a[0] * b[0], roots
+
+
+def _radicals(n: int, e: Fraction) -> tuple:
+    """n^e (integer n >= 2, rational e) in canonical radical form: the
+    rational coefficient and {exponent in (0, 1): radicand}.  Per entry
+    r^j of n's factor table the integer part of j e comes out.  Entries
+    whose remaining exponent m/d is in lowest terms over e's denominator
+    d share one root, (prod r^(m_r/g))^(g/d) with g = gcd(m_r); every
+    other entry is its own power r^(m/d).  Each root is put in this form
+    again, until nothing changes."""
+    form, common = (Fraction(1), {}), {}
+    for r, j in _factors(n).items():
+        whole, m = divmod(j * e.numerator, e.denominator)
+        form = _times(form, (Fraction(r) ** whole, {}))
+        if m and math_gcd(m, e.denominator) == 1:
+            common[r] = m
+        elif m:
+            form = _times(form, _radicals(r, Fraction(m, e.denominator)))
+    if common:
+        g = math_gcd(*common.values())
+        base = prod(r ** (m // g) for r, m in common.items())
+        if base == n and form == (1, {}):
+            return form[0], {Fraction(g, e.denominator): n}
+        form = _times(form, _radicals(base, Fraction(g, e.denominator)))
+    return form
+
+
+@dataclass(frozen=True)
+class ScaledPower:
+    """The irrational number R0 * M^(num/root) = R0 * lam^k for
+    lam = M^(-q/p), num = -qk and root = p; `scaled_power` makes one
+    only when the value is irrational.
+
+    `str` is the radius text of the verification TSV: lam in canonical
+    radical form (`_radicals`), each of its radicals raised to the k-th
+    power and put in that form, and the radicands of equal exponents
+    multiplied.  The text depends on p itself, not only on the reduced
+    exponent (lam = 12^(-7/6) squared is 2**(1/3)*3**(2/3)/864, while
+    12^(-7/3) in one step is 18**(1/3)/864), so the exponent is kept
+    unreduced.  It depends on q and k only through qk, so it is built
+    as (M^(-1/p))^(qk).  It reads `num*radicals/den`, the radicals
+    ordered by radicand text, with `sqrt(x)` for the exponent 1/2."""
+
+    R0: Fraction
+    M: int
+    num: int
+    root: int
+
+    def __str__(self):
+        c, lam = _radicals(self.M, Fraction(-1, self.root))
+        form = (self.R0 * c ** -self.num, {})
+        for f, radicand in lam.items():
+            form = _times(form, _radicals(radicand, -self.num * f))
+        coeff, roots = form
+        parts = [str(coeff.numerator)] if coeff.numerator != 1 else []
+        parts += [f"sqrt({b})" if f == Fraction(1, 2) else f"{b}**({f})"
+                  for b, f in sorted((str(b), f) for f, b in roots.items())]
+        text = "*".join(parts)
+        return text if coeff.denominator == 1 else \
+            f"{text}/{coeff.denominator}"
+
+
+def scaled_power(R0: Fraction, M: int, num: int, root: int):
+    """R0 * M^(num/root) exactly: a Fraction when it is rational, else
+    a `ScaledPower` (root >= 1)."""
+    r = iroot(M ** abs(num), root)
+    if r**root != M ** abs(num):
+        return ScaledPower(Fraction(R0), M, num, root)
+    return R0 * (Fraction(r) if num >= 0 else Fraction(1, r))
 
 
 def floor_lambda(c: Fraction, M: int, alpha: Fraction, k: int,
@@ -159,8 +248,8 @@ def floor_lambda(c: Fraction, M: int, alpha: Fraction, k: int,
     if minus is None:
         return iroot(c.numerator**p
                      // (c.denominator**p * M ** (q * k)), p)
-    a, b = _lambda_power(M, alpha, k), _lambda_power(M, alpha, minus)
-    if a is not None and b is not None:
+    a, b = (scaled_power(1, M, -q * j, p) for j in (k, minus))
+    if isinstance(a, Fraction) and isinstance(b, Fraction):
         return math_floor(c * (a - b))
     bits = 32
     while bits <= _MAX_BITS:

@@ -12,7 +12,7 @@ from fractions import Fraction
 from operator import itemgetter
 
 from .core import (CubeTree, DomainError, Window, WindowedSet,
-                   grow_preorder, rebuild, rng_draws)
+                   digit_text, grow_preorder, rebuild, rng_draws)
 from .estimators import _log_ratio, star_dimension_report
 from .exactmath import (badic_power_sum_le, count_meets_power_bound,
                         floor_power, pow_at_least, pow_at_most)
@@ -141,10 +141,11 @@ class StageRecord:
     piece_leaves: int
     bound_ok: bool
     relaxed_level: bool
+    base: int
 
     def tsv_row(self) -> str:
-        window = "root" if not self.window_path else \
-            "|".join("".join(str(d) for d in key) for key in self.window_path)
+        window = "root" if not self.window_path else "|".join(
+            digit_text(key, self.base) for key in self.window_path)
         return (f"{self.stage}\t{window}\t{self.window_level}\t"
                 f"{self.window_count}\t{self.piece_leaves}\t"
                 f"{'ok' if self.bound_ok else 'FAIL'}")
@@ -241,7 +242,7 @@ def construct_subset_assouad(tree: CubeTree, alpha: Fraction, eps: Fraction,
         leaves |= new_leaves
         trace.stages.append(StageRecord(
             stage, path, level, count, piece.leaf_count, bound_ok,
-            relaxed_level=level < n))
+            relaxed_level=level < n, base=M))
         trace.k_star = n
         if level == 0 and stage < stages:
             raise DomainError(

@@ -8,31 +8,32 @@ pair they compute the three integer thresholds of `geometry.Level`
 once, exactly (`exactmath.floor_lambda`), so every in-ball,
 disjointness and nesting decision is one integer comparison, whether
 lambda = M^(-q/p) (alpha = p/q) is rational or not.  Centers become
-Fractions when they are stored in the `BallTree`.  Sympy only formats
-the irrational radii of the verification TSV.
+Fractions when they are stored in the `BallTree`.  A radius R0 lambda^k
+is a Fraction when it is rational and otherwise the exact triple
+(R0, M, -qk/p) of `exactmath.ScaledPower`, which only prints the `R`/`r`
+columns of the verification TSV.  The package needs nothing beyond the
+standard library.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from math import lcm
+from operator import itemgetter
 
 from . import geometry
 from .core import CubeTree, DomainError, PointSet, leaf_corners
 from .estimators import _log_ratio
-from .exactmath import _lambda_power, floor_lambda, pow_at_most
+from .exactmath import floor_lambda, pow_at_most, scaled_power
 
 
 def _lambda_for(M: int, alpha: Fraction):
-    """lambda = M^(-q/p) for alpha = p/q, exact."""
-    lam = _lambda_power(M, alpha, 1)
-    if lam is not None:
-        return lam
-    import sympy
-    return sympy.Integer(M) ** sympy.Rational(-alpha.denominator,
-                                              alpha.numerator)
+    """lambda = M^(-q/p) for alpha = p/q, exact: a Fraction, or an
+    `exactmath.ScaledPower` when it is irrational."""
+    return scaled_power(1, M, -alpha.denominator, alpha.numerator)
 
 
 @dataclass(frozen=True)
@@ -58,7 +59,10 @@ class LowerParams:
         return _lambda_for(self.M, Fraction(self.alpha))
 
     def radius(self, k: int):
-        return self.R0 * self.lam**k
+        """R0 * lambda^k, exact (see `_lambda_for`)."""
+        alpha = Fraction(self.alpha)
+        return scaled_power(self.R0, self.M, -alpha.denominator * k,
+                            alpha.numerator)
 
 
 @dataclass
@@ -101,16 +105,38 @@ def select_packing_children(points, center, R, r, M: int):
         raise DomainError(
             f"insufficient packing: need >= {M + 3**d}, achieved "
             f"{achieved}")
-    dist = geometry.dist_inf
-    chosen = [center]
-    for p in geometry.ball_points(pts, center, lv.nested):
-        if len(chosen) == M:
-            break
-        if p != center and all(dist(p, q) > lv.apart for q in chosen):
-            chosen.append(p)
+    if d == 1:
+        chosen = _pick_1d(pts, center, lv, M)
+    else:
+        dist = geometry.dist_inf
+        chosen = [center]
+        for p in geometry.ball_points(pts, center, lv.nested):
+            if len(chosen) == M:
+                break
+            if p != center and all(dist(p, q) > lv.apart for q in chosen):
+                chosen.append(p)
     if len(chosen) < M:
         raise DomainError(
             f"insufficient packing: selected only {len(chosen)} of {M}")
+    return chosen
+
+
+def _pick_1d(pts, center, lv, M: int) -> list:
+    """The d = 1 case of the scan in `select_packing_children`: up to M
+    points, the anchor first.  Every pick after the anchor lies above
+    the last one, so the next pick is the first point more than `apart`
+    past it, skipping the anchor's band [c - apart, c + apart]: at most
+    two bisections per pick."""
+    chosen, c, key = [center], center[0], itemgetter(0)
+    i = bisect_left(pts, c - lv.nested, key=key)
+    hi = bisect_right(pts, c + lv.nested, i, key=key)
+    while len(chosen) < M and i < hi:
+        if abs(pts[i][0] - c) <= lv.apart:
+            i = bisect_right(pts, c + lv.apart, i, hi, key=key)
+            if i == hi:
+                break
+        chosen.append(pts[i])
+        i = bisect_right(pts, pts[i][0] + lv.apart, i, hi, key=key)
     return chosen
 
 

@@ -7,7 +7,22 @@ from badicdim.core import (BadicCube, CubeTree, DomainError, PointSet,
                            SetFormatError, Window, WindowedSet,
                            leaf_representatives, read_bdt, read_wdt,
                            subdivide, write_bdt, write_wdt)
+from badicdim.estimators import star_dimension_report
+from badicdim.extract_assouad import StageRecord
 from badicdim.generators import random_branching_tree
+
+
+def test_report_digits_are_set_file_digits():
+    # a base-16 witness names its cube as the set file does: 1f, not 1.15
+    tree = read_bdt("bdt b=16 d=1 n=3\n1f0\n1f1\n1fa\n200\n")
+    assert [r.witness for r in star_dimension_report(tree).records] == [
+        "1f", "1", "root"]
+    assert str(BadicCube(16, 2, ((1, 15), (10, 0)))) == "1f,a0"
+    row = StageRecord(1, ((1,), (15,)), 2, 3, 4, True, relaxed_level=False,
+                      base=16)
+    assert row.tsv_row() == "1\t1|f\t2\t3\t4\tok"
+    # bases above 36 have no digit characters: dotted decimals
+    assert str(BadicCube(40, 2, ((1, 38),))) == "1.38"
 
 
 def test_cube_basics():

@@ -87,6 +87,25 @@ def test_power_sum_matches_float_when_unambiguous(base, exps, bound, t):
         assert badic_power_sum_le(base, exps, bound, t) == (lhs < rhs)
 
 
+def _floor_difference(c: Fraction, M: int, p: int, a: int, b: int) -> int:
+    """floor(c (u^a - u^b)) for u = M^(-1/p) and a < b, exactly.  When
+    both powers are rational they are computed; otherwise the value is
+    irrational and brackets lo < u <= hi from integer roots of doubling
+    precision end once both ends of c (lo^a - hi^b) <= x <= c (hi^a -
+    lo^b) have the same floor."""
+    exact = [iroot(M**e, p) for e in (a, b)]
+    if all(r**p == M**e for r, e in zip(exact, (a, b))):
+        return math.floor(c * (Fraction(1, exact[0]) - Fraction(1, exact[1])))
+    bits = 8
+    while True:
+        r = iroot(M << (bits * p), p)  # r <= M^(1/p) 2^bits < r + 1
+        lo, hi = Fraction(1 << bits, r + 1), Fraction(1 << bits, r)
+        low = math.floor(c * (lo**a - hi**b))
+        if low == math.floor(c * (hi**a - lo**b)):
+            return low
+        bits *= 2
+
+
 @settings(max_examples=150, deadline=None)
 @given(st.integers(min_value=2, max_value=7),
        st.builds(Fraction, st.integers(min_value=1, max_value=5),
@@ -97,19 +116,19 @@ def test_power_sum_matches_float_when_unambiguous(base, exps, bound, t):
                  st.integers(min_value=1, max_value=10**40)),
        st.integers(min_value=0, max_value=4),
        st.one_of(st.none(), st.integers(min_value=1, max_value=3)))
-def test_floor_lambda_matches_sympy_floor(M, alpha, R0, D, k, step):
-    import sympy
+def test_floor_lambda_matches_integer_brackets(M, alpha, R0, D, k, step):
     if alpha > 1:
         alpha = 1 / alpha
     p, q = alpha.numerator, alpha.denominator
-    lam = sympy.Integer(M) ** sympy.Rational(-q, p)
-    c = sympy.Rational(R0.numerator * D, R0.denominator)
-    if step is None:
-        expected = sympy.floor(c * lam**k)
-    else:
-        expected = sympy.floor(c * (lam**k - lam ** (k + step)))
+    c = R0 * D
     minus = None if step is None else k + step
-    assert floor_lambda(R0 * D, M, alpha, k, minus) == int(expected)
+    f = floor_lambda(c, M, alpha, k, minus)
+    if step is None:
+        # f <= c lam^k < f + 1 with (c lam^k)^p = c^p / M^(qk), in integers
+        a, b, m = c.numerator, c.denominator, M ** (q * k)
+        assert f**p * b**p * m <= a**p < (f + 1) ** p * b**p * m
+    else:
+        assert f == _floor_difference(c, M, p, q * k, q * minus)
 
 
 def test_floor_lambda_examples():
@@ -124,10 +143,9 @@ def test_floor_lambda_examples():
     assert floor_lambda(Fraction(2**9), 2, Fraction(2, 9), 0, 2) == 511
     # at c = 10^40 the 32-bit bounds on lambda are far too coarse, so
     # the bracket must be refined before the floor is certain
-    import sympy
-    lam = sympy.Integer(5) ** sympy.Rational(-5, 2)
-    assert floor_lambda(Fraction(10**40), 5, Fraction(2, 5), 1, 2) == int(
-        sympy.floor(10**40 * (lam - lam**2)))
+    expected = 175685438199983175712733893498502098835
+    assert floor_lambda(Fraction(10**40), 5, Fraction(2, 5), 1, 2) == expected
+    assert _floor_difference(Fraction(10**40), 5, 2, 5, 10) == expected
 
 
 def test_parse_fraction():

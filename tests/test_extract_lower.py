@@ -1,6 +1,7 @@
 import itertools
 import random
 from fractions import Fraction
+from functools import cache
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -8,7 +9,8 @@ from hypothesis import given, settings, strategies as st
 from badicdim import geometry
 from badicdim.core import CubeTree, DomainError, PointSet, \
     leaf_representatives
-from badicdim.extract_lower import (BallTree, LowerParams,
+from badicdim.exactmath import ScaledPower, iroot
+from badicdim.extract_lower import (BallTree, LowerParams, _pick_1d,
                                     construct_subset_lower,
                                     select_packing_children,
                                     verify_lower_bounds)
@@ -27,14 +29,105 @@ def test_params_validation_and_lambda():
         LowerParams(alpha=Fraction(1, 2), M=4, depth=3, R0=Fraction(0))
 
 
+@cache
+def _bounds(x, bits: int) -> tuple:
+    """lo <= x <= hi for a radius x: x itself when it is a Fraction,
+    else from the integer root r <= M^(|num|/root) 2^bits < r + 1."""
+    if isinstance(x, Fraction):
+        return x, x
+    r = iroot(x.M ** abs(x.num) << (bits * x.root), x.root)
+    lo, hi = Fraction(r, 1 << bits), Fraction(r + 1, 1 << bits)
+    if x.num < 0:
+        lo, hi = 1 / hi, 1 / lo
+    return x.R0 * lo, x.R0 * hi
+
+
+def _at_most(t, R, r=Fraction(0)) -> bool:
+    """t + r <= R for a rational t and radii r, R, exactly: the bounds
+    are refined until they decide.  Equality needs rational r and R
+    (two distinct powers of lambda differ by an irrational), which are
+    compared as they are."""
+    bits = 8
+    while True:
+        (r_lo, r_hi), (R_lo, R_hi) = _bounds(r, bits), _bounds(R, bits)
+        if t + r_hi <= R_lo:
+            return True
+        if t + r_lo > R_hi:
+            return False
+        bits *= 2
+
+
+def _is_lambda_power(radius, params, k) -> bool:
+    """(radius / R0)^(-p) == M^(qk) for alpha = p/q, in integers."""
+    p, q = params.alpha.numerator, params.alpha.denominator
+    if isinstance(radius, Fraction):
+        return (params.R0 / radius) ** p == params.M ** (q * k)
+    return (radius.R0, radius.M) == (params.R0, params.M) and \
+        -p * radius.num == q * k * radius.root
+
+
 def test_lambda_irrational_case_is_exact():
-    import sympy
-    # alpha = 2/3, M = 2: lambda = 2^(-3/2), kept as an exact power
-    p = LowerParams(alpha=Fraction(2, 3), M=2, depth=1)
-    lam = p.lam
-    assert sympy.simplify(lam ** sympy.Rational(2, 3) * 2 - 1) == 0
+    # alpha = 2/3, M = 2: lambda = 2^(-3/2), kept as an exact triple
+    p = LowerParams(alpha=Fraction(2, 3), M=2, depth=1, R0=Fraction(3, 2))
+    assert isinstance(p.lam, ScaledPower)
+    assert p.lam.R0 == 1 and -2 * p.lam.num == 3 * p.lam.root  # lam^-2 = 2^3
+    for k in range(5):
+        assert _is_lambda_power(p.radius(k), p, k)
+    assert isinstance(p.radius(2), Fraction)  # 2^-3 R0 is rational
     # exact ordering still works on the radii
-    assert p.radius(1) < p.radius(0)
+    assert not _at_most(Fraction(0), p.radius(1), p.radius(0))
+    assert _at_most(Fraction(0), p.radius(0), p.radius(1))
+
+
+# (M, p, q, R0, k, text of R0 lambda^k for alpha = p/q), one row per
+# case of the printer: sqrt and other roots, a coefficient above one or
+# none, no denominator, two radicals ordered by radicand text, merged
+# radicands, a rational power of an irrational lambda, perfect powers
+RADIUS_TEXT = [
+    (5, 2, 5, "1", 1, "sqrt(5)/125"),
+    (5, 2, 5, "3/2", 1, "3*sqrt(5)/250"),
+    (4, 3, 5, "3/2", 1, "3*2**(2/3)/32"),
+    (6, 3, 4, "3/2", 1, "6**(2/3)/24"),
+    (12, 2, 3, "3/2", 1, "sqrt(3)/48"),
+    (5, 2, 5, "250", 1, "2*sqrt(5)"),
+    (5, 2, 5, "125", 1, "sqrt(5)"),
+    (5, 3, 7, "250", 1, "2*5**(2/3)"),
+    (5, 3, 8, "250", 1, "2*5**(1/3)"),
+    (2, 3, 10, "1", 2, "2**(1/3)/128"),
+    (2, 3, 10, "1", 1, "2**(2/3)/16"),
+    (2, 3, 10, "3/2", 2, "3*2**(1/3)/256"),
+    (2, 2, 9, "1", 1, "sqrt(2)/32"),
+    (12, 6, 7, "1", 1, "2**(2/3)*3**(5/6)/72"),
+    (12, 6, 7, "1", 2, "2**(1/3)*3**(2/3)/864"),
+    (44, 6, 7, "1", 1, "11**(5/6)*2**(2/3)/968"),
+    (12, 4, 9, "1", 3, "sqrt(2)*3**(1/4)/35831808"),
+    (44, 4, 9, "1", 1, "11**(3/4)*sqrt(2)/42592"),
+    (12, 4, 9, "250", 1, "125*sqrt(2)*3**(3/4)/432"),
+    (72, 6, 7, "1", 1, "sqrt(2)*3**(2/3)/432"),
+    (18, 3, 4, "1", 1, "12**(1/3)/108"),
+    (12, 3, 4, "1", 1, "18**(1/3)/72"),
+    (18, 3, 5, "1", 1, "18**(1/3)/324"),
+    (12, 3, 5, "1", 2, "18**(1/3)/10368"),
+    (6, 3, 4, "1", 2, "6**(1/3)/216"),
+    (144, 6, 7, "1", 1, "18**(1/3)/864"),
+    (144, 6, 7, "1", 2, "12**(1/3)/248832"),
+    (324, 6, 7, "1", 1, "12**(1/3)/1944"),
+    (36, 4, 5, "1", 1, "sqrt(6)/216"),
+    (1000, 2, 3, "1", 1, "sqrt(10)/100000"),
+    (30, 2, 3, "1", 1, "sqrt(30)/900"),
+    (10, 2, 3, "2/7", 1, "sqrt(10)/350"),
+    (4, 4, 5, "1", 2, "1/32"),
+    (5, 2, 5, "3/2", 0, "3/2"),
+]
+
+
+@pytest.mark.parametrize("M, p, q, R0, k, text", RADIUS_TEXT)
+def test_radius_text_is_pinned(M, p, q, R0, k, text):
+    params = LowerParams(Fraction(p, q), M, 1, R0=Fraction(R0))
+    radius = params.radius(k)
+    assert str(radius) == text
+    assert _is_lambda_power(radius, params, k)
+    assert isinstance(radius, ScaledPower) == ("(" in text)
 
 
 def test_select_packing_children_example():
@@ -57,6 +150,31 @@ def test_select_packing_children_sparse_error():
     with pytest.raises(DomainError, match="achieved 3"):
         select_packing_children(pts, (Fraction(0),), Fraction(2),
                                 Fraction(1, 64), 4)
+
+
+def _plain_scan_picks(pts, center, lv, M):
+    """The d = 1 picks of `select_packing_children` as a plain scan: up
+    to M points of the nested ball, the anchor first, each more than
+    `apart` from every point picked before it."""
+    chosen = [center]
+    for p in sorted(pts):
+        if len(chosen) < M and p != center and geometry.dist_inf(
+                p, center) <= lv.nested and all(
+                geometry.dist_inf(p, q) > lv.apart for q in chosen):
+            chosen.append(p)
+    return chosen
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.integers(-40, 40), min_size=1, max_size=60), st.data(),
+       st.integers(0, 6), st.integers(0, 40), st.integers(1, 8))
+def test_select_packing_children_1d_matches_plain_scan(values, data, apart,
+                                                       nested, M):
+    pts = sorted((v,) for v in values)
+    center = data.draw(st.sampled_from(pts))
+    lv = geometry.Level(nested, apart, nested)
+    assert _pick_1d(pts, center, lv, M) == _plain_scan_picks(pts, center,
+                                                            lv, M)
 
 
 def test_construct_depth0():
@@ -148,13 +266,25 @@ def test_source_check_boundary_is_exact():
         construct_subset_lower(one_fewer, params)
 
 
-# -- brute-force reference: Fraction predicates and LowerParams.radius --
+# -- brute-force reference: LowerParams.radius and exact predicates --
+
+
+def _in_ball(y, c, R) -> bool:
+    return _at_most(geometry.dist_inf(y, c), R)
+
+
+def _balls_disjoint(x, y, r) -> bool:
+    return not _at_most(geometry.dist_inf(x, y) / 2, r)
+
+
+def _ball_in_ball(y, r, c, R) -> bool:
+    return _at_most(geometry.dist_inf(y, c), R, r)
 
 
 def _reference_points(tree, params):
     r_min = params.radius(params.depth)
     w = 1
-    while w < tree.depth and not Fraction(2, tree.base**w) <= r_min:
+    while w < tree.depth and not _at_most(Fraction(2, tree.base**w), r_min):
         w += 1
     while w < tree.depth and tree.count_at_depth(w) < 4 * (
             params.M + 3**tree.dim):
@@ -166,7 +296,7 @@ def _reference_points(tree, params):
 def _reference_greedy(cands, r):
     kept = []
     for p in cands:
-        if all(geometry.balls_disjoint(p, q, r) for q in kept):
+        if all(_balls_disjoint(p, q, r) for q in kept):
             kept.append(p)
     return kept
 
@@ -174,7 +304,7 @@ def _reference_greedy(cands, r):
 def _reference_max_packing(cands, r):
     for size in range(len(cands), 0, -1):
         for combo in itertools.combinations(cands, size):
-            if all(geometry.balls_disjoint(a, b, r)
+            if all(_balls_disjoint(a, b, r)
                    for a, b in itertools.combinations(combo, 2)):
                 return size
     return 0
@@ -189,15 +319,15 @@ def _reference_lower(tree, params):
         R, r = params.radius(k), params.radius(k + 1)
         for word in sorted(w for w in centers if len(w) == k):
             x = centers[word]
-            local = [p for p in pts if geometry.in_ball(p, x, R)]
+            local = [p for p in pts if _in_ball(p, x, R)]
             where = f"at word {word or '(root)'}: insufficient packing"
             achieved = len(_reference_greedy(local, r))
             if achieved < M + 3**d:
                 return f"{where}: need >= {M + 3**d}, achieved {achieved}"
             chosen = [x]
             for p in local:
-                if len(chosen) < M and p != x and geometry.ball_in_ball(
-                        p, r, x, R) and all(geometry.balls_disjoint(p, q, r)
+                if len(chosen) < M and p != x and _ball_in_ball(
+                        p, r, x, R) and all(_balls_disjoint(p, q, r)
                                             for q in chosen):
                     chosen.append(p)
             if len(chosen) < M:
@@ -208,11 +338,11 @@ def _reference_lower(tree, params):
     for k in range(1, params.depth + 1):
         words = sorted(w for w in centers if len(w) == k)
         for a, b in itertools.combinations(words, 2):
-            if not geometry.balls_disjoint(centers[a], centers[b],
+            if not _balls_disjoint(centers[a], centers[b],
                                            params.radius(k)):
                 failures.append((a, b))
         for w in words:
-            if not geometry.ball_in_ball(centers[w], params.radius(k),
+            if not _ball_in_ball(centers[w], params.radius(k),
                                          centers[w[:-1]],
                                          params.radius(k - 1)):
                 failures.append(w)
@@ -224,7 +354,7 @@ def _reference_lower(tree, params):
             R, r = params.radius(j), params.radius(j + k)
             for x in leaves:
                 cands = sorted(q for q in leaves
-                               if geometry.in_ball(q, x, R))
+                               if _in_ball(q, x, R))
                 if d == 1:
                     n_star = len(_reference_greedy(cands, r))
                 elif len(cands) <= geometry.EXACT_PACKING_LIMIT:

@@ -1,8 +1,10 @@
-"""No module of the package imports a name it never uses.  Only the
-standard library's `ast` is needed, so the gate runs wherever the tests
-do."""
+"""No module of the package imports a name it never uses, and the
+package imports nothing beyond the standard library.  Only the standard
+library's `ast` is needed, so the gates run wherever the tests do."""
 
 import ast
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -50,3 +52,63 @@ def test_gate_finds_unused_names():
               "__all__ = ['read_bdt']\n"
               "def f(x: CubeTree):\n    return m.log(x)\n")
     assert unused_imports(source) == ["line 2: os", "line 4: CubeNode"]
+
+
+def foreign_imports(source: str) -> list:
+    """The absolute imports of `source`, at any depth (lazy imports in
+    functions too), whose top-level module is not in the standard
+    library.  Relative imports are the package's own."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names = [node.module]
+        else:
+            continue
+        found += [f"line {node.lineno}: {name}" for name in names
+                  if name.split(".")[0] not in sys.stdlib_module_names]
+    return found
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_module_imports_only_the_standard_library(path):
+    assert foreign_imports(path.read_text()) == []
+
+
+def test_stdlib_gate_finds_foreign_and_lazy_imports():
+    source = ("from __future__ import annotations\n"
+              "import os.path, numpy\nfrom . import core\n"
+              "from .core import CubeTree\n"
+              "def f():\n    import scipy.linalg\n"
+              "    from json import loads\n"
+              "    from mpmath import mpf\n")
+    assert foreign_imports(source) == [
+        "line 2: numpy", "line 6: scipy.linalg", "line 8: mpmath"]
+
+
+RUN_EXTRACT_LOWER = """
+import sys
+before = set(sys.modules)
+from badicdim.cli import main
+code = main(["extract", "lower", "--alpha", "2/5", "--M", "5",
+             "--depth", "1", "--in", sys.argv[1]])
+loaded = {name.split(".")[0] for name in set(sys.modules) - before}
+print(sorted(loaded - set(sys.stdlib_module_names) - {"badicdim"}))
+sys.exit(code)
+"""
+
+
+def test_irrational_extract_lower_loads_only_the_standard_library(tmp_path):
+    # lambda = 5^(-5/2) is irrational: the r column prints sqrt(5)/125
+    source = tmp_path / "full.bdt"
+    source.write_text("bdt b=5 d=1 n=2\n" + "".join(
+        f"{i}{j}\n" for i in range(5) for j in range(5)))
+    run = subprocess.run(
+        [sys.executable, "-c", RUN_EXTRACT_LOWER, str(source)],
+        capture_output=True, text=True, timeout=60,
+        env={"PYTHONPATH": str(Path(badicdim.__file__).parents[1])})
+    assert run.returncode == 0, run.stderr
+    lines = run.stdout.splitlines()
+    assert lines[1].split("\t")[1:3] == ["1", "sqrt(5)/125"]
+    assert lines[-1] == "[]"

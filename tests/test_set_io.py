@@ -90,6 +90,10 @@ def test_round_trips_keep_text_set_and_sharing(trees):
      "digit string '0101' must have length 0"),
     ("wdt b=2 d=1 windows=1\nwindow off=0 m=1\n\n01\n", 4,
      "digit string '01' must have length 0"),
+    # what the writers refuse the readers refuse: bases above 36
+    ("bdt b=40 d=1 n=1\n0\nz\n", 1, "digit strings require base <= 36"),
+    ("wdt b=37 d=1 windows=1\nwindow off=0 m=1\n0\n", 1,
+     "digit strings require base <= 36"),
 ])
 def test_parse_errors_are_pinned(text, line_no, message):
     read = read_bdt if text.startswith("bdt") else read_wdt
