@@ -17,7 +17,7 @@ from fractions import Fraction
 from . import estimators, extract_assouad, extract_lower, generators
 from .core import (CubeTree, DomainError, PointSet, SetFormatError,
                    WindowedSet, leaf_representatives, read_bdt, read_wdt,
-                   write_bdt, write_wdt)
+                   representatives_tree, write_bdt, write_wdt)
 from .exactmath import (count_meets_power_bound, parse_fraction,
                         pow_at_least)
 
@@ -154,26 +154,6 @@ def _cmd_extract_assouad_global(args) -> int:
     return 0
 
 
-def _points_to_tree(points: PointSet) -> CubeTree:
-    b, d = points.base, points.dim
-    depth = 0
-    for p in points.points:
-        for x in p:
-            e = 0
-            while (x * b**e).denominator != 1:
-                e += 1
-            depth = max(depth, e)
-    paths = []
-    for p in points.points:
-        ints = [int(x * b**depth) for x in p]
-        paths.append(tuple(
-            tuple((v // b ** (depth - 1 - j)) % b for v in ints)
-            for j in range(depth)))
-    return CubeTree.from_leaves(b, d, max(depth, 1),
-                                paths if depth else
-                                [((0,) * d,) for _ in points.points])
-
-
 def _cmd_extract_lower(args) -> int:
     obj = _read_set(args.input)
     if not isinstance(obj, CubeTree):
@@ -185,7 +165,7 @@ def _cmd_extract_lower(args) -> int:
     verification = extract_lower.verify_lower_bounds(ball_tree)
     if args.out:
         pts = PointSet.of(obj.base, obj.dim, ball_tree.leaf_points)
-        _write_set(_points_to_tree(pts), args.out)
+        _write_set(representatives_tree(pts), args.out)
     _emit(verification.to_tsv(), args.report)
     status = "ok" if verification.ok else "FAIL"
     print(f"centers={len(ball_tree.leaf_points)} "

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
 from itertools import groupby, product
-from math import ceil, log
+from math import ceil, gcd, lcm, log
 from operator import add, itemgetter, mul
 from typing import Iterator
 
@@ -104,65 +104,131 @@ def build_sorted(heads: list, depth: int, width: int, edge) -> CubeNode:
     return nodes[0]
 
 
-def grow_preorder(start, depth: int, children) -> CubeNode:
-    """Like `rebuild`, but `children(state, level)` is called once per
-    path in depth-first preorder (to draw from an rng) on a stack of open
-    nodes; a last-level node is interned as soon as its children are."""
-    intern = _Interner().node
+class _LastLevel(dict):
+    """`(source, draw)` -> the hash-consed node with the drawn children of
+    `source` as leaves, built on the first such draw only."""
 
-    def last(state):  # a node whose children are leaves
-        return intern(tuple([(key, _LEAF)
-                             for key, _ in children(state, depth - 1)]))
+    def __init__(self, nodes: dict):
+        super().__init__()
+        self.nodes = nodes  # children tuple -> node, shared with the grower
 
-    if depth <= 1:
-        return last(start) if depth else _LEAF
-    stack = [(children(start, 0), [])]
+    def __missing__(self, drawn):
+        source, picked = drawn
+        kids = source.children
+        key = tuple([(kids[j][0], _LEAF) for j in picked])
+        node = self[drawn] = self.nodes.setdefault(key, CubeNode(key))
+        return node
+
+
+def grow_preorder(root, depth: int, draw) -> CubeNode:
+    """The hash-consed depth-`depth` tree drawn from the source node
+    `root` in depth-first preorder, on a stack of open nodes.  A drawn
+    node keeps the children `draw(source)` of its source: sorted indices
+    into `source.children`, a sequence of `(key, source child)` pairs,
+    looked up only for the kept children.  Kept children are drawn in
+    key order; a last-level node is built once per distinct draw."""
+    if not depth:
+        return _LEAF
+    nodes, stack = {}, []
+    lasts = _LastLevel(nodes)
+    # a frame: a source's pairs, its kept indices and its built children;
+    # the first keeps the root alone and returns it once it is built
+    pairs, picks, built = ((None, root),), (0,), []
+    level, bottom = 0, depth - 1  # level: that of the kept children
     while True:
-        pairs, done = stack[-1]
-        if len(stack) == depth - 1:  # the pairs' children are last-level
-            done += [last(state) for _, state in pairs]
-        elif len(done) < len(pairs):
-            stack.append((children(pairs[len(done)][1], len(stack)), []))
-            continue
-        node = intern(tuple(zip(map(itemgetter(0), pairs), done)))
-        stack.pop()
+        if level < bottom:
+            if len(built) < len(picks):  # open the next kept child
+                source = pairs[picks[len(built)]][1]
+                stack.append((pairs, picks, built))
+                pairs, picks, built = source.children, draw(source), []
+                level += 1
+                continue
+        else:  # the kept children are last-level nodes
+            for i in picks:
+                source = pairs[i][1]
+                built.append(lasts[source, draw(source)])
         if not stack:
-            return node
-        stack[-1][1].append(node)
+            return built[0]
+        key = tuple(zip(map(itemgetter(0), map(pairs.__getitem__, picks)),
+                        built))
+        node = nodes.get(key)
+        if node is None:
+            node = nodes[key] = CubeNode(key)
+        pairs, picks, built = stack.pop()
+        built.append(node)
+        level -= 1
 
 
-def rng_draws(rng) -> tuple:
-    """`(below, sample)`: CPython's `rng.randrange(n)` and the sorted
-    `rng.sample(range(n), k)`, drawn bit for bit from `rng.getrandbits`,
-    so seeded trees do not hang on a Python version's `random` module."""
-    bits = rng.getrandbits
+class _SamplePlans(dict):
+    """`(n, k)` -> how `Random.sample(range(n), k)` draws: None in its set
+    regime (redraw repeats), else its pool and the bit widths of the
+    pool draws."""
 
-    def below(n):  # a rejection loop over n.bit_length() bits
-        w = n.bit_length()
-        r = bits(w)
-        while r >= n:
-            r = bits(w)
-        return r
-
-    def sample(n, k):
+    def __missing__(self, nk):
+        n, k = nk
         if not 0 <= k <= n:
             raise DomainError(f"cannot draw {k} of {n}")
         if n > 21 + (4**ceil(log(3 * k, 4)) if k > 5 else 0):
-            picked = set()
+            plan = None
+        else:
+            plan = list(range(n)), [i.bit_length()
+                                    for i in range(n, n - k, -1)]
+        self[nk] = plan
+        return plan
+
+
+def rng_draws(rng) -> tuple:
+    """`(sample, subsets)`, drawn bit for bit as CPython's `random` draws
+    from `rng.getrandbits`, so seeded trees do not hang on a Python
+    version's `random` module.  `sample(n, k)` is the sorted tuple of
+    `rng.sample(range(n), k)`, and `sample(n, 1)` is `(rng.randrange(n),)`
+    in both of its regimes.  `subsets(n, cap)` is a `grow_preorder` draw
+    that ignores its source: the sorted tuple of `rng.sample(range(n),
+    rng.randint(1, cap))`.  Each (n, k) is planned once per call, and
+    `sample`'s pool holds at most 21 + 4^ceil(log4 3k) entries."""
+    bits, plans = rng.getrandbits, _SamplePlans()
+
+    def sample(n, k):
+        plan = plans[n, k]
+        if plan is None:  # the set regime
+            w, picked = n.bit_length(), set()
             while len(picked) < k:
-                picked.add(below(n))
-            return sorted(picked)
-        pool, picked = list(range(n)), []
-        for i in range(n, n - k, -1):  # below(i), inlined
-            w = i.bit_length()
+                r = bits(w)
+                while r >= n:
+                    r = bits(w)
+                picked.add(r)
+            return tuple(sorted(picked))
+        pool, widths = plan
+        pool, picked, i = pool.copy(), [], n
+        for w in widths:  # the pool regime: w is i's bit width
             r = bits(w)
             while r >= i:
                 r = bits(w)
             picked.append(pool[r])
-            pool[r] = pool[i - 1]
-        return sorted(picked)
+            i -= 1
+            pool[r] = pool[i]
+        picked.sort()
+        return tuple(picked)
 
-    return below, sample
+    def subsets(n, cap):
+        if not 1 <= cap <= n:
+            raise DomainError(f"cannot draw 1 to {cap} of {n}")
+        wc, wn = cap.bit_length(), n.bit_length()
+
+        def draw(source):
+            k = bits(wc)  # randint(1, cap) - 1
+            while k >= cap:
+                k = bits(wc)
+            if k:
+                return sample(n, k + 1)
+            r = bits(wn)  # sample(n, 1): one randrange(n)
+            while r >= n:
+                r = bits(wn)
+            return (r,)
+
+        return draw
+
+    return sample, subsets
 
 
 def descend(layer: list, levels: int, step) -> list:
@@ -260,13 +326,17 @@ def _digits_to_int(digits, base: int) -> int:
     return val
 
 
+def check_shape(base: int, dim: int, depth: int):
+    if base < 2 or dim < 1 or depth < 0:
+        raise DomainError("need base >= 2, dim >= 1, depth >= 0")
+
+
 class CubeTree:
     """Uniform-depth prefix tree; depth-k nodes are the occupied cubes
     of D_b(k).  The set is the union of the leaf cubes."""
 
     def __init__(self, base: int, dim: int, depth: int, root: CubeNode):
-        if base < 2 or dim < 1 or depth < 0:
-            raise DomainError("need base >= 2, dim >= 1, depth >= 0")
+        check_shape(base, dim, depth)
         self.base = base
         self.dim = dim
         self.depth = depth
@@ -605,6 +675,29 @@ def leaf_representatives(tree: CubeTree,
     return PointSet(tree.base, tree.dim, tuple(
         tuple(Fraction(v, scale) for v in corner)
         for corner in leaf_corners(tree, limit)))
+
+
+def representatives_tree(points: PointSet) -> CubeTree:
+    """The inverse of `leaf_representatives`: the shallowest tree, of
+    depth at least 1, whose leaf cubes have `points` as their lower-left
+    corners.  Every coordinate must be a base-b fraction in [0, 1)."""
+    b, d = points.base, points.dim
+    scale = lcm(*[x.denominator for p in points.points for x in p])
+    rest = scale
+    while (g := gcd(rest, b)) > 1:
+        rest //= g
+    if rest != 1:
+        raise DomainError(f"a coordinate's denominator {scale} is not a "
+                          f"divisor of a power of {b}")
+    depth, side = 1, b  # side: b^depth
+    while side % scale:
+        depth, side = depth + 1, side * b
+    corners = [[int(x * side) for x in p] for p in points.points]
+    if any(not 0 <= v < side for c in corners for v in c):
+        raise DomainError("a point lies outside [0, 1)^d")
+    return CubeTree.from_leaves(b, d, depth, [tuple(
+        tuple(v // b**(depth - 1 - j) % b for v in c) for j in range(depth))
+        for c in corners])
 
 
 @dataclass(frozen=True)

@@ -101,15 +101,14 @@ def prune(tree: CubeTree, params: PruneParams,
                 f"greedy prune kept {out.leaf_count} leaves, below "
                 f"N^n M^(-n eps)")
         return out
-    _, sample = rng_draws(random.Random(params.seed))
+    sample, _ = rng_draws(random.Random(params.seed))
 
-    def children(node, level):  # children are key-sorted
-        kids = node.children
-        return [kids[i] for i in sample(len(kids), min(N, len(kids)))]
+    def draw(node):  # as sample(node.children, min(N, #children))
+        return sample(len(node.children), min(N, len(node.children)))
 
     for _ in range(params.retries):
         out = CubeTree(tree.base, tree.dim, tree.depth,
-                       grow_preorder(tree.root, tree.depth, children))
+                       grow_preorder(tree.root, tree.depth, draw))
         if count_meets_power_bound(out.leaf_count, M, n, N, params.eps):
             return out
     raise DomainError(

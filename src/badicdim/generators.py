@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 
 from . import geometry
 from .core import (CubeNode, CubeTree, DomainError, Window, WindowedSet,
-                   _LEAF, all_keys, grow_preorder, rng_draws)
+                   _LEAF, all_keys, check_shape, grow_preorder, rng_draws)
 
 FAMILIES = ("digit-cantor", "full-cube", "lattice-window", "integer-cantor",
             "one-over-k", "prop5-union", "random-branching")
@@ -123,19 +123,38 @@ def prop5_union(base: int, local_digits, global_digits, m: int,
     return WindowedSet(base, dim, windows)
 
 
+class _FullNode(dict):
+    """A source node with all b^d children: index -> `(key, self)`.  The
+    sorted keys are the base-b digits of their indices, so a key is
+    decoded when first looked up and the b^d keys are never listed."""
+
+    __hash__ = object.__hash__  # by identity, as a `CubeNode`
+
+    def __init__(self, base: int, dim: int):
+        super().__init__()
+        self.base, self.dim, self.children = base, dim, self
+
+    def __missing__(self, index):
+        digits, rest = [], index
+        for _ in range(self.dim):
+            rest, digit = divmod(rest, self.base)
+            digits.append(digit)
+        pair = self[index] = (tuple(reversed(digits)), self)
+        return pair
+
+
 def random_branching_tree(base: int, dim: int, depth: int,
                           max_children: int, seed: int) -> CubeTree:
     """Reproducible pseudo-random tree; every internal node has between
-    1 and max_children children."""
+    1 and max_children children, drawn in preorder as the standard
+    library's `sample(keys, randint(1, max_children))` of the sorted keys
+    would draw them."""
+    check_shape(base, dim, depth)
     if not 1 <= max_children <= base**dim:
         raise DomainError("need 1 <= max_children <= b^d")
-    below, sample = rng_draws(random.Random(seed))
-    pairs = [(key, None) for key in all_keys(base, dim)]  # key-sorted
-
-    def children(state, level):  # as sample(keys, randint(1, max_children))
-        return [pairs[i] for i in sample(len(pairs), 1 + below(max_children))]
-
-    return CubeTree(base, dim, depth, grow_preorder(None, depth, children))
+    _, subsets = rng_draws(random.Random(seed))
+    return CubeTree(base, dim, depth, grow_preorder(
+        _FullNode(base, dim), depth, subsets(base**dim, max_children)))
 
 
 def generate(spec: GeneratorSpec):

@@ -6,7 +6,8 @@ from hypothesis import given, settings, strategies as st
 from badicdim.core import (BadicCube, CubeTree, DomainError, PointSet,
                            SetFormatError, Window, WindowedSet,
                            leaf_representatives, read_bdt, read_wdt,
-                           subdivide, write_bdt, write_wdt)
+                           representatives_tree, subdivide, write_bdt,
+                           write_wdt)
 from badicdim.estimators import star_dimension_report
 from badicdim.extract_assouad import StageRecord
 from badicdim.generators import random_branching_tree
@@ -112,6 +113,34 @@ def test_leaf_representatives():
     pts = leaf_representatives(t)
     assert [p[0] for p in pts.points] == [
         Fraction(0), Fraction(2, 9), Fraction(2, 3), Fraction(8, 9)]
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from([(2, 1), (3, 1), (4, 1), (2, 2), (3, 2)]),
+       st.integers(1, 5), st.integers(0, 10**6))
+def test_representatives_tree_inverts_leaf_representatives(shape, depth,
+                                                           seed):
+    base, dim = shape
+    tree = random_branching_tree(base, dim, depth, 2, seed)
+    points = leaf_representatives(tree)
+    back = representatives_tree(points)
+    assert leaf_representatives(back) == points
+    assert 1 <= back.depth <= depth
+    # the shallowest: one level less leaves some point off the grid
+    assert back.depth == 1 or any(
+        (x * base**(back.depth - 1)).denominator != 1
+        for p in points.points for x in p)
+    if any(any(path[-1]) for path in tree.iter_leaf_paths()):
+        assert back == tree
+
+
+def test_representatives_tree_edge_cases():
+    origin = representatives_tree(PointSet.of(2, 2, [(0, 0)]))
+    assert (origin.depth, list(origin.iter_leaf_paths())) == (
+        1, [((0, 0),)])
+    for point in ((Fraction(1, 3),), (Fraction(1),), (Fraction(-1, 2),)):
+        with pytest.raises(DomainError):
+            representatives_tree(PointSet.of(2, 1, [point]))
 
 
 def test_windowed_set_disjointness():

@@ -1,15 +1,22 @@
-"""The in-house sampler against the standard library, and golden digests
-of seeded random trees and random prunes: a change to the order in
-which trees draw from their rng fails here."""
+"""The in-house sampler against the standard library, and seeded random
+trees and random prunes against golden digests and flat references that
+draw with the standard library: a change to the order in which trees
+draw from their rng fails here."""
 
 import hashlib
 import math
 import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from badicdim.core import CubeTree, DomainError, rng_draws, write_bdt
+from badicdim import generators
+from badicdim.core import (CubeTree, DomainError, all_keys, rng_draws,
+                           write_bdt)
+from badicdim.exactmath import count_meets_power_bound
 from badicdim.extract_assouad import PruneParams, prune
 from badicdim.generators import random_branching_tree
 
@@ -31,10 +38,15 @@ def test_sampler_draws_as_the_standard_library():
     regimes = set()
     for i, (n, k) in enumerate(_cases()):
         ours, theirs = random.Random(i), random.Random(i)
-        below, sample = rng_draws(ours)
-        assert below(n) == theirs.randrange(n)
-        assert 1 + below(n) == theirs.randint(1, n)
-        assert sample(n, k) == sorted(theirs.sample(range(n), k))
+        sample, subsets = rng_draws(ours)
+        assert sample(n, 1) == (theirs.randrange(n),)
+        for _ in range(2):  # the second draw reuses the (n, k) plan
+            assert sample(n, k) == tuple(sorted(theirs.sample(range(n), k)))
+        if k:
+            draw = subsets(n, k)
+            for _ in range(3):
+                assert draw(None) == tuple(sorted(
+                    theirs.sample(range(n), theirs.randint(1, k))))
         assert ours.getstate() == theirs.getstate()  # no draw more or less
         setsize = 21 + (4**math.ceil(math.log(3 * k, 4)) if k > 5 else 0)
         regimes.add((n > setsize, k > 5))
@@ -43,10 +55,13 @@ def test_sampler_draws_as_the_standard_library():
 
 
 def test_sampler_refuses_impossible_draws():
-    _, sample = rng_draws(random.Random(0))
+    sample, subsets = rng_draws(random.Random(0))
     for n, k in ((3, 4), (0, 1), (5, -1)):
         with pytest.raises(DomainError):
             sample(n, k)
+    for n, cap in ((3, 4), (3, 0), (0, 1)):
+        with pytest.raises(DomainError):
+            subsets(n, cap)
 
 
 def _digest(tree):
@@ -90,3 +105,117 @@ def test_random_prunes_keep_their_golden_digests(tree, params, leaves,
                                                  digest):
     out = prune(tree, params, check_hypotheses=False)
     assert (out.leaf_count, _digest(out)) == (leaves, digest)
+
+
+def _reference_tree(base, dim, depth, max_children, seed):
+    """A flat reference: recurse in preorder, drawing each node's keys
+    with the standard library's `randint` and `sample`."""
+    rng, keys, leaves = random.Random(seed), all_keys(base, dim), []
+
+    def grow(path):
+        if len(path) == depth:
+            leaves.append(path)
+            return
+        k = rng.randint(1, max_children)
+        for i in sorted(rng.sample(range(base**dim), k)):
+            grow(path + (keys[i],))
+
+    grow(())
+    return CubeTree.from_leaves(base, dim, depth, leaves)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from([(2, 1), (3, 1), (4, 2), (5, 2), (2, 5), (6, 2),
+                        (10, 2)]),
+       st.integers(0, 5), st.integers(1, 36), st.integers(0, 10**6))
+def test_random_trees_match_a_flat_reference(shape, depth, max_children,
+                                             seed):
+    # b^d on both sides of `sample`'s 21, and up to 36 children: k > 5
+    # in both regimes (b^d = 100 is above the set size 85 of k = 6, 7)
+    base, dim = shape
+    max_children = min(max_children, base**dim)
+    while depth and (max_children**depth > 4000):
+        depth -= 1
+    tree = random_branching_tree(base, dim, depth, max_children, seed)
+    reference = _reference_tree(base, dim, depth, max_children, seed)
+    assert write_bdt(tree) == write_bdt(reference)
+
+
+def _reference_prune(tree, params):
+    """A flat reference of the random prune: every attempt recurses in
+    preorder on one standard library rng, keeping `sample(children,
+    min(N, #children))` of each node."""
+    rng, n, cap = random.Random(params.seed), tree.depth, params.cap
+    for _ in range(params.retries):
+        leaves = []
+
+        def grow(node, path):
+            if len(path) == n:
+                leaves.append(path)
+                return
+            kids = node.children
+            for i in sorted(rng.sample(range(len(kids)),
+                                       min(cap, len(kids)))):
+                grow(kids[i][1], path + (kids[i][0],))
+
+        grow(tree.root, ())
+        out = CubeTree.from_leaves(tree.base, tree.dim, n, leaves)
+        if count_meets_power_bound(out.leaf_count, params.base, n, cap,
+                                   params.eps):
+            return out
+    return None
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from([(2, 1, 6, 2), (4, 1, 4, 4), (3, 2, 3, 9),
+                        (6, 2, 2, 36)]),
+       st.integers(0, 10**6), st.integers(1, 8),
+       st.sampled_from([Fraction(0), Fraction(1, 8), Fraction(1)]),
+       st.integers(0, 10**6), st.integers(1, 4))
+def test_random_prunes_match_a_flat_reference(shape, tree_seed, cap, eps,
+                                              seed, retries):
+    # small eps makes attempts fail, so retries draw on the same stream
+    base, dim, depth, max_children = shape
+    tree = random_branching_tree(base, dim, depth, max_children, tree_seed)
+    params = PruneParams(base, depth, cap, Fraction(0), eps,
+                         strategy="random", seed=seed, retries=retries)
+    reference = _reference_prune(tree, params)
+    if reference is None:
+        with pytest.raises(DomainError, match="random prune failed"):
+            prune(tree, params, check_hypotheses=False)
+    else:
+        out = prune(tree, params, check_hypotheses=False)
+        assert write_bdt(out) == write_bdt(reference)
+
+
+def test_wide_alphabets_are_drawn_without_listing_their_keys():
+    # 36^5 = 60,466,176 keys per node: listing them would take gigabytes
+    tracemalloc.start()
+    try:
+        tree = random_branching_tree(36, 5, 2, 3, 1)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 10**6
+    assert 1 <= tree.leaf_count <= 9
+    paths = list(tree.iter_leaf_paths())
+    assert all(len(key) == 5 and all(0 <= dig < 36 for dig in key)
+               for path in paths for key in path)
+    rng, path = random.Random(5), []  # a one-leaf chain, key by key
+    for _ in range(2):
+        assert rng.randint(1, 1) == 1
+        index = rng.sample(range(36**5), 1)[0]
+        path.append(tuple(index // 36**(4 - i) % 36 for i in range(5)))
+    assert random_branching_tree(36, 5, 2, 1, 5) == CubeTree.from_leaves(
+        36, 5, 2, [tuple(path)])
+
+
+@pytest.mark.parametrize("shape", [(1, 1, 3, 1), (2, 0, 3, 1), (2, 1, -1, 1),
+                                   (2, 1, 3, 0), (2, 1, 3, 3)])
+def test_random_trees_check_their_shape_before_drawing(shape, monkeypatch):
+    def no_draws(rng):
+        raise AssertionError("drew before checking the shape")
+
+    monkeypatch.setattr(generators, "rng_draws", no_draws)
+    with pytest.raises(DomainError):
+        generators.random_branching_tree(*shape, 0)
