@@ -5,8 +5,7 @@ subsets with prescribed dimension estimates."""
 from .core import (BadicCube, CubeTree, DomainError, PointSet,
                    SetFormatError, Window, WindowedSet,
                    leaf_representatives, read_bdt, read_wdt,
-                   representatives_tree, subdivide, tree_from_digit_rule,
-                   write_bdt, write_wdt)
+                   representatives_tree, subdivide, write_bdt, write_wdt)
 from .estimators import (DimensionReport, ScaleRecord, ball_cover_count,
                          count_hit_subcubes, h_star, lower_dimension_report,
                          packing_count, star_dimension_report,
@@ -26,8 +25,7 @@ __version__ = "1.0.0"
 __all__ = [
     "BadicCube", "CubeTree", "DomainError", "PointSet", "SetFormatError",
     "Window", "WindowedSet", "leaf_representatives", "read_bdt", "read_wdt",
-    "representatives_tree", "subdivide", "tree_from_digit_rule",
-    "write_bdt", "write_wdt",
+    "representatives_tree", "subdivide", "write_bdt", "write_wdt",
     "DimensionReport", "ScaleRecord", "ball_cover_count",
     "count_hit_subcubes", "h_star", "lower_dimension_report",
     "packing_count", "star_dimension_report", "verify_cover_pack_sandwich",

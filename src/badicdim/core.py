@@ -247,20 +247,38 @@ def corner_step(base: int, dim: int):
     return lambda corner, key: tuple(map(add, map(mul, corner, bases), key))
 
 
-def corner_walk(layer: dict, levels: int, step, pick=min, key=None) -> dict:
-    """Walk `levels` levels down from `layer` (node -> corner), keeping
-    per distinct node the corner of its paths that `pick` chooses under
-    `key`.  A `corner_step` keeps the order of corners and of each
-    coordinate, so parents' choices decide their children's."""
+def walk(layer: dict, levels: int, step=None, pick=None, key=None):
+    """Yield `layer` (node -> value) and the `levels` layers below it,
+    each distinct node once, in order of first reach.  A child's value
+    is `step(value, key)` down its first parent edge, or with `pick` the
+    one of its edges' values that `pick` chooses under `key`; with no
+    `step`, None.  A `corner_step` keeps the order of corners and of
+    each coordinate, so parents' choices decide their children's."""
+    yield layer
     for _ in range(levels):
         below = {}
-        for node, corner in layer.items():
+        for node, value in layer.items():
             for edge, child in node.children:
-                c = step(corner, edge)
-                below[child] = pick(below[child], c, key=key) \
-                    if child in below else c
+                if child not in below:
+                    below[child] = step and step(value, edge)
+                elif pick:
+                    below[child] = pick(below[child], step(value, edge),
+                                        key=key)
         layer = below
-    return layer
+        yield layer
+
+
+def counts_below(nodes, k: int) -> dict:
+    """Each distinct node on the `k` levels from `nodes` (all of one
+    level) down -> its number of descendants on the bottom one: one
+    `walk` down, then sums back up."""
+    layers = list(walk(dict.fromkeys(nodes), k))
+    counts = dict.fromkeys(layers.pop(), 1)
+    count, child = counts.__getitem__, itemgetter(1)
+    for layer in reversed(layers):
+        for node in layer:
+            counts[node] = sum(map(count, map(child, node.children)))
+    return counts
 
 
 @dataclass(frozen=True)
@@ -341,7 +359,7 @@ class CubeTree:
         self.dim = dim
         self.depth = depth
         self.root = root
-        self._counts = {}
+        self._leaves = None
         self._profile = None
 
     # -- construction -------------------------------------------------
@@ -400,29 +418,8 @@ class CubeTree:
         return node
 
     def descendant_count(self, node: CubeNode, k: int) -> int:
-        """Number of depth-k descendants of `node` (exact), memoised per
-        (node, k); an explicit stack stands in for recursion."""
-        if k == 0:
-            return 1
-        memo = self._counts
-        got = memo.get((id(node), k))
-        if got is not None:
-            return got
-        stack = [(node, k)]
-        while stack:
-            cur, j = stack[-1]
-            total = 0
-            for _, child in cur.children:
-                got = 1 if j == 1 else memo.get((id(child), j - 1))
-                if got is None:  # count this child first
-                    stack.append((child, j - 1))
-                    total = None
-                elif total is not None:
-                    total += got
-            if total is not None:
-                memo[(id(cur), j)] = total
-                stack.pop()
-        return memo[(id(node), k)]
+        """Number of depth-k descendants of `node` (exact)."""
+        return counts_below((node,), k)[node]
 
     def count_at_depth(self, k: int) -> int:
         if not 0 <= k <= self.depth:
@@ -430,24 +427,23 @@ class CubeTree:
         return self.descendant_count(self.root, k)
 
     @property
+    def leaf_counts(self) -> dict:
+        """Each distinct node -> its number of leaves; cached."""
+        if self._leaves is None:
+            self._leaves = counts_below((self.root,), self.depth)
+        return self._leaves
+
+    @property
     def leaf_count(self) -> int:
-        return self.count_at_depth(self.depth)
+        return self.leaf_counts[self.root]
 
     def levels(self) -> Iterator[dict]:
         """Yield, per level, a dict mapping each distinct node object to
         its lexicographically smallest path, in ascending path order
         (parents go in path order, children in key order).  Shared
         subtrees appear once: traversal stays cheap on homogeneous trees."""
-        current = {self.root: ()}
-        yield current
-        for _ in range(self.depth):
-            nxt = {}
-            for node, path in current.items():
-                for key, child in node.children:
-                    if child not in nxt:
-                        nxt[child] = path + (key,)
-            current = nxt
-            yield current
+        yield from walk({self.root: ()}, self.depth,
+                        lambda path, key: path + (key,))
 
     def count_profile(self) -> tuple:
         """The count profile `(maxima, minima)`: `maxima[i][k - 1]` is
@@ -482,9 +478,15 @@ class CubeTree:
         depth - k) with the most (or, if not `largest`, the fewest)
         depth-k descendants; ties go to the smallest level, then the
         smallest path."""
+        if not 1 <= k <= self.depth:
+            raise DomainError(f"k {k} outside 1..{self.depth}")
+        hi = self.depth - k if hi is None else hi
+        if not 0 <= lo <= hi <= self.depth - k:
+            raise DomainError(
+                f"levels {lo}..{hi} outside 0..{self.depth - k}")
         maxima, minima = self.count_profile()
-        rows = [row[k - 1] for row in (maxima if largest else minima)[
-            lo:(self.depth - k if hi is None else hi) + 1]]
+        rows = [row[k - 1]
+                for row in (maxima if largest else minima)[lo:hi + 1]]
         counts = [count for count, _ in rows]
         i = counts.index((max if largest else min)(counts))
         return counts[i], lo + i, rows[i][1]
@@ -526,8 +528,7 @@ class CubeTree:
         return (isinstance(other, CubeTree)
                 and self.contains_tree(other) and other.contains_tree(self))
 
-    def __hash__(self):  # identity hash; trees are compared explicitly
-        return id(self)
+    __hash__ = object.__hash__  # by identity; trees are compared explicitly
 
     # -- transforms ---------------------------------------------------
 
@@ -633,11 +634,6 @@ def subdivide(cube: BadicCube, dim: int = None) -> list:
     return out
 
 
-def tree_from_digit_rule(base: int, dim: int, depth: int,
-                         allowed) -> CubeTree:
-    return CubeTree.from_digit_rule(base, dim, depth, allowed)
-
-
 @dataclass(frozen=True)
 class PointSet:
     """Finite set of exact coordinates under the max-metric."""
@@ -706,9 +702,6 @@ class Window:
     side_exp: int  # footprint side = base**side_exp
     tree: CubeTree
 
-    def footprint_side(self) -> int:
-        return self.tree.base**self.side_exp
-
 
 class WindowedSet:
     """Finite union of far-apart integer-offset windows, each holding a
@@ -749,8 +742,9 @@ class WindowedSet:
             for w in self.windows:
                 leaf = b**(w.side_exp - w.tree.depth - unit)  # in cells
                 for i, pick in product(range(d), (max, min)):
-                    for c in corner_walk({w.tree.root: (0,) * d}, w.tree.depth,
-                                         step, pick, itemgetter(i)).values():
+                    *_, last = walk({w.tree.root: (0,) * d}, w.tree.depth,
+                                    step, pick, itemgetter(i))
+                    for c in last.values():
                         x = w.offset[i] * b**-unit + c[i] * leaf
                         span = max(span, x + leaf, -x)
             j_hi = unit + 1

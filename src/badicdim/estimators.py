@@ -12,7 +12,7 @@ from fractions import Fraction
 
 from . import geometry
 from .core import (BadicCube, CubeTree, DomainError, PointSet, WindowedSet,
-                   corner_step, corner_walk)
+                   corner_step, counts_below, walk)
 
 COVER_METHOD_TAG = "badic-cells"
 
@@ -59,6 +59,10 @@ def count_hit_subcubes(tree: CubeTree, cube: BadicCube, k: int) -> int:
     """N_{b^k}(E, Q): depth-(level+k) descendants of Q present in the
     tree.  Q absent from the tree gives 0; exceeding the resolution is
     an error."""
+    if (cube.base, cube.dim) != (tree.base, tree.dim):
+        raise DomainError(
+            f"cube of base {cube.base}, dim {cube.dim} in a tree of base "
+            f"{tree.base}, dim {tree.dim}")
     if k < 1:
         raise DomainError("k must be >= 1")
     if cube.level + k > tree.depth:
@@ -79,7 +83,8 @@ def _tree_h_star(tree: CubeTree, k: int):
 
 def _windowed_h_star(wset: WindowedSet, k: int, kind: str):
     """Counts are reads of the lattice forest's count profiles, smallest
-    side first; the witness is one corner walk down to the winning side."""
+    side first; the witness is one corner walk down to the winning side,
+    whose layer is counted once."""
     unit, j_hi, roots = wset.lattice_forest()
     top = unit + roots[0][1].depth
     scales = range(unit + k, (0 if kind == "local" else j_hi) + 1)
@@ -89,11 +94,10 @@ def _windowed_h_star(wset: WindowedSet, k: int, kind: str):
                   for _, tree in roots) for j in scales]
     count = max(counts)
     j = scales[counts.index(count)]  # the smallest side with the count
-    tree = roots[0][1]  # any tree counts any node's descendants
-    corner = min(c for node, c in corner_walk(
-        {t.root: c for c, t in reversed(roots)}, top - j,
-        corner_step(wset.base, wset.dim)).items()
-        if tree.descendant_count(node, k) == count)
+    *_, layer = walk({t.root: c for c, t in reversed(roots)}, top - j,
+                     corner_step(wset.base, wset.dim), min)
+    below = counts_below(layer, k)
+    corner = min(c for node, c in layer.items() if below[node] == count)
     side = wset.base ** (j - unit)
     witness = (f"side=b^{j} corner_units={tuple(x * side for x in corner)} "
                f"unit_exp={unit}")

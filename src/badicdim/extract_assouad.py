@@ -71,11 +71,11 @@ def prune_with_caps(tree: CubeTree, caps) -> CubeTree:
     if len(caps) != tree.depth:
         raise DomainError("need one cap per level")
 
+    leaves = tree.leaf_counts
+
     def children(node, level):
-        remaining = tree.depth - level - 1
-        ranked = sorted(
-            node.children,
-            key=lambda kc: (-tree.descendant_count(kc[1], remaining), kc[0]))
+        ranked = sorted(node.children,
+                        key=lambda kc: (-leaves[kc[1]], kc[0]))
         return sorted(ranked[:caps[level]], key=itemgetter(0))
 
     return CubeTree(tree.base, tree.dim, tree.depth,

@@ -2,14 +2,17 @@
 recounts from the leaf list alone."""
 
 import itertools
+import tracemalloc
 
+import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from badicdim.core import (CubeNode, CubeTree, DomainError, Window,
                            WindowedSet, leaf_corners)
-from badicdim.estimators import (h_star, lower_dimension_report,
+from badicdim.estimators import (count_hit_subcubes, h_star,
+                                 lower_dimension_report,
                                  star_dimension_report)
-from badicdim.extract_assouad import find_dense_window
+from badicdim.extract_assouad import find_dense_window, prune_with_caps
 from badicdim.generators import (integer_cantor, lattice_window,
                                  oracle_exact_hstar, prop5_union,
                                  random_branching_tree)
@@ -58,6 +61,12 @@ def test_profile_readers_match_flat_recounts(seed, b, d, depth, kids):
         count, level, path = _scan(
             table, n, range(min(n, depth - n), depth - n + 1), True)
         assert find_dense_window(tree, n) == (path, level, count)
+    for (level, k), per_cube in table.items():
+        for q, count in per_cube.items():
+            assert count_hit_subcubes(tree, tree.cube(q), k) == count
+            if level == 0:
+                assert tree.count_at_depth(k) == count
+    assert tree.leaf_count == table[0, depth][()]
 
 
 def _unshared(tree):
@@ -98,6 +107,27 @@ def test_profile_of_deep_trees_needs_no_recursion():
             [2**k if full else 1 for k in range(1, 1501)]
         assert [r.count for r in lower] == [r.count for r in star]
         assert star[-1].witness == lower[-1].witness == "root"
+
+
+@pytest.mark.parametrize("k, lo, hi", [
+    (0, 0, None), (-1, 0, None), (4, 0, None), (1, 2, 1), (1, -2, None),
+    (1, 0, 3), (2, 2, None)])
+def test_extreme_count_rejects_scales_and_levels_out_of_range(k, lo, hi):
+    with pytest.raises(DomainError):
+        CubeTree.full(2, 1, 3).extreme_count(k, lo=lo, hi=hi)
+
+
+def test_deep_leaf_counts_keep_one_count_per_node():
+    # a whole count vector per node would hold O(depth^3) bits here
+    tree = CubeTree.full(2, 1, 5000)
+    tracemalloc.start()
+    try:
+        assert tree.leaf_count == 2**5000
+        assert prune_with_caps(tree, [1] * 5000).leaf_count == 1
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 32 * 2**20
 
 
 def test_profile_is_one_walk_per_tree(monkeypatch):

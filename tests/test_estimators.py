@@ -35,6 +35,14 @@ def test_count_hit_subcubes_examples():
         count_hit_subcubes(c, root3, 0)
 
 
+@pytest.mark.parametrize("cube", [BadicCube(4, 1, ((1,),)),
+                                  BadicCube(2, 1, ((1,), (0,)))],
+                         ids=["base", "dim"])
+def test_count_hit_subcubes_needs_the_tree_base_and_dim(cube):
+    with pytest.raises(DomainError, match="cube of base"):
+        count_hit_subcubes(CubeTree.full(2, 1, 3), cube, 1)
+
+
 def test_h_star_tree_examples():
     count, witness = h_star(_cantor(6), 3)
     assert count == 8

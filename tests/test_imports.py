@@ -1,5 +1,5 @@
-"""No module of the package imports a name it never uses, and the
-package imports nothing beyond the standard library.  Only the standard
+"""No module of the package imports a name it never uses, calls `id`,
+or imports anything beyond the standard library.  Only the standard
 library's `ast` is needed, so the gates run wherever the tests do."""
 
 import ast
@@ -52,6 +52,30 @@ def test_gate_finds_unused_names():
               "__all__ = ['read_bdt']\n"
               "def f(x: CubeTree):\n    return m.log(x)\n")
     assert unused_imports(source) == ["line 2: os", "line 4: CubeNode"]
+
+
+def id_calls(source: str) -> list:
+    """The lines of `source` that call the builtin `id`.  A cache keyed
+    by `id(node)` can alias a node that died and left its id to another;
+    caches key by the node itself, which hashes by identity and stays
+    alive while cached."""
+    return [f"line {line}" for line in sorted(
+        node.lineno for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+        and node.func.id == "id")]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_module_calls_no_id(path):
+    assert id_calls(path.read_text()) == []
+
+
+def test_gate_finds_id_calls():
+    source = ("memo = {}\n"
+              "def f(node, k):\n    return memo.get((id(node), k))\n"
+              "def g(node):\n    node.id = 1\n    return node.id, id\n"
+              "h = lambda n: {id(n): n}\n")
+    assert id_calls(source) == ["line 3", "line 7"]
 
 
 def foreign_imports(source: str) -> list:
