@@ -16,8 +16,7 @@ from .extract_assouad import (ConstructionTrace, PruneParams,
                               find_dense_window, prune, sandwich_assemble)
 from .extract_lower import (BallTree, LowerParams, construct_subset_lower,
                             select_packing_children, verify_lower_bounds)
-from .generators import (GeneratorSpec, generate, oracle_exact_cover,
-                         oracle_exact_hstar, oracle_exact_packing,
+from .generators import (GeneratorSpec, generate, oracle_exact_hstar,
                          random_branching_tree)
 
 __version__ = "1.0.0"
@@ -34,7 +33,7 @@ __all__ = [
     "find_dense_window", "prune", "sandwich_assemble",
     "BallTree", "LowerParams", "construct_subset_lower",
     "select_packing_children", "verify_lower_bounds",
-    "GeneratorSpec", "generate", "oracle_exact_cover", "oracle_exact_hstar",
-    "oracle_exact_packing", "random_branching_tree",
+    "GeneratorSpec", "generate", "oracle_exact_hstar",
+    "random_branching_tree",
     "__version__",
 ]

@@ -53,6 +53,13 @@ def _int_list(text: str):
     return [int(x) for x in text.split(",") if x != ""]
 
 
+def _positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
+
+
 # -- gen ---------------------------------------------------------------
 
 
@@ -107,7 +114,7 @@ def _parse_strategy(text: str):
         return "random", 0
     if text.startswith("random:"):
         return "random", int(text.split(":", 1)[1])
-    raise DomainError(f"unknown strategy '{text}'")
+    raise argparse.ArgumentTypeError(f"unknown strategy '{text}'")
 
 
 def _rebase_to(tree: CubeTree, M: int) -> CubeTree:
@@ -127,12 +134,12 @@ def _cmd_extract_assouad(args) -> int:
     if not isinstance(obj, CubeTree):
         raise DomainError("extract assouad needs a .bdt tree")
     tree = _rebase_to(obj, args.M) if args.M else obj
-    strategy, seed = _parse_strategy(args.strategy)
+    strategy, seed = args.strategy
     if args.seed:
         seed = args.seed
     trace = extract_assouad.construct_subset_assouad(
-        tree, parse_fraction(args.alpha), parse_fraction(args.eps),
-        args.stages, strategy=strategy, seed=seed)
+        tree, args.alpha, args.eps, args.stages, strategy=strategy,
+        seed=seed)
     if args.out:
         out_tree = trace.tree
         if out_tree.base != obj.base:  # undo the rebase for writing
@@ -149,7 +156,7 @@ def _cmd_extract_assouad_global(args) -> int:
     if not isinstance(obj, WindowedSet):
         raise DomainError("extract assouad-global needs a .wdt set")
     out = extract_assouad.construct_subset_assouad_global(
-        obj, parse_fraction(args.alpha), parse_fraction(args.eps))
+        obj, args.alpha, args.eps)
     _write_set(out, args.out)
     return 0
 
@@ -159,8 +166,8 @@ def _cmd_extract_lower(args) -> int:
     if not isinstance(obj, CubeTree):
         raise DomainError("extract lower needs a .bdt tree")
     params = extract_lower.LowerParams(
-        alpha=parse_fraction(args.alpha), M=args.M, depth=args.depth,
-        eps=parse_fraction(args.eps), R0=parse_fraction(args.R0))
+        alpha=args.alpha, M=args.M, depth=args.depth, eps=args.eps,
+        R0=args.R0)
     ball_tree = extract_lower.construct_subset_lower(obj, params)
     verification = extract_lower.verify_lower_bounds(ball_tree)
     if args.out:
@@ -301,8 +308,8 @@ def _cmd_info(args) -> int:
     if isinstance(obj, CubeTree):
         print(f"bdt b={obj.base} d={obj.dim} n={obj.depth}")
         print(f"leaves={obj.leaf_count}")
-        for k in range(obj.depth + 1):
-            print(f"level {k}: {obj.count_at_depth(k)} cubes")
+        for k, count in enumerate(obj.level_counts()):
+            print(f"level {k}: {count} cubes")
     else:
         print(f"wdt b={obj.base} d={obj.dim} windows={len(obj.windows)}")
         for i, w in enumerate(obj.windows):
@@ -343,7 +350,7 @@ def build_parser() -> argparse.ArgumentParser:
     est.add_argument("--in", dest="input", required=True)
     est.add_argument("--kind", default="star-local",
                      choices=["star-local", "star-global", "lower-cover"])
-    est.add_argument("--kmax", type=int)
+    est.add_argument("--kmax", type=_positive_int)
     # accepted and ignored: the kernel has one thread, and the benchmark's
     # workloads still pass --workers 1
     est.add_argument("--workers", type=int, help=argparse.SUPPRESS)
@@ -354,11 +361,11 @@ def build_parser() -> argparse.ArgumentParser:
     ext_sub = ext.add_subparsers(dest="what", required=True)
 
     ea = ext_sub.add_parser("assouad")
-    ea.add_argument("--alpha", required=True)
-    ea.add_argument("--eps", required=True)
+    ea.add_argument("--alpha", type=parse_fraction, required=True)
+    ea.add_argument("--eps", type=parse_fraction, required=True)
     ea.add_argument("--M", type=int)
     ea.add_argument("--stages", type=int, default=3)
-    ea.add_argument("--strategy", default="greedy")
+    ea.add_argument("--strategy", type=_parse_strategy, default="greedy")
     ea.add_argument("--seed", type=int, default=0)
     ea.add_argument("--in", dest="input", required=True)
     ea.add_argument("--out")
@@ -366,18 +373,18 @@ def build_parser() -> argparse.ArgumentParser:
     ea.set_defaults(func=_cmd_extract_assouad)
 
     eg = ext_sub.add_parser("assouad-global")
-    eg.add_argument("--alpha", required=True)
-    eg.add_argument("--eps", required=True)
+    eg.add_argument("--alpha", type=parse_fraction, required=True)
+    eg.add_argument("--eps", type=parse_fraction, required=True)
     eg.add_argument("--in", dest="input", required=True)
     eg.add_argument("--out")
     eg.set_defaults(func=_cmd_extract_assouad_global)
 
     el = ext_sub.add_parser("lower")
-    el.add_argument("--alpha", required=True)
+    el.add_argument("--alpha", type=parse_fraction, required=True)
     el.add_argument("--M", type=int, required=True)
     el.add_argument("--depth", type=int, required=True)
-    el.add_argument("--eps", default="0")
-    el.add_argument("--R0", default="1")
+    el.add_argument("--eps", type=parse_fraction, default="0")
+    el.add_argument("--R0", type=parse_fraction, default="1")
     el.add_argument("--in", dest="input", required=True)
     el.add_argument("--out")
     el.add_argument("--report")

@@ -251,7 +251,7 @@ def walk(layer: dict, levels: int, step=None, pick=None, key=None):
     """Yield `layer` (node -> value) and the `levels` layers below it,
     each distinct node once, in order of first reach.  A child's value
     is `step(value, key)` down its first parent edge, or with `pick` the
-    one of its edges' values that `pick` chooses under `key`; with no
+    fold `pick(value, other, key=key)` of its edges' values; with no
     `step`, None.  A `corner_step` keeps the order of corners and of
     each coordinate, so parents' choices decide their children's."""
     yield layer
@@ -437,6 +437,13 @@ class CubeTree:
     def leaf_count(self) -> int:
         return self.leaf_counts[self.root]
 
+    def level_counts(self) -> Iterator[int]:
+        """Each level's number of cubes, root first, lazily: one `walk`
+        carrying each distinct node's number of paths, summed over edges."""
+        for layer in walk({self.root: 1}, self.depth, lambda n, _: n,
+                          lambda n, more, key: n + more):
+            yield sum(layer.values())
+
     def levels(self) -> Iterator[dict]:
         """Yield, per level, a dict mapping each distinct node object to
         its lexicographically smallest path, in ascending path order
@@ -491,14 +498,17 @@ class CubeTree:
         i = counts.index((max if largest else min)(counts))
         return counts[i], lo + i, rows[i][1]
 
-    def leaf_values(self, start, step, limit: int = MAX_LEAF_ENUM) -> list:
-        """One value per leaf, in path order, built level by level:
-        `start` at the root and `step(value, key)` down each edge."""
-        if self.leaf_count > limit:
-            raise DomainError(
-                f"leaf enumeration of {self.leaf_count} exceeds {limit}")
+    def leaf_values(self, start, step, limit: int = MAX_LEAF_ENUM,
+                    level: int = None, count: int = None) -> list:
+        """One value per leaf, or per cube of `level` given with its cube
+        `count`, in path order, built level by level: `start` at the
+        root and `step(value, key)` down each edge."""
+        if level is None:
+            level, count = self.depth, self.leaf_count
+        if count > limit:
+            raise DomainError(f"leaf enumeration of {count} exceeds {limit}")
         return [value for value, _ in descend([(start, self.root)],
-                                              self.depth, step)]
+                                              level, step)]
 
     def iter_leaf_paths(self, limit: int = MAX_LEAF_ENUM) -> Iterator[Path]:
         yield from self.leaf_values((), lambda path, key: path + (key,),
@@ -655,12 +665,14 @@ class PointSet:
         return len(self.points)
 
 
-def leaf_corners(tree: CubeTree, limit: int = MAX_LEAF_ENUM) -> list:
-    """The lower-left corners of the leaf cubes as integer points at
-    scale base^depth (corner * base^depth), sorted: a child's corner is
-    its parent's times base plus its key."""
+def leaf_corners(tree: CubeTree, limit: int = MAX_LEAF_ENUM,
+                 level: int = None, count: int = None) -> list:
+    """The lower-left corners of the leaf cubes (or of the `count` cubes
+    of `level`) as integer points at scale base^level, sorted: a child's
+    corner is its parent's times base plus its key."""
     return sorted(tree.leaf_values((0,) * tree.dim,
-                                   corner_step(tree.base, tree.dim), limit))
+                                   corner_step(tree.base, tree.dim), limit,
+                                   level, count))
 
 
 def leaf_representatives(tree: CubeTree,

@@ -265,9 +265,12 @@ def floor_lambda(c: Fraction, M: int, alpha: Fraction, k: int,
 
 
 def parse_fraction(text: str) -> Fraction:
-    """Parse 'p/q' or a decimal string into an exact Fraction."""
+    """Parse 'p/q' or a decimal string into an exact Fraction; malformed
+    text, a zero denominator included, raises ValueError."""
     text = text.strip()
     if "/" in text:
-        num, den = text.split("/", 1)
-        return Fraction(int(num), int(den))
+        num, den = map(int, text.split("/", 1))
+        if den == 0:
+            raise ValueError(f"zero denominator in '{text}'")
+        return Fraction(num, den)
     return Fraction(text)

@@ -391,21 +391,46 @@ class LadderResult:
         return self.a_trees[-1], self.b_trees[-1]
 
 
+# The stage tests raise leaf counts to powers whose exponents carry
+# alpha's denominator, so their size grows with it.
+MAX_ALPHA_DENOMINATOR = 10**4
+
+
+def _ladder_alpha(alpha) -> Fraction:
+    """alpha as a Fraction of denominator <= MAX_ALPHA_DENOMINATOR.  A
+    float is read as the one such fraction that rounds to it (0.3 is
+    3/10, 1/3 is 1/3); any other alpha raises DomainError."""
+    if math.isfinite(alpha):
+        exact = Fraction(alpha).limit_denominator(MAX_ALPHA_DENOMINATOR)
+        if (float(exact) if isinstance(alpha, float) else exact) == alpha:
+            return exact
+    raise DomainError(f"alpha {alpha} is not a fraction of denominator "
+                      f"<= {MAX_ALPHA_DENOMINATOR}")
+
+
 def sandwich_assemble(tree: CubeTree, alpha, levels: int) -> LadderResult:
     """Nested ladder A_1 c ... c A_L c B_L c ... c B_1 with stage
     headlines inside I_n = (a_n, a_{n+1}] and J_n = [b_{n+1}, b_n),
     a_n = alpha(1 - 2^-n) rising to alpha and b_n falling from the
-    source estimate s toward alpha."""
+    source estimate s toward alpha.
+
+    A headline is log(c) / (D log M) for a leaf count c, so stages are
+    decided on c in integers; floats only plan caps and print.  alpha is
+    read by `_ladder_alpha`."""
     if levels < 1:
         raise DomainError("ladder needs L >= 1")
-    alpha = float(alpha)
+    alpha = _ladder_alpha(alpha)
     D, M = tree.depth, tree.base
-    log_m = math.log(M)
-    s = star_dimension_report(tree, "local", k_max=D).headline
-    if not 0 < alpha < s:
+    if D == 0:
+        raise DomainError("ladder needs a source of depth >= 1")
+    C = tree.leaf_count
+    s = _log_ratio(C, D, M)
+    if not 0 < alpha or pow_at_least(M, alpha * D, C):  # alpha >= s
         raise DomainError(f"alpha must lie in (0, {s:.6f})")
-    a = [alpha * (1 - 2.0**-n) for n in range(1, levels + 2)]
-    b = [s + (alpha - s) * (1 - 2.0 ** (1 - n)) for n in range(1, levels + 2)]
+    log_m, alpha_f = math.log(M), float(alpha)
+    a = [alpha_f * (1 - 2.0**-n) for n in range(1, levels + 2)]
+    b = [s + (alpha_f - s) * (1 - 2.0 ** (1 - n))
+         for n in range(1, levels + 2)]
     i_mids = [(a[n] + a[n + 1]) / 2 for n in range(levels)]
     j_mids = [(b[n + 1] + b[n]) / 2 for n in range(levels)]
     maxima, _ = tree.count_profile()
@@ -423,15 +448,22 @@ def sandwich_assemble(tree: CubeTree, alpha, levels: int) -> LadderResult:
             [min(x, y) for x, y in zip(caps_b[n], caps_a[0])]
         caps_a.insert(0, plan_caps(D, i_mids[n] * D * log_m, ub))
 
+    def above_a(c, n):  # headline > a_n: M^(D a_n) < c
+        return not pow_at_least(M, D * alpha * (1 - Fraction(1, 2**n)), c)
+
+    def reaches_b(c, n):  # headline >= b_n: c^t >= C M^(alpha D (t - 1))
+        t = 2 ** (n - 1)
+        return pow_at_most(M, alpha * D * (t - 1), Fraction(c**t, C))
+
     def build(caps, interval, idx, half_open_low):
         sub = prune_with_caps(tree, caps)
-        headline = star_dimension_report(sub, "local", k_max=D).headline
+        c = sub.leaf_count
+        headline = _log_ratio(c, D, M)
         lo, hi = interval
-        tol = 1e-9
-        if half_open_low:   # (lo, hi]
-            ok = lo + tol < headline <= hi + tol
-        else:               # [lo, hi)
-            ok = lo - tol <= headline < hi - tol
+        if half_open_low:   # (a_idx, a_{idx+1}]
+            ok = above_a(c, idx) and not above_a(c, idx + 1)
+        else:               # [b_{idx+1}, b_idx)
+            ok = reaches_b(c, idx + 1) and not reaches_b(c, idx)
         if not ok:
             raise DomainError(
                 f"stage {idx} headline {headline:.6f} outside "

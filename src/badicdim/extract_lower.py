@@ -3,12 +3,12 @@ geometrically shrinking radii, with the scale ratio chosen so that
 lambda^alpha * M = 1.
 
 The construction and its verifier work on integer lattice points: the
-source's corners at one scale D (base^w for a tree).  For each radius
-pair they compute the three integer thresholds of `geometry.Level`
-once, exactly (`exactmath.floor_lambda`), so every in-ball,
-disjointness and nesting decision is one integer comparison, whether
-lambda = M^(-q/p) (alpha = p/q) is rational or not.  Centers become
-Fractions when they are stored in the `BallTree`.  A radius R0 lambda^k
+source's corners at one scale D (base^w for a tree).  Each computes one
+threshold table, exactly (`exactmath.floor_lambda`): per scale j the
+floors of R_j D, 2 R_j D and (R_j - R_{j+1}) D.  Every in-ball,
+disjointness and nesting decision is then one integer comparison,
+whether lambda = M^(-q/p) (alpha = p/q) is rational or not.  Centers
+become Fractions when they are stored in the `BallTree`.  A radius R0 lambda^k
 is a Fraction when it is rational and otherwise the exact triple
 (R0, M, -qk/p) of `exactmath.ScaledPower`, which only prints the `R`/`r`
 columns of the verification TSV.  The package needs nothing beyond the
@@ -21,6 +21,7 @@ from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
+from itertools import islice
 from math import lcm
 from operator import itemgetter
 
@@ -28,12 +29,6 @@ from . import geometry
 from .core import CubeTree, DomainError, PointSet, leaf_corners
 from .estimators import _log_ratio
 from .exactmath import floor_lambda, pow_at_most, scaled_power
-
-
-def _lambda_for(M: int, alpha: Fraction):
-    """lambda = M^(-q/p) for alpha = p/q, exact: a Fraction, or an
-    `exactmath.ScaledPower` when it is irrational."""
-    return scaled_power(1, M, -alpha.denominator, alpha.numerator)
 
 
 @dataclass(frozen=True)
@@ -56,10 +51,13 @@ class LowerParams:
 
     @cached_property
     def lam(self):
-        return _lambda_for(self.M, Fraction(self.alpha))
+        """lambda = M^(-q/p) for alpha = p/q, exact: a Fraction, or an
+        `exactmath.ScaledPower` when it is irrational."""
+        alpha = Fraction(self.alpha)
+        return scaled_power(1, self.M, -alpha.denominator, alpha.numerator)
 
     def radius(self, k: int):
-        """R0 * lambda^k, exact (see `_lambda_for`)."""
+        """R0 * lambda^k, exact (see `lam`)."""
         alpha = Fraction(self.alpha)
         return scaled_power(self.R0, self.M, -alpha.denominator * k,
                             alpha.numerator)
@@ -85,9 +83,6 @@ class BallTree:
     def leaf_points(self):
         return self.level_centers(self.params.depth)
 
-    def radius(self, k: int):
-        return self.params.radius(k)
-
 
 def select_packing_children(points, center, R, r, M: int):
     """Pick M centers (the anchor first) whose r-balls are pairwise
@@ -108,13 +103,9 @@ def select_packing_children(points, center, R, r, M: int):
     if d == 1:
         chosen = _pick_1d(pts, center, lv, M)
     else:
-        dist = geometry.dist_inf
-        chosen = [center]
-        for p in geometry.ball_points(pts, center, lv.nested):
-            if len(chosen) == M:
-                break
-            if p != center and all(dist(p, q) > lv.apart for q in chosen):
-                chosen.append(p)
+        chosen = geometry.greedy_scan(
+            geometry.ball_points(pts, center, lv.nested), lv.apart,
+            [center], M)
     if len(chosen) < M:
         raise DomainError(
             f"insufficient packing: selected only {len(chosen)} of {M}")
@@ -140,13 +131,17 @@ def _pick_1d(pts, center, lv, M: int) -> list:
     return chosen
 
 
-def _level(params: LowerParams, D: int, j: int, k: int) -> geometry.Level:
-    """Integer thresholds of the radius pair (R_j, R_k) on the lattice of
-    spacing 1/D."""
+def _thresholds(params: LowerParams, D: int) -> tuple:
+    """The integer thresholds of every scale j on the lattice of spacing
+    1/D: the floors of R_j D (in-ball), 2 R_j D (disjointness) and, for
+    all but the last scale, (R_j - R_{j+1}) D (nesting).  The radius pair
+    (R_j, R_k) reads the first at j, the second at k and the third at j
+    when k = j + 1."""
     c, M, alpha = params.R0 * D, params.M, Fraction(params.alpha)
-    return geometry.Level(floor_lambda(c, M, alpha, j),
-                          floor_lambda(2 * c, M, alpha, k),
-                          floor_lambda(c, M, alpha, j, k))
+    scales = range(params.depth + 1)
+    return ([floor_lambda(c, M, alpha, j) for j in scales],
+            [floor_lambda(2 * c, M, alpha, j) for j in scales],
+            [floor_lambda(c, M, alpha, j, j + 1) for j in scales[:-1]])
 
 
 def _lattice(points):
@@ -158,20 +153,23 @@ def _lattice(points):
 
 
 def _tree_lattice(tree: CubeTree, params: LowerParams):
-    """(D, sorted integer corners) of the tree at a depth w fine enough
-    for the deepest radius, D = base^w; avoids enumerating all leaves of
-    very deep trees."""
+    """(D, sorted integer corners) of the tree's cubes at level w, D =
+    base^w: the first level fine enough for the deepest radius with at
+    least 4 (M + 3^d) cubes, or the last.  Counts are read from one lazy
+    `level_counts` walk from the level the radius picks, and corners from
+    one descent to level w, so deep trees never list all their leaves."""
     c, M, alpha = params.R0, params.M, Fraction(params.alpha)
     w = 1  # the first w with 2 / base^w <= R_depth
     while w < tree.depth and floor_lambda(c * tree.base**w, M, alpha,
                                           params.depth) < 2:
         w += 1
-    while w < tree.depth and tree.count_at_depth(w) < 4 * (
-            params.M + 3**tree.dim):
-        w += 1
     w = min(w, tree.depth)
-    sub = tree.subtree((), w) if w < tree.depth else tree
-    return tree.base**w, leaf_corners(sub)
+    counts = [tree.leaf_count] if w == tree.depth else \
+        islice(tree.level_counts(), w, None)
+    for w, count in enumerate(counts, w):
+        if w == tree.depth or count >= 4 * (M + 3**tree.dim):
+            break
+    return tree.base**w, leaf_corners(tree, level=w, count=count)
 
 
 def _check_source(source: CubeTree, params: LowerParams):
@@ -203,10 +201,11 @@ def construct_subset_lower(source, params: LowerParams,
         raise DomainError(f"unsupported source type {type(source)!r}")
     if not pts:
         raise DomainError("empty source set")
+    inside, apart, nested = _thresholds(params, D)
     centers = {(): pts[0]}
     words = [()]
     for k in range(params.depth):
-        lv = _level(params, D, k, k + 1)
+        lv = geometry.Level(inside[k], apart[k + 1], nested[k])
         next_words = []
         for word in words:
             x = centers[word]
@@ -264,22 +263,21 @@ class LowerVerification:
         return "\n".join(lines) + "\n"
 
 
-def _check_invariants(tree: BallTree, D: int, lattice: dict):
-    p = tree.params
+def _check_invariants(tree: BallTree, apart: list, nested: list,
+                      lattice: dict):
     dist = geometry.dist_inf
     failures = []
-    for k in range(1, p.depth + 1):
+    for k in range(1, tree.params.depth + 1):
         words = tree.level_words(k)
         centers = [lattice[w] for w in words]
-        lv = _level(p, D, k - 1, k)
         for i in range(len(centers)):
             for j in range(i + 1, len(centers)):
-                if not dist(centers[i], centers[j]) > lv.apart:
+                if not dist(centers[i], centers[j]) > apart[k]:
                     failures.append(
                         f"level {k}: balls at {words[i]} and {words[j]} "
                         f"intersect")
         for w in words:
-            if dist(lattice[w], lattice[w[:-1]]) > lv.nested:
+            if dist(lattice[w], lattice[w[:-1]]) > nested[k - 1]:
                 failures.append(f"ball at {w} escapes its parent")
             if w[-1] == 1 and lattice[w] != lattice[w[:-1]]:
                 failures.append(f"anchor violated at {w}")
@@ -291,26 +289,24 @@ def verify_lower_bounds(tree: BallTree) -> LowerVerification:
     center x and every radius pair (R_j, R_{j+k}), check
     N*_r(F n B(x, R)) >= (R/r)^alpha / (M+1), where (R/r)^alpha = M^k
     exactly because lambda^alpha M = 1.  Also checks the level
-    cardinalities and the exact box-count ratio.  Packings are counted
-    on the centers' integer lattice."""
+    cardinalities.  The box-count ratio log(M^n) / -log(R0 lambda^n) is
+    reported as alpha, exact only when R0 = 1.  Packings are counted on
+    the centers' integer lattice."""
     p = tree.params
     M = p.M
     D, points = _lattice(list(tree.centers.values()))
     lattice = dict(zip(tree.centers, points))
-    failures = _check_invariants(tree, D, lattice)
+    inside, apart, nested = _thresholds(p, D)
+    failures = _check_invariants(tree, apart, nested, lattice)
     cardinality_ok = all(
         len(tree.level_words(k)) == M**k for k in range(p.depth + 1))
     leaf_words = tree.level_words(p.depth)
     ordered = sorted(lattice[w] for w in leaf_words)
-    # packings read only the in-ball and disjointness thresholds, so the
-    # nesting one is not computed here
-    c, alpha = p.R0 * D, Fraction(p.alpha)
     rows = []
     for j in range(p.depth):
-        inside = floor_lambda(c, M, alpha, j)
         for k in range(1, p.depth - j + 1):
             R, r = p.radius(j), p.radius(j + k)
-            lv = geometry.Level(inside, floor_lambda(2 * c, M, alpha, j + k))
+            lv = geometry.Level(inside[j], apart[j + k])
             bound_num, bound_den = M**k, M + 1
             for w in leaf_words:
                 x = lattice[w]
@@ -323,13 +319,5 @@ def verify_lower_bounds(tree: BallTree) -> LowerVerification:
                 ok = n_star * bound_den >= bound_num
                 rows.append(LowerBoundRow(tree.centers[w], R, r, n_star,
                                           bound_num, bound_den, ok))
-    # box ratio log(M^n) / -log(R0 lambda^n) as an exact rational
-    q_, p_ = p.alpha.denominator, p.alpha.numerator
-    if p.R0 == 1 and p.depth > 0:
-        ratio = Fraction(p.depth * p_, p.depth * q_)
-        exact = ratio == p.alpha
-    else:
-        ratio = p.alpha
-        exact = p.R0 == 1
-    return LowerVerification(rows, not failures, cardinality_ok, ratio,
-                             exact, failures)
+    return LowerVerification(rows, not failures, cardinality_ok, p.alpha,
+                             p.R0 == 1, failures)

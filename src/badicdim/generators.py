@@ -1,7 +1,7 @@
 """Canonical set generators with known finite-scale dimension values,
-plus independent brute-force oracles for the property tests.
+plus an independent brute-force H* oracle for the property tests.
 
-Oracle size guards are hard errors, never silent fallbacks.
+The oracle's size guard is a hard error, never a silent fallback.
 """
 
 from __future__ import annotations
@@ -9,7 +9,6 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 
-from . import geometry
 from .core import (CubeNode, CubeTree, DomainError, Window, WindowedSet,
                    _LEAF, all_keys, check_shape, grow_preorder, rng_draws)
 
@@ -187,7 +186,7 @@ def generate(spec: GeneratorSpec):
     raise DomainError(f"unknown family '{spec.family}'")
 
 
-# -- oracles ----------------------------------------------------------
+# -- oracle -----------------------------------------------------------
 
 
 def oracle_exact_hstar(tree: CubeTree, k: int) -> int:
@@ -205,16 +204,3 @@ def oracle_exact_hstar(tree: CubeTree, k: int) -> int:
         best = max(best, max(len(s) for s in per_cube.values()))
     return best
 
-
-def oracle_exact_packing(points, center, R, r,
-                         limit: int = geometry.EXACT_PACKING_LIMIT) -> int:
-    """True maximum packing number (exhaustive / exact sweep)."""
-    pts = points.points if hasattr(points, "points") else points
-    return geometry.exact_packing(pts, center, R, r, limit)
-
-
-def oracle_exact_cover(points, center, R, rho,
-                       limit: int = geometry.EXACT_PACKING_LIMIT) -> int:
-    """True least covering number by rho-balls at arbitrary centers."""
-    pts = points.points if hasattr(points, "points") else points
-    return geometry.exact_cover(pts, center, R, rho, limit)

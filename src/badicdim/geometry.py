@@ -89,6 +89,18 @@ def _sweep(cands, apart) -> list:
     return kept
 
 
+def greedy_scan(cands, apart, chosen: list, limit: int = None) -> list:
+    """Append to `chosen` each candidate, in order, more than `apart`
+    (>= 0) from every point chosen before it, until it holds `limit`:
+    the greedy scan in d >= 2.  No point is apart from itself."""
+    for p in cands:
+        if len(chosen) == limit:
+            break
+        if all(dist_inf(p, q) > apart for q in chosen):
+            chosen.append(p)
+    return chosen
+
+
 def greedy_packing(points, center, R, r=None):
     """Maximal packing: scan the lexicographically sorted list `points`
     in order, accept a point if it lies in B(center, R) and its r-ball
@@ -103,18 +115,7 @@ def greedy_packing(points, center, R, r=None):
     cands = ball_points(points, center, lv.inside)
     if len(center) == 1:
         return _sweep(cands, lv.apart)
-    accepted = []
-    for p in cands:
-        if all(dist_inf(p, q) > lv.apart for q in accepted):
-            accepted.append(p)
-    return accepted
-
-
-def exact_packing_1d(points, center, R, r=None) -> int:
-    """Exact maximum packing for d = 1: the greedy sweep is optimal."""
-    lv = level_of(R, r)
-    return len(_sweep(ball_points(sorted(points), center, lv.inside),
-                      lv.apart))
+    return greedy_scan(cands, lv.apart, [])
 
 
 def exact_packing(points, center, R, r=None,
@@ -126,9 +127,9 @@ def exact_packing(points, center, R, r=None,
     fallback).  `R, r` are exact radii or a `Level` (see `level_of`).
     """
     lv = level_of(R, r)
-    if len(center) == 1:
-        return exact_packing_1d(points, center, lv)
     cands = ball_points(sorted(points), center, lv.inside)
+    if len(center) == 1:
+        return len(_sweep(cands, lv.apart))
     if len(cands) > limit:
         raise DomainError(
             f"exact packing limited to {limit} candidates, got {len(cands)}")

@@ -8,6 +8,7 @@ from fractions import Fraction
 
 import pytest
 
+from badicdim import geometry
 from badicdim.core import (CubeTree, PointSet, Window, WindowedSet,
                            leaf_representatives)
 from badicdim.estimators import (h_star, packing_count,
@@ -22,8 +23,8 @@ from badicdim.extract_lower import (LowerParams, construct_subset_lower,
                                     verify_lower_bounds)
 from badicdim.generators import (digit_cantor, full_cube, integer_cantor,
                                  lattice_window, one_over_k,
-                                 oracle_exact_hstar, oracle_exact_packing,
-                                 prop5_union, random_branching_tree)
+                                 oracle_exact_hstar, prop5_union,
+                                 random_branching_tree)
 
 LOG2_3 = math.log(2) / math.log(3)
 
@@ -199,6 +200,6 @@ def test_criterion_10_oracle_equivalence():
         center = pts[rng.randrange(len(pts))]
         R = Fraction(rng.randrange(4, 16), 16)
         r = R / rng.randrange(3, 9)
-        exact = oracle_exact_packing(ps, center, R, r)
+        exact = geometry.exact_packing(ps.points, center, R, r)
         greedy = packing_count(ps, center, R, r)
         assert exact / 2**d <= greedy <= exact, (trial, exact, greedy)

@@ -93,6 +93,23 @@ def test_roundtrip_gen_info(tmp_path, capsys):
     assert "level 5: 32 cubes" in out
 
 
+@pytest.mark.parametrize("gen", [
+    ["full-cube", "--base", "2", "--dim", "1", "--depth", "0"],
+    ["random-branching", "--base", "3", "--dim", "2", "--depth", "7",
+     "--max-children", "4", "--seed", "3"],
+    ["one-over-k", "--count", "16", "--depth", "40"],
+])
+def test_info_prints_every_level_count(tmp_path, capsys, gen):
+    path = str(tmp_path / "t.bdt")
+    assert run(capsys, "gen", *gen, "--out", path)[0] == 0
+    code, out, _ = run(capsys, "info", "--in", path)
+    tree = read_bdt(open(path).read())
+    assert code == 0
+    assert out.splitlines()[2:] == [
+        f"level {k}: {tree.count_at_depth(k)} cubes"
+        for k in range(tree.depth + 1)]
+
+
 def test_info_wdt(tmp_path, capsys):
     path = str(tmp_path / "w.wdt")
     run(capsys, "gen", "integer-cantor", "--base", "4", "--dim", "1",
@@ -231,6 +248,36 @@ def test_domain_error_exits_1(tmp_path, capsys):
                        "--eps", "1/4", "--M", "27", "--in", src)
     assert code == 1
     assert "error:" in err
+
+
+@pytest.mark.parametrize("src, argv", [
+    ("t.bdt", ["extract", "assouad", "--alpha", "abc", "--eps", "1/4",
+               "--trace"]),
+    ("t.bdt", ["extract", "assouad", "--alpha", "1/0", "--eps", "1/4",
+               "--trace"]),
+    ("t.bdt", ["extract", "assouad", "--alpha", "1/2", "--eps", "1/4",
+               "--strategy", "random:x", "--trace"]),
+    ("w.wdt", ["extract", "assouad-global", "--alpha", "1/2", "--eps",
+               "x", "--out"]),
+    ("t.bdt", ["extract", "lower", "--alpha", "1/2", "--M", "2",
+               "--depth", "1", "--R0", "zz", "--report"]),
+    ("t.bdt", ["estimate", "--kmax", "0", "--report"]),
+    ("t.bdt", ["estimate", "--kmax", "-3", "--report"]),
+    ("w.wdt", ["estimate", "--kind", "star-global", "--kmax", "0",
+               "--report"]),
+])
+def test_malformed_arguments_exit_2_with_usage(tmp_path, capsys, src, argv):
+    path, report = str(tmp_path / src), tmp_path / "report"
+    family = (["full-cube", "--depth", "4"] if src.endswith(".bdt")
+              else ["lattice-window", "--m", "3"])
+    assert run(capsys, "gen", *family, "--base", "2", "--dim", "1",
+               "--out", path)[0] == 0
+    with pytest.raises(SystemExit) as e:
+        main([*argv, str(report), "--in", path])
+    out = capsys.readouterr()
+    assert e.value.code == 2
+    assert out.out == "" and "usage:" in out.err
+    assert "Traceback" not in out.err and not report.exists()
 
 
 def test_missing_file_exits_2(capsys):

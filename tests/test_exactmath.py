@@ -152,3 +152,6 @@ def test_parse_fraction():
     assert parse_fraction("1/2") == Fraction(1, 2)
     assert parse_fraction("0.25") == Fraction(1, 4)
     assert parse_fraction(" 3/4 ") == Fraction(3, 4)
+    for bad in ("1/0", "abc", "1/x", ""):
+        with pytest.raises(ValueError):
+            parse_fraction(bad)

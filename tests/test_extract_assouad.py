@@ -272,6 +272,71 @@ def test_sandwich_alpha_out_of_range():
         sandwich_assemble(E, 1.5, 1)
 
 
+def _stages(res):
+    return [(stage.caps, stage.headline)
+            for stage in res.a_stages + res.b_stages]
+
+
+def test_sandwich_reads_a_float_alpha_as_its_small_fraction():
+    E = CubeTree.full(2, 1, 12)
+    for value, exact in ((1 / 3, Fraction(1, 3)), (2 / 3, Fraction(2, 3)),
+                         (0.3, Fraction(3, 10))):
+        assert _stages(sandwich_assemble(E, value, 1)) == \
+            _stages(sandwich_assemble(E, exact, 1))
+    # no fraction of denominator <= 10^4 stands behind these: refused
+    # before any power is taken
+    for value in (0.1 + 0.2, Fraction(0.3), Fraction(1, 10**4 + 1),
+                  float("nan")):
+        with pytest.raises(DomainError, match="is not a fraction of "
+                                              "denominator <= 10000$"):
+            sandwich_assemble(E, value, 1)
+
+
+def test_sandwich_needs_a_source_of_depth_one():
+    with pytest.raises(DomainError,
+                       match="^ladder needs a source of depth >= 1$"):
+        sandwich_assemble(CubeTree.full(2, 1, 0), Fraction(1, 2), 1)
+
+
+def _power_below(M: int, e: Fraction, c: int) -> bool:
+    """M^e < c for a rational e >= 0, in integers."""
+    return M**e.numerator < c**e.denominator
+
+
+def _reaches_b(c: int, C: int, M: int, D: int, alpha: Fraction,
+               n: int) -> bool:
+    """log(c) / (D log M) >= b_n = s + (alpha - s)(1 - 2^(1-n)), s =
+    log(C) / (D log M): c^t >= C M^(alpha D (t - 1)), t = 2^(n-1)."""
+    t = 2 ** (n - 1)
+    e = alpha * D * (t - 1)
+    return c ** (t * e.denominator) >= C**e.denominator * M**e.numerator
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 10**6), st.integers(6, 16),
+       st.sampled_from([Fraction(1, 4), Fraction(1, 3), Fraction(1, 2)]),
+       st.integers(1, 2))
+def test_ladder_stage_counts_lie_in_their_integer_windows(seed, depth, alpha,
+                                                          levels):
+    tree = random_branching_tree(2, 1, depth, 2, seed)
+    M, D, C = 2, depth, tree.leaf_count
+    try:
+        res = sandwich_assemble(tree, alpha, levels)
+    except DomainError as exc:
+        if not _power_below(M, alpha * D, C):  # alpha >= s
+            assert str(exc).startswith("alpha must lie in (0, ")
+        else:
+            assert " outside " in str(exc)
+        return
+    assert _power_below(M, alpha * D, C)
+    for n, (a, b) in enumerate(zip(res.a_trees, res.b_trees), start=1):
+        lo, hi = (alpha * D * (1 - Fraction(1, 2**m)) for m in (n, n + 1))
+        assert _power_below(M, lo, a.leaf_count)
+        assert not _power_below(M, hi, a.leaf_count)
+        assert _reaches_b(b.leaf_count, C, M, D, alpha, n + 1)
+        assert not _reaches_b(b.leaf_count, C, M, D, alpha, n)
+
+
 @st.composite
 def _headline_cases(draw):
     """A count, at random or next to one end of the headline window."""

@@ -7,14 +7,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from badicdim import geometry
-from badicdim.core import CubeTree, DomainError, PointSet, \
+from badicdim.core import CubeTree, DomainError, PointSet, leaf_corners, \
     leaf_representatives
-from badicdim.exactmath import ScaledPower, iroot
+from badicdim.exactmath import ScaledPower, floor_lambda, iroot
 from badicdim.extract_lower import (BallTree, LowerParams, _pick_1d,
-                                    construct_subset_lower,
+                                    _tree_lattice, construct_subset_lower,
                                     select_packing_children,
                                     verify_lower_bounds)
-from badicdim.generators import digit_cantor
+from badicdim.generators import digit_cantor, random_branching_tree
 
 
 def test_params_validation_and_lambda():
@@ -227,6 +227,18 @@ def test_construct_rejects_depth0_source():
                                LowerParams(Fraction(1, 2), 2, 0))
 
 
+def test_construct_on_unchecked_depth0_source():
+    point = CubeTree.full(2, 1, 0)
+    bt = construct_subset_lower(point, LowerParams(Fraction(1, 2), 2, 0),
+                                check_source_estimate=False)
+    assert bt.params.depth == 0 and bt.centers == {(): (Fraction(0),)}
+    with pytest.raises(DomainError, match=(
+            r"^at word \(root\): insufficient packing: need >= 5, "
+            r"achieved 1$")):
+        construct_subset_lower(point, LowerParams(Fraction(1, 2), 2, 1),
+                               check_source_estimate=False)
+
+
 def test_construct_failure_names_word():
     ps = PointSet.of(4, 1, [(Fraction(i, 16),) for i in range(8)])
     with pytest.raises(DomainError, match="at word"):
@@ -423,3 +435,54 @@ def test_lattice_construction_matches_reference_2d(seed, am, depth, R0,
     source = _random_source(seed, 2, 2, depth, keep)
     alpha, M = am
     _assert_matches_reference(source, LowerParams(alpha, M, 1, R0=R0))
+
+
+def _rebuilt_lattice(tree, params):
+    """The lattice of `_tree_lattice` as one `count_at_depth` walk per
+    candidate level and a rebuilt truncation of the tree."""
+    c, M, alpha = params.R0, params.M, Fraction(params.alpha)
+    w = 1
+    while w < tree.depth and floor_lambda(c * tree.base**w, M, alpha,
+                                          params.depth) < 2:
+        w += 1
+    while w < tree.depth and tree.count_at_depth(w) < 4 * (
+            params.M + 3**tree.dim):
+        w += 1
+    w = min(w, tree.depth)
+    sub = tree.subtree((), w) if w < tree.depth else tree
+    return tree.base**w, leaf_corners(sub)
+
+
+def _deep_sparse_tree(seed, base, dim, head, tail):
+    """A depth-6 random tree (at most 64 leaves) below a random chain of
+    `head` keys, each of its leaves continued by `tail` random keys."""
+    rng = random.Random(seed)
+    keys = list(itertools.product(range(base), repeat=dim))
+    chain = tuple(rng.choice(keys) for _ in range(head))
+    return CubeTree.from_leaves(base, dim, head + 6 + tail, [
+        chain + path + tuple(rng.choice(keys) for _ in range(tail))
+        for path in random_branching_tree(base, dim, 6, 2,
+                                          seed).iter_leaf_paths()])
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 10**6), st.sampled_from([(2, 1), (3, 1), (2, 2)]),
+       st.integers(0, 300), st.integers(0, 60),
+       st.sampled_from(LATTICE_1D + LATTICE_2D), st.integers(0, 3),
+       st.sampled_from(RADII))
+def test_tree_lattice_matches_rebuilt_truncation(seed, shape, head, tail,
+                                                 am, levels, R0):
+    tree = _deep_sparse_tree(seed, *shape, head, tail)
+    alpha, M = am
+    params = LowerParams(alpha, M, levels, R0=R0)
+    assert _tree_lattice(tree, params) == _rebuilt_lattice(tree, params)
+
+
+@pytest.mark.parametrize("depth, count", [(30, 4194304), (21, 2097152)])
+def test_tree_lattice_refuses_to_enumerate_too_many_cubes(depth, count):
+    # R_21 = 2^-21 first fits 2 / 2^w at w = 22, or at the last level
+    with pytest.raises(DomainError, match=(
+            f"^leaf enumeration of {count} exceeds 2000000$")):
+        construct_subset_lower(CubeTree.full(2, 1, depth),
+                               LowerParams(Fraction(1), 2, 21))
+

@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from badicdim import geometry
 from badicdim.core import CubeTree, DomainError, WindowedSet, \
     all_keys, leaf_representatives, PointSet
 from badicdim.estimators import h_star, packing_count, \
@@ -12,8 +13,8 @@ from badicdim.estimators import h_star, packing_count, \
 from badicdim.generators import (FAMILIES, GeneratorSpec, digit_cantor,
                                  full_cube, generate, integer_cantor,
                                  lattice_window, one_over_k,
-                                 oracle_exact_hstar, oracle_exact_packing,
-                                 prop5_union, random_branching_tree)
+                                 oracle_exact_hstar, prop5_union,
+                                 random_branching_tree)
 
 
 def test_generator_spec_validation():
@@ -157,14 +158,14 @@ def test_oracle_size_guard_is_hard_error():
 
 def test_oracle_packing_examples():
     pts = PointSet.of(2, 1, [(0,), (Fraction(1, 2),), (1,)])
-    assert oracle_exact_packing(pts, (Fraction(1, 2),), Fraction(3, 5),
-                                Fraction(1, 5)) == 3
-    assert oracle_exact_packing(
-        PointSet.of(2, 1, [(0,)]), (Fraction(0),), Fraction(1),
+    assert geometry.exact_packing(pts.points, (Fraction(1, 2),),
+                                  Fraction(3, 5), Fraction(1, 5)) == 3
+    assert geometry.exact_packing(
+        PointSet.of(2, 1, [(0,)]).points, (Fraction(0),), Fraction(1),
         Fraction(1, 2)) == 1
     five = PointSet.of(2, 1, [(Fraction(i, 10),) for i in range(5)])
-    assert oracle_exact_packing(five, (Fraction(1, 5),), Fraction(1, 2),
-                                Fraction(3, 20)) == 2
+    assert geometry.exact_packing(five.points, (Fraction(1, 5),),
+                                  Fraction(1, 2), Fraction(3, 20)) == 2
 
 
 def test_greedy_packing_within_2d_factor_of_oracle():
@@ -179,7 +180,7 @@ def test_greedy_packing_within_2d_factor_of_oracle():
         center = pts[rng.randrange(len(pts))]
         R = Fraction(rng.randrange(4, 16), 16)
         r = R / rng.randrange(3, 9)
-        exact = oracle_exact_packing(ps, center, R, r)
+        exact = geometry.exact_packing(ps.points, center, R, r)
         greedy = packing_count(ps, center, R, r)
         assert exact / 2**d <= greedy <= exact
         if exact >= 1:

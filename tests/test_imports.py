@@ -1,5 +1,6 @@
 """No module of the package imports a name it never uses, calls `id`,
-or imports anything beyond the standard library.  Only the standard
+imports anything beyond the standard library or holds a tolerance-sized
+float literal.  Only the standard
 library's `ast` is needed, so the gates run wherever the tests do."""
 
 import ast
@@ -109,6 +110,29 @@ def test_stdlib_gate_finds_foreign_and_lazy_imports():
               "    from mpmath import mpf\n")
     assert foreign_imports(source) == [
         "line 2: numpy", "line 6: scipy.linalg", "line 8: mpmath"]
+
+
+def tiny_floats(source: str) -> list:
+    """The float literals x of `source` with 0 < |x| < 1e-6, such as a
+    `tol = 1e-9`.  Every decision is exact, so no comparison needs a
+    tolerance (a negative literal is a minus applied to a positive one)."""
+    return [f"line {line}: {value!r}" for line, value in sorted(
+        (node.lineno, node.value) for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.Constant) and type(node.value) is float
+        and 0 < abs(node.value) < 1e-6)]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_module_holds_no_tolerance_literal(path):
+    assert tiny_floats(path.read_text()) == []
+
+
+def test_gate_finds_tolerance_literals():
+    source = ("tol = 1e-9\n"
+              "def ok(h, lo):\n    return lo - 5e-7 <= h + 0.0 < 2.5\n"
+              "x = 1e-6, 10 ** -9, '1e-9', 1j * 1e-12\n")
+    assert tiny_floats(source) == ["line 1: 1e-09", "line 3: 5e-07",
+                                   "line 4: 1e-12"]
 
 
 RUN_EXTRACT_LOWER = """
