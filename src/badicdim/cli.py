@@ -133,7 +133,7 @@ def _cmd_extract_assouad(args) -> int:
     obj = _read_set(args.input)
     if not isinstance(obj, CubeTree):
         raise DomainError("extract assouad needs a .bdt tree")
-    tree = _rebase_to(obj, args.M) if args.M else obj
+    tree = obj if args.M is None else _rebase_to(obj, args.M)
     strategy, seed = args.strategy
     if args.seed:
         seed = args.seed
@@ -363,7 +363,7 @@ def build_parser() -> argparse.ArgumentParser:
     ea = ext_sub.add_parser("assouad")
     ea.add_argument("--alpha", type=parse_fraction, required=True)
     ea.add_argument("--eps", type=parse_fraction, required=True)
-    ea.add_argument("--M", type=int)
+    ea.add_argument("--M", type=_positive_int)
     ea.add_argument("--stages", type=int, default=3)
     ea.add_argument("--strategy", type=_parse_strategy, default="greedy")
     ea.add_argument("--seed", type=int, default=0)

@@ -1,15 +1,22 @@
 """Exact integer/rational arithmetic helpers.
 
 All dimension-style inequalities in this package reduce to comparisons of
-integer powers; nothing here touches floating point except the final
-6-decimal log-ratio formatting done by callers.
+integer powers; nothing here touches floating point except
+`exact_fraction`, which reads a float target as a small fraction, and the
+final 6-decimal log-ratio formatting done by callers.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import floor as math_floor, gcd as math_gcd, prod
+from math import floor as math_floor, gcd as math_gcd, isfinite, prod
+
+from .core import DomainError
+
+# Exact powers of a target exponent carry its denominator, so their size
+# grows with it.
+MAX_DENOMINATOR = 10**4
 
 # Precision cap of the bracketing loops below.  Both loops are proven to
 # end; the cap only turns runaway work into an ArithmeticError.
@@ -262,6 +269,20 @@ def floor_lambda(c: Fraction, M: int, alpha: Fraction, k: int,
         bits *= 2
     raise ArithmeticError("could not resolve floor(c (lam^k - lam^j)) "
                           f"within {_MAX_BITS} bits of precision")
+
+
+def exact_fraction(x, name: str) -> Fraction:
+    """A target exponent as a Fraction: a non-float unchanged, a float
+    as the one fraction of denominator <= MAX_DENOMINATOR that rounds to
+    it (0.3 is 3/10, 1/3 is 1/3).  Any other float raises DomainError."""
+    if not isinstance(x, float):
+        return Fraction(x)
+    if isfinite(x):
+        exact = Fraction(x).limit_denominator(MAX_DENOMINATOR)
+        if float(exact) == x:
+            return exact
+    raise DomainError(f"{name} {x} is not a fraction of denominator "
+                      f"<= {MAX_DENOMINATOR}")
 
 
 def parse_fraction(text: str) -> Fraction:

@@ -13,9 +13,10 @@ from operator import itemgetter
 
 from .core import (CubeTree, DomainError, Window, WindowedSet,
                    digit_text, grow_preorder, rebuild, rng_draws)
-from .estimators import _log_ratio, star_dimension_report
-from .exactmath import (badic_power_sum_le, count_meets_power_bound,
-                        floor_power, pow_at_least, pow_at_most)
+from .estimators import _log_ratio
+from .exactmath import (MAX_DENOMINATOR, badic_power_sum_le,
+                        count_meets_power_bound, exact_fraction, floor_power,
+                        pow_at_least, pow_at_most)
 
 DEFAULT_RANDOM_RETRIES = 64
 
@@ -32,6 +33,9 @@ class PruneParams:
     retries: int = DEFAULT_RANDOM_RETRIES
 
     def __post_init__(self):
+        for name in ("s", "eps"):
+            object.__setattr__(self, name,
+                               exact_fraction(getattr(self, name), name))
         if self.cap < 1:
             raise DomainError("child cap N must be >= 1")
         if self.eps < 0:
@@ -120,14 +124,11 @@ def find_dense_window(tree: CubeTree, n: int):
     >= n (argmax; ties to the smallest level, then lexicographic path).
 
     When the depth budget cannot host a window at level >= n, the level
-    floor relaxes to depth - n (recorded by the caller)."""
+    floor relaxes to depth - n."""
     if n < 1 or n > tree.depth:
         raise DomainError(f"stage length {n} outside 1..{tree.depth}")
-    lo = min(n, tree.depth - n)
     hi = tree.depth - n
-    if hi < 0:
-        raise DomainError("depth budget exceeded")
-    count, level, path = tree.extreme_count(n, lo=lo, hi=hi)
+    count, level, path = tree.extreme_count(n, lo=min(n, hi), hi=hi)
     return path, level, count
 
 
@@ -139,7 +140,6 @@ class StageRecord:
     window_count: int
     piece_leaves: int
     bound_ok: bool
-    relaxed_level: bool
     base: int
 
     def tsv_row(self) -> str:
@@ -172,8 +172,6 @@ def _validate_target(M: int, dim: int, alpha: Fraction, eps: Fraction):
     if not 0 < alpha:
         raise DomainError("target alpha must be positive")
     N = floor_power(M, alpha)
-    if N < 1:
-        raise DomainError("floor(M^alpha) must be >= 1")
     if not pow_at_most(M, alpha - eps / 2, N):
         raise DomainError(
             f"need floor(M^alpha)={N} >= M^(alpha-eps/2); increase M")
@@ -187,17 +185,23 @@ def _validate_target(M: int, dim: int, alpha: Fraction, eps: Fraction):
     return N, paper_corner_ok
 
 
-def _min_key_chain(node, sub) -> tuple:
-    """The keys of the source's minimum-key chain from the cube at `sub`
-    below `node` down to full depth, so that a kept cube is padded with
-    points of the source (the all-zero chain on a full tree)."""
-    for key in sub:
-        node = node.child(key)
-    chain = []
-    while node.children:
-        key, node = node.children[0]
-        chain.append(key)
-    return tuple(chain)
+def _graft(tree: CubeTree, path, piece: CubeTree) -> CubeTree:
+    """The subset of `tree` that keeps the cubes of `piece`, a pruned
+    subtree of the window at `path`, each padded down to full depth with
+    the source's minimum-key chain below it (its first child at every
+    level), so that the result lies in the source.  A state pairs a
+    source node with the piece node at the same place."""
+    def children(state, level):
+        src, node = state
+        if level < len(path):
+            return [(path[level], (src.child(path[level]), node))]
+        if node.children:
+            return [(key, (src.child(key), kid)) for key, kid in node.children]
+        key, kid = src.children[0]
+        return [(key, (kid, node))]
+
+    return CubeTree(tree.base, tree.dim, tree.depth,
+                    rebuild((tree.root, piece.root), tree.depth, children))
 
 
 def construct_subset_assouad(tree: CubeTree, alpha: Fraction, eps: Fraction,
@@ -208,7 +212,7 @@ def construct_subset_assouad(tree: CubeTree, alpha: Fraction, eps: Fraction,
     N = floor(M^alpha), and retain the surviving cubes as chains down to
     full depth.  Stage lengths follow n_{k+1} = n_k + i_{n_k}."""
     M, d, D = tree.base, tree.dim, tree.depth
-    alpha, eps = Fraction(alpha), Fraction(eps)
+    alpha, eps = exact_fraction(alpha, "alpha"), exact_fraction(eps, "eps")
     N, paper_corner_ok = _validate_target(M, d, alpha, eps)
     if stages < 1:
         raise DomainError("need at least one stage")
@@ -219,7 +223,6 @@ def construct_subset_assouad(tree: CubeTree, alpha: Fraction, eps: Fraction,
             f"alpha {float(alpha):.6f} exceeds the source estimate "
             f"{_log_ratio(tree.leaf_count, D, M):.6f}")
     trace = ConstructionTrace(alpha, eps, N, paper_corner_ok=paper_corner_ok)
-    leaves = set()
     n = 1
     for stage in range(1, stages + 1):
         if n > D:
@@ -232,29 +235,20 @@ def construct_subset_assouad(tree: CubeTree, alpha: Fraction, eps: Fraction,
                                   strategy=strategy, seed=seed + stage),
                       check_hypotheses=False)
         bound_ok = count_meets_power_bound(piece.leaf_count, M, n, N, eps / 2)
-        new_leaves = set()
-        window = tree.node_at(path)
-        for sub in piece.iter_leaf_paths():
-            full_path = path + sub + _min_key_chain(window, sub)
-            if full_path not in leaves:
-                new_leaves.add(full_path)
-        leaves |= new_leaves
+        kept = _graft(tree, path, piece)
+        trace.tree = kept if trace.tree is None else trace.tree.union(kept)
         trace.stages.append(StageRecord(
-            stage, path, level, count, piece.leaf_count, bound_ok,
-            relaxed_level=level < n, base=M))
+            stage, path, level, count, piece.leaf_count, bound_ok, M))
         trace.k_star = n
         if level == 0 and stage < stages:
             raise DomainError(
                 f"resolution exhausted: the stage-{stage} window sits at "
                 f"level 0, so stage lengths cannot advance (depth {D})")
         n = n + level
-    out = CubeTree.from_leaves(M, d, D, leaves)
-    trace.tree = out
-    report = star_dimension_report(out, "local", k_max=trace.k_star)
-    trace.headline = report.headline
+    count = trace.tree.extreme_count(trace.k_star)[0]
+    trace.headline = _log_ratio(count, trace.k_star, M)
     trace.delta = d * math.log(2) / (trace.k_star * math.log(M))
-    if not headline_in_window(report.records[-1].count, M, d, trace.k_star,
-                              alpha, eps):
+    if not headline_in_window(count, M, d, trace.k_star, alpha, eps):
         lo = float(alpha - eps) - trace.delta
         hi = float(alpha + eps) + trace.delta
         raise DomainError(
@@ -299,7 +293,7 @@ def construct_subset_assouad_global(wset: WindowedSet, alpha: Fraction,
     and re-offset the windows so that consecutive gaps are powers of b
     satisfying the diameter-sum condition exactly."""
     M, d = wset.base, wset.dim
-    alpha, eps = Fraction(alpha), Fraction(eps)
+    alpha, eps = exact_fraction(alpha, "alpha"), exact_fraction(eps, "eps")
     N, _ = _validate_target(M, d, alpha, eps)
     if len(wset.windows) == 1:
         w = wset.windows[0]
@@ -336,20 +330,17 @@ def construct_subset_assouad_global(wset: WindowedSet, alpha: Fraction,
 # -- two-sided ladder -------------------------------------------------
 
 
-def plan_caps(depth: int, target_log: float, upper, lower=None):
-    """Per-level child caps whose product tracks exp(target_log),
-    within the elementwise bounds.  Deterministic."""
+def plan_caps(depth: int, target_log: float, upper):
+    """Per-level child caps in 1..upper[i] whose product tracks
+    exp(target_log).  Deterministic."""
     upper = list(upper)
-    lower = list(lower) if lower is not None else [1] * depth
-    if len(upper) != depth or len(lower) != depth:
+    if len(upper) != depth:
         raise DomainError("need one bound per level")
-    if any(lo > up for lo, up in zip(lower, upper)):
-        raise DomainError("infeasible cap bounds")
     caps = []
     remaining = target_log
     for i in range(depth):
         ideal = math.exp(remaining / (depth - i))
-        cap = min(upper[i], max(lower[i], round(ideal)))
+        cap = min(upper[i], max(1, round(ideal)))
         caps.append(cap)
         remaining -= math.log(cap)
     # local refinement: nudge single levels while it shrinks the error
@@ -362,7 +353,7 @@ def plan_caps(depth: int, target_log: float, upper, lower=None):
         for i in range(depth):
             for step in (-1, 1):
                 cand = caps[i] + step
-                if lower[i] <= cand <= upper[i]:
+                if 1 <= cand <= upper[i]:
                     trial = caps[:i] + [cand] + caps[i + 1:]
                     if err(trial) < err(caps):
                         caps = trial
@@ -376,7 +367,6 @@ class LadderStage:
     interval: tuple
     caps: list
     headline: float
-    ok: bool
 
 
 @dataclass
@@ -385,27 +375,6 @@ class LadderResult:
     b_trees: list
     a_stages: list
     b_stages: list
-
-    @property
-    def final_pair(self):
-        return self.a_trees[-1], self.b_trees[-1]
-
-
-# The stage tests raise leaf counts to powers whose exponents carry
-# alpha's denominator, so their size grows with it.
-MAX_ALPHA_DENOMINATOR = 10**4
-
-
-def _ladder_alpha(alpha) -> Fraction:
-    """alpha as a Fraction of denominator <= MAX_ALPHA_DENOMINATOR.  A
-    float is read as the one such fraction that rounds to it (0.3 is
-    3/10, 1/3 is 1/3); any other alpha raises DomainError."""
-    if math.isfinite(alpha):
-        exact = Fraction(alpha).limit_denominator(MAX_ALPHA_DENOMINATOR)
-        if (float(exact) if isinstance(alpha, float) else exact) == alpha:
-            return exact
-    raise DomainError(f"alpha {alpha} is not a fraction of denominator "
-                      f"<= {MAX_ALPHA_DENOMINATOR}")
 
 
 def sandwich_assemble(tree: CubeTree, alpha, levels: int) -> LadderResult:
@@ -416,10 +385,14 @@ def sandwich_assemble(tree: CubeTree, alpha, levels: int) -> LadderResult:
 
     A headline is log(c) / (D log M) for a leaf count c, so stages are
     decided on c in integers; floats only plan caps and print.  alpha is
-    read by `_ladder_alpha`."""
+    read by `exactmath.exact_fraction`, and its denominator must be at
+    most MAX_DENOMINATOR, as the stage powers carry it."""
     if levels < 1:
         raise DomainError("ladder needs L >= 1")
-    alpha = _ladder_alpha(alpha)
+    alpha = exact_fraction(alpha, "alpha")
+    if alpha.denominator > MAX_DENOMINATOR:
+        raise DomainError(f"alpha {alpha} is not a fraction of denominator "
+                          f"<= {MAX_DENOMINATOR}")
     D, M = tree.depth, tree.base
     if D == 0:
         raise DomainError("ladder needs a source of depth >= 1")
@@ -476,12 +449,12 @@ def sandwich_assemble(tree: CubeTree, alpha, levels: int) -> LadderResult:
         sub, headline = build(caps_b[n], (b[n + 1], b[n]), n + 1, False)
         b_trees.append(sub)
         b_stages.append(LadderStage(n + 1, (b[n + 1], b[n]), caps_b[n],
-                                    headline, True))
+                                    headline))
     for n in range(levels):
         sub, headline = build(caps_a[n], (a[n], a[n + 1]), n + 1, True)
         a_trees.append(sub)
         a_stages.append(LadderStage(n + 1, (a[n], a[n + 1]), caps_a[n],
-                                    headline, True))
+                                    headline))
     chain = a_trees + list(reversed(b_trees))
     for inner, outer in zip(chain, chain[1:]):
         if not outer.contains_tree(inner):

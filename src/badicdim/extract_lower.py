@@ -28,7 +28,7 @@ from operator import itemgetter
 from . import geometry
 from .core import CubeTree, DomainError, PointSet, leaf_corners
 from .estimators import _log_ratio
-from .exactmath import floor_lambda, pow_at_most, scaled_power
+from .exactmath import exact_fraction, floor_lambda, pow_at_most, scaled_power
 
 
 @dataclass(frozen=True)
@@ -40,6 +40,9 @@ class LowerParams:
     R0: Fraction = Fraction(1)
 
     def __post_init__(self):
+        for name in ("alpha", "eps", "R0"):
+            object.__setattr__(self, name,
+                               exact_fraction(getattr(self, name), name))
         if not 0 < self.alpha <= 1:
             raise DomainError("alpha must be in (0, 1]")
         if self.M < 2:
@@ -53,14 +56,13 @@ class LowerParams:
     def lam(self):
         """lambda = M^(-q/p) for alpha = p/q, exact: a Fraction, or an
         `exactmath.ScaledPower` when it is irrational."""
-        alpha = Fraction(self.alpha)
-        return scaled_power(1, self.M, -alpha.denominator, alpha.numerator)
+        return scaled_power(1, self.M, -self.alpha.denominator,
+                            self.alpha.numerator)
 
     def radius(self, k: int):
         """R0 * lambda^k, exact (see `lam`)."""
-        alpha = Fraction(self.alpha)
-        return scaled_power(self.R0, self.M, -alpha.denominator * k,
-                            alpha.numerator)
+        return scaled_power(self.R0, self.M, -self.alpha.denominator * k,
+                            self.alpha.numerator)
 
 
 @dataclass
@@ -137,7 +139,7 @@ def _thresholds(params: LowerParams, D: int) -> tuple:
     all but the last scale, (R_j - R_{j+1}) D (nesting).  The radius pair
     (R_j, R_k) reads the first at j, the second at k and the third at j
     when k = j + 1."""
-    c, M, alpha = params.R0 * D, params.M, Fraction(params.alpha)
+    c, M, alpha = params.R0 * D, params.M, params.alpha
     scales = range(params.depth + 1)
     return ([floor_lambda(c, M, alpha, j) for j in scales],
             [floor_lambda(2 * c, M, alpha, j) for j in scales],
@@ -158,7 +160,7 @@ def _tree_lattice(tree: CubeTree, params: LowerParams):
     least 4 (M + 3^d) cubes, or the last.  Counts are read from one lazy
     `level_counts` walk from the level the radius picks, and corners from
     one descent to level w, so deep trees never list all their leaves."""
-    c, M, alpha = params.R0, params.M, Fraction(params.alpha)
+    c, M, alpha = params.R0, params.M, params.alpha
     w = 1  # the first w with 2 / base^w <= R_depth
     while w < tree.depth and floor_lambda(c * tree.base**w, M, alpha,
                                           params.depth) < 2:
@@ -178,8 +180,8 @@ def _check_source(source: CubeTree, params: LowerParams):
     (alpha+eps)), decided in integers."""
     count, k = source.leaf_count, source.depth
     if k == 0:
-        raise DomainError("empty report has no headline")
-    target = Fraction(params.alpha + params.eps)
+        raise DomainError("lower construction needs a source of depth >= 1")
+    target = params.alpha + params.eps
     if not pow_at_most(source.base, k * target, count):
         raise DomainError(
             f"source lower estimate {_log_ratio(count, k, source.base):.6f} "

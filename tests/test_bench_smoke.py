@@ -2,7 +2,8 @@
 set files recount what the CLI wrote and read with their own flat
 checks, so a fault in the readers or writers shows as `correct: false`
 or a failed operation; `random_trees` runs the reports, the prune and
-the ladder on seeded random trees in memory."""
+the ladder on seeded random trees in memory, and `lower_balls` the lower
+construction and its verifier."""
 
 import json
 import subprocess
@@ -27,6 +28,11 @@ def _run(workload):
 @pytest.mark.parametrize("workload", ["io_files", "windowed"])
 def test_file_workloads_run_correctly(workload):
     assert _run(workload)["failed"] == 0
+
+
+def test_lower_balls_workload_runs_correctly():
+    # the one workload that builds `LowerParams` and runs the verifier
+    assert _run("lower_balls")["failed"] == 0
 
 
 def test_random_trees_workload_runs_correctly():

@@ -265,6 +265,8 @@ def test_domain_error_exits_1(tmp_path, capsys):
     ("t.bdt", ["estimate", "--kmax", "-3", "--report"]),
     ("w.wdt", ["estimate", "--kind", "star-global", "--kmax", "0",
                "--report"]),
+    ("t.bdt", ["extract", "assouad", "--alpha", "1/2", "--eps", "1/4",
+               "--M", "0", "--trace"]),
 ])
 def test_malformed_arguments_exit_2_with_usage(tmp_path, capsys, src, argv):
     path, report = str(tmp_path / src), tmp_path / "report"

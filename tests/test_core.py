@@ -19,8 +19,7 @@ def test_report_digits_are_set_file_digits():
     assert [r.witness for r in star_dimension_report(tree).records] == [
         "1f", "1", "root"]
     assert str(BadicCube(16, 2, ((1, 15), (10, 0)))) == "1f,a0"
-    row = StageRecord(1, ((1,), (15,)), 2, 3, 4, True, relaxed_level=False,
-                      base=16)
+    row = StageRecord(1, ((1,), (15,)), 2, 3, 4, True, base=16)
     assert row.tsv_row() == "1\t1|f\t2\t3\t4\tok"
     # bases above 36 have no digit characters: dotted decimals
     assert str(BadicCube(40, 2, ((1, 38),))) == "1.38"

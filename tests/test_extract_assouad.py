@@ -6,7 +6,8 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from badicdim.core import CubeTree, DomainError, Window, WindowedSet
+from badicdim.core import (CubeNode, CubeTree, DomainError, Window,
+                           WindowedSet, write_bdt, write_wdt)
 from badicdim.estimators import _log_ratio, star_dimension_report
 from badicdim.exactmath import count_meets_power_bound, floor_power
 from badicdim.extract_assouad import (PruneParams, check_gap_condition,
@@ -16,6 +17,8 @@ from badicdim.extract_assouad import (PruneParams, check_gap_condition,
                                       find_dense_window, headline_in_window,
                                       plan_caps, prune, prune_with_caps,
                                       sandwich_assemble)
+from badicdim.extract_lower import (LowerParams, construct_subset_lower,
+                                    verify_lower_bounds)
 from badicdim.generators import (digit_cantor, full_cube, integer_cantor,
                                  random_branching_tree)
 
@@ -183,6 +186,22 @@ def test_construct_assouad_resolution_exhaustion():
         construct_subset_assouad(E, Fraction(1, 2), Fraction(1, 4), 5)
 
 
+def test_construct_assouad_headline_outside_its_window_is_named():
+    # six full levels above six of chains: from stage 3 on the window's
+    # dense content stops short of its stage length, so the last stage
+    # keeps too few cubes
+    node = CubeNode(())
+    for level in range(12):
+        node = CubeNode(tuple(((key,), node)
+                              for key in (range(16) if level >= 6 else [0])))
+    E = CubeTree(16, 1, 12, node)
+    trace = construct_subset_assouad(E, Fraction(1, 2), Fraction(1, 4), 3)
+    assert trace.to_tsv().splitlines()[-1] == "3\t0|0|0|0\t4\t256\t16\tFAIL"
+    with pytest.raises(DomainError, match=r"^achieved headline 0\.158983 "
+                       r"outside \[0\.218750, 0\.781250\]$"):
+        construct_subset_assouad(E, Fraction(1, 2), Fraction(1, 4), 4)
+
+
 @pytest.mark.parametrize("seed", range(12))
 def test_construct_assouad_output_is_subset_of_random_source(seed):
     # random trees lack the all-zero chain below most cubes, so kept
@@ -191,6 +210,57 @@ def test_construct_assouad_output_is_subset_of_random_source(seed):
     trace = construct_subset_assouad(source, Fraction(1, 4),
                                      Fraction(1, 4), 2)
     assert source.contains_tree(trace.tree)
+
+
+def _listed_assembly(tree, alpha, eps, stages, strategy):
+    """The construction's output assembled from leaf paths: each kept
+    cube's path extended by the source's minimum-key chain below it,
+    built with `from_leaves`."""
+    M, n, leaves = tree.base, 1, set()
+    for stage in range(1, stages + 1):
+        path, level, _ = find_dense_window(tree, n)
+        piece = prune(tree.subtree(path, n),
+                      PruneParams(M, n, floor_power(M, alpha), Fraction(0),
+                                  eps / 2, strategy=strategy, seed=stage),
+                      check_hypotheses=False)
+        for sub in piece.iter_leaf_paths():
+            node, chain = tree.node_at(path + sub), ()
+            while node.children:
+                key, node = node.children[0]
+                chain += (key,)
+            leaves.add(path + sub + chain)
+        n += level
+    return CubeTree.from_leaves(M, tree.dim, tree.depth, leaves)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(0, 10**6),
+       st.sampled_from([(2, 1, 20, 2, 4), (2, 1, 18, 2, 3), (3, 1, 12, 3, 2),
+                        (2, 2, 10, 4, 2), (3, 2, 6, 5, 2)]),
+       st.sampled_from([(Fraction(1, 4), Fraction(1, 4)),
+                        (Fraction(1, 2), Fraction(1, 4)),
+                        (Fraction(1, 2), Fraction(1, 2))]),
+       st.integers(1, 3), st.sampled_from(["greedy", "random"]))
+def test_grafted_assembly_matches_listed_leaf_paths(seed, shape, target,
+                                                    stages, strategy):
+    *spec, t = shape
+    source = random_branching_tree(*spec, seed).rebase(t)
+    alpha, eps = target
+    try:
+        trace = construct_subset_assouad(source, alpha, eps, stages,
+                                         strategy=strategy)
+    except DomainError:
+        return
+    assert write_bdt(trace.tree) == write_bdt(
+        _listed_assembly(source, alpha, eps, stages, strategy))
+
+
+def test_construct_assouad_output_beyond_the_leaf_enumeration_cap():
+    # stage lengths 1, 2, 4, 8, 16 keep 4^16 cubes in the last stage
+    E = CubeTree.full(2, 1, 200).rebase(4)
+    trace = construct_subset_assouad(E, Fraction(1, 2), Fraction(1, 4), 5)
+    assert trace.k_star == 16
+    assert trace.tree.leaf_count == 4_295_033_104
 
 
 def test_construct_trace_tsv_columns():
@@ -246,7 +316,7 @@ def test_plan_caps_tracks_target():
 def test_sandwich_ladder_l1():
     E = CubeTree.full(2, 1, 24)
     res = sandwich_assemble(E, 0.5, 1)
-    a, b = res.final_pair
+    a, b = res.a_trees[-1], res.b_trees[-1]
     assert b.contains_tree(a)
     assert res.a_stages[0].headline <= 0.375 + 1e-9
     assert res.b_stages[0].headline >= 0.75 - 1e-9
@@ -277,16 +347,63 @@ def _stages(res):
             for stage in res.a_stages + res.b_stages]
 
 
-def test_sandwich_reads_a_float_alpha_as_its_small_fraction():
+def _lower(params):
+    bt = construct_subset_lower(CubeTree.full(2, 1, 12), params)
+    return bt.centers, verify_lower_bounds(bt).to_tsv()
+
+
+def _prune(params):
+    out = prune(full_cube(4, 1, 3), params)
+    return params, write_bdt(out)
+
+
+def _trace(trace):
+    return (write_bdt(trace.tree), trace.to_tsv(), trace.headline,
+            trace.delta, trace.k_star, trace.cap)
+
+
+# Each construction as a function of the one target it reads, with
+# what it produces.
+_HALF, _THIRD, _QUARTER = Fraction(1, 2), Fraction(1, 3), Fraction(1, 4)
+_TARGETS = {
+    "assouad-alpha": ("alpha", lambda x: _trace(construct_subset_assouad(
+        CubeTree.full(16, 1, 7), x, _QUARTER, 2))),
+    "assouad-eps": ("eps", lambda x: _trace(construct_subset_assouad(
+        CubeTree.full(16, 1, 7), _HALF, x, 2))),
+    "assouad-global-alpha": ("alpha", lambda x: write_wdt(
+        construct_subset_assouad_global(_two_window_set(), x, _QUARTER))),
+    "assouad-global-eps": ("eps", lambda x: write_wdt(
+        construct_subset_assouad_global(_two_window_set(), _HALF, x))),
+    "sandwich-alpha": ("alpha", lambda x: _stages(
+        sandwich_assemble(CubeTree.full(2, 1, 12), x, 1))),
+    "prune-s": ("s", lambda x: _prune(PruneParams(4, 3, 2, x, Fraction(1)))),
+    "prune-eps": ("eps", lambda x: _prune(PruneParams(4, 3, 2, Fraction(1),
+                                                      x))),
+    "lower-alpha": ("alpha", lambda x: _lower(LowerParams(x, 3, 2))),
+    "lower-eps": ("eps", lambda x: _lower(LowerParams(_THIRD, 3, 2, eps=x))),
+    "lower-R0": ("R0", lambda x: _lower(LowerParams(_THIRD, 3, 2, R0=x))),
+}
+
+
+@pytest.mark.parametrize("construction", sorted(_TARGETS))
+def test_every_construction_reads_a_float_target_as_its_small_fraction(
+        construction):
+    name, run = _TARGETS[construction]
+    for value, exact in ((1 / 3, Fraction(1, 3)), (0.3, Fraction(3, 10))):
+        assert run(value) == run(exact)
+    # no fraction of denominator <= 10^4 rounds to these: refused before
+    # any power is taken
+    for value in (0.1 + 0.2, float("nan")):
+        with pytest.raises(DomainError, match=f"^{name} {value} is not a "
+                                              "fraction of denominator "
+                                              "<= 10000$"):
+            run(value)
+
+
+def test_sandwich_refuses_a_fraction_of_large_denominator():
+    # the stage powers carry alpha's denominator
     E = CubeTree.full(2, 1, 12)
-    for value, exact in ((1 / 3, Fraction(1, 3)), (2 / 3, Fraction(2, 3)),
-                         (0.3, Fraction(3, 10))):
-        assert _stages(sandwich_assemble(E, value, 1)) == \
-            _stages(sandwich_assemble(E, exact, 1))
-    # no fraction of denominator <= 10^4 stands behind these: refused
-    # before any power is taken
-    for value in (0.1 + 0.2, Fraction(0.3), Fraction(1, 10**4 + 1),
-                  float("nan")):
+    for value in (Fraction(0.3), Fraction(1, 10**4 + 1)):
         with pytest.raises(DomainError, match="is not a fraction of "
                                               "denominator <= 10000$"):
             sandwich_assemble(E, value, 1)

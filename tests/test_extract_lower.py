@@ -222,7 +222,8 @@ def test_construct_rejects_low_source_estimate():
 
 
 def test_construct_rejects_depth0_source():
-    with pytest.raises(DomainError, match="^empty report has no headline$"):
+    with pytest.raises(DomainError, match="^lower construction needs a "
+                                          "source of depth >= 1$"):
         construct_subset_lower(CubeTree.full(2, 1, 0),
                                LowerParams(Fraction(1, 2), 2, 0))
 
