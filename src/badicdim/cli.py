@@ -49,8 +49,12 @@ def _write_set(obj, path):
     _emit(text, path)
 
 
-def _int_list(text: str):
-    return [int(x) for x in text.split(",") if x != ""]
+def _int_list(text: str) -> list:
+    try:
+        return [int(x) for x in text.split(",") if x != ""]
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"expected comma-separated integers, got '{text}'") from None
 
 
 def _positive_int(text: str) -> int:
@@ -66,14 +70,11 @@ def _positive_int(text: str) -> int:
 def _cmd_gen(args) -> int:
     params = {}
     for name in ("base", "dim", "depth", "m", "chain", "count",
-                 "max_children", "seed", "local_depth"):
+                 "max_children", "seed", "local_depth", "digits",
+                 "local_digits", "global_digits"):
         val = getattr(args, name, None)
         if val is not None:
             params[name] = val
-    for name in ("digits", "local_digits", "global_digits"):
-        val = getattr(args, name, None)
-        if val is not None:
-            params[name] = _int_list(val)
     obj = generators.generate(generators.GeneratorSpec(args.family, params))
     _write_set(obj, args.out)
     return 0
@@ -334,13 +335,14 @@ def build_parser() -> argparse.ArgumentParser:
     gen.add_argument("--base", type=int)
     gen.add_argument("--dim", type=int)
     gen.add_argument("--depth", type=int)
-    gen.add_argument("--digits")
+    gen.add_argument("--digits", type=_int_list)
     gen.add_argument("--m", type=int)
     gen.add_argument("--chain", type=int)
     gen.add_argument("--count", type=int)
     gen.add_argument("--max-children", dest="max_children", type=int)
-    gen.add_argument("--local-digits", dest="local_digits")
-    gen.add_argument("--global-digits", dest="global_digits")
+    gen.add_argument("--local-digits", dest="local_digits", type=_int_list)
+    gen.add_argument("--global-digits", dest="global_digits",
+                     type=_int_list)
     gen.add_argument("--local-depth", dest="local_depth", type=int)
     gen.add_argument("--seed", type=int, default=0)
     gen.add_argument("--out")
@@ -393,7 +395,7 @@ def build_parser() -> argparse.ArgumentParser:
     ver = sub.add_parser("verify", help="property checks on generated sets")
     ver.add_argument("property", choices=sorted(_VERIFIERS))
     ver.add_argument("--seed", type=int, default=0)
-    ver.add_argument("--samples", type=int)
+    ver.add_argument("--samples", type=_positive_int)
     ver.set_defaults(func=_cmd_verify)
 
     info = sub.add_parser("info", help="describe a set file")

@@ -421,11 +421,6 @@ class CubeTree:
         """Number of depth-k descendants of `node` (exact)."""
         return counts_below((node,), k)[node]
 
-    def count_at_depth(self, k: int) -> int:
-        if not 0 <= k <= self.depth:
-            raise DomainError(f"depth {k} outside 0..{self.depth}")
-        return self.descendant_count(self.root, k)
-
     @property
     def leaf_counts(self) -> dict:
         """Each distinct node -> its number of leaves; cached."""
@@ -452,8 +447,9 @@ class CubeTree:
         yield from walk({self.root: ()}, self.depth,
                         lambda path, key: path + (key,))
 
-    def count_profile(self) -> tuple:
-        """The count profile `(maxima, minima)`: `maxima[i][k - 1]` is
+    def _count_profile(self) -> tuple:
+        """The count profile `(maxima, minima)`, read only through
+        `extreme_count`: `maxima[i][k - 1]` is
         `(count, path)` for the level-i node with the most depth-k
         descendants, k = 1..depth-i, ties going to the smallest path;
         `minima` likewise for the fewest.  Built bottom-up after one
@@ -491,7 +487,7 @@ class CubeTree:
         if not 0 <= lo <= hi <= self.depth - k:
             raise DomainError(
                 f"levels {lo}..{hi} outside 0..{self.depth - k}")
-        maxima, minima = self.count_profile()
+        maxima, minima = self._count_profile()
         rows = [row[k - 1]
                 for row in (maxima if largest else minima)[lo:hi + 1]]
         counts = [count for count, _ in rows]
@@ -665,24 +661,23 @@ class PointSet:
         return len(self.points)
 
 
-def leaf_corners(tree: CubeTree, limit: int = MAX_LEAF_ENUM,
-                 level: int = None, count: int = None) -> list:
+def leaf_corners(tree: CubeTree, level: int = None,
+                 count: int = None) -> list:
     """The lower-left corners of the leaf cubes (or of the `count` cubes
     of `level`) as integer points at scale base^level, sorted: a child's
     corner is its parent's times base plus its key."""
     return sorted(tree.leaf_values((0,) * tree.dim,
-                                   corner_step(tree.base, tree.dim), limit,
-                                   level, count))
+                                   corner_step(tree.base, tree.dim),
+                                   level=level, count=count))
 
 
-def leaf_representatives(tree: CubeTree,
-                         limit: int = MAX_LEAF_ENUM) -> PointSet:
+def leaf_representatives(tree: CubeTree) -> PointSet:
     """One point per leaf cube: the lower-left corner (deterministic,
     always inside the half-open leaf footprint)."""
     scale = tree.base**tree.depth
     return PointSet(tree.base, tree.dim, tuple(
         tuple(Fraction(v, scale) for v in corner)
-        for corner in leaf_corners(tree, limit)))
+        for corner in leaf_corners(tree)))
 
 
 def representatives_tree(points: PointSet) -> CubeTree:
@@ -807,11 +802,11 @@ def _check_disjoint(windows, base, dim):
 # -- file formats ----------------------------------------------------
 
 
-def _leaf_lines(tree: CubeTree, limit: int) -> list:
+def _leaf_lines(tree: CubeTree) -> list:
     """The sorted .bdt/.wdt leaf lines: level-major digit strings (the
     parent's plus the key's digits), split into axes for d >= 2."""
     d, lines = tree.dim, tree.leaf_values(
-        "", lambda head, key: head + _key_chars(key), limit)
+        "", lambda head, key: head + _key_chars(key))
     return sorted(lines if d == 1 else map(",".join, map(itemgetter(
         *[slice(i, None, d) for i in range(d)]), lines)))
 
@@ -826,11 +821,11 @@ def _key(chars: str) -> Key:
     return tuple(map(DIGITS.index, chars))
 
 
-def write_bdt(tree: CubeTree, limit: int = MAX_LEAF_ENUM) -> str:
+def write_bdt(tree: CubeTree) -> str:
     if tree.base > 36:
         raise DomainError(".bdt digit strings require base <= 36")
     header = f"bdt b={tree.base} d={tree.dim} n={tree.depth}"
-    return "\n".join([header, *_leaf_lines(tree, limit)]) + "\n"
+    return "\n".join([header, *_leaf_lines(tree)]) + "\n"
 
 
 def _leaf_tree(lines: list, first: int, base: int, dim: int, depth: int,
@@ -903,14 +898,14 @@ def read_bdt(text: str) -> CubeTree:
     return _leaf_tree(lines[1:], 2, base, dim, depth, unique=True)
 
 
-def write_wdt(wset: WindowedSet, limit: int = MAX_LEAF_ENUM) -> str:
+def write_wdt(wset: WindowedSet) -> str:
     if wset.base > 36:
         raise DomainError(".wdt digit strings require base <= 36")
     lines = [f"wdt b={wset.base} d={wset.dim} windows={len(wset.windows)}"]
     for w in wset.windows:
         off = ",".join(str(o) for o in w.offset)
         lines.append(f"window off={off} m={w.side_exp}")
-        lines += _leaf_lines(w.tree, limit)
+        lines += _leaf_lines(w.tree)
     return "\n".join(lines) + "\n"
 
 

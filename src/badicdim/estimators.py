@@ -40,11 +40,6 @@ class DimensionReport:
             raise DomainError("empty report has no headline")
         return self.records[-1].log_ratio
 
-    @property
-    def envelope(self) -> tuple:
-        ratios = [r.log_ratio for r in self.records]
-        return (min(ratios), max(ratios))
-
     def to_tsv(self) -> str:
         lines = ["k\tcount\tlogratio\twitness"]
         lines += [r.tsv_row() for r in self.records]
@@ -75,22 +70,20 @@ def count_hit_subcubes(tree: CubeTree, cube: BadicCube, k: int) -> int:
 
 
 def _tree_h_star(tree: CubeTree, k: int):
-    if not 1 <= k <= tree.depth:
-        raise DomainError(f"k {k} outside 1..{tree.depth}")
     count, _, path = tree.extreme_count(k)
     return count, tree.cube(path)
 
 
 def _windowed_h_star(wset: WindowedSet, k: int, kind: str):
-    """Counts are reads of the lattice forest's count profiles, smallest
-    side first; the witness is one corner walk down to the winning side,
-    whose layer is counted once."""
+    """Counts are `extreme_count` reads of the lattice forest's trees,
+    one level per side, smallest side first; the witness is one corner
+    walk down to the winning side, whose layer is counted once."""
     unit, j_hi, roots = wset.lattice_forest()
     top = unit + roots[0][1].depth
     scales = range(unit + k, (0 if kind == "local" else j_hi) + 1)
     if not scales:
         raise DomainError(f"no admissible cubes for k={k} ({kind})")
-    counts = [max(tree.count_profile()[0][top - j][k - 1][0]
+    counts = [max(tree.extreme_count(k, lo=top - j, hi=top - j)[0]
                   for _, tree in roots) for j in scales]
     count = max(counts)
     j = scales[counts.index(count)]  # the smallest side with the count

@@ -50,6 +50,22 @@ def floor_power(base: int, exp: Fraction) -> int:
     return iroot(base**p, q)
 
 
+def least_fitting(fits, lo: int) -> int:
+    """The least integer >= lo that `fits`, a predicate that holds from
+    some integer on: steps of doubling length bracket it, then
+    bisection finds it."""
+    if fits(lo):
+        return lo
+    step = 1
+    while not fits(lo + step):  # lo never fits
+        lo, step = lo + step, 2 * step
+    hi = lo + step
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        lo, hi = (lo, mid) if fits(mid) else (mid, hi)
+    return hi
+
+
 def pow_at_least(base: int, exp: Fraction, value) -> bool:
     """True iff base ** exp >= value (exact, rational exp of any sign and
     an int or Fraction value)."""
@@ -83,7 +99,7 @@ def count_meets_power_bound(count: int, base: int, n: int, N: int,
 
 
 def badic_power_sum_le(base: int, term_exps: list[int], bound_exp: int,
-                       alpha_eps: Fraction, max_bits: int = _MAX_BITS) -> bool:
+                       alpha_eps: Fraction) -> bool:
     """Decide sum_i (b^e_i)^t <= (b^L)^t exactly, t = alpha_eps > 0.
 
     All quantities are powers of `base` with rational exponent n_i/q.
@@ -98,13 +114,7 @@ def badic_power_sum_le(base: int, term_exps: list[int], bound_exp: int,
     p, q = t.numerator, t.denominator
     # normalize to a primitive base c (base = c^m with m maximal), so
     # that the c^(r/q) below are linearly independent over the rationals
-    m = 1
-    for cand in range(base.bit_length(), 1, -1):
-        root = iroot(base, cand)
-        if root**cand == base:
-            m = cand
-            break
-    base = iroot(base, m)
+    base, m = _perfect_power(base)
     fracs = [Fraction(e * p * m, q) for e in term_exps]
     tgt_frac = Fraction(bound_exp * p * m, q)
     q = 1
@@ -128,7 +138,7 @@ def badic_power_sum_le(base: int, term_exps: list[int], bound_exp: int,
     if coeffs(nums) == coeffs([target]):
         return True  # exact equality
     bits = 32
-    while bits <= max_bits:
+    while bits <= _MAX_BITS:
         shift = 1 << (q * bits)
         # lo <= b^(n/q) * 2^bits < lo + 1 for each term
         lo_sum = sum(iroot(base**n * shift, q) for n in nums)
@@ -139,16 +149,24 @@ def badic_power_sum_le(base: int, term_exps: list[int], bound_exp: int,
             return False
         bits *= 2
     raise ArithmeticError("could not resolve power-sum comparison "
-                          f"within {max_bits} bits of precision")
+                          f"within {_MAX_BITS} bits of precision")
+
+
+def _perfect_power(n: int) -> tuple:
+    """`(r, j)` with n = r^j, j maximal, for an integer n >= 2."""
+    for j in range(n.bit_length(), 1, -1):
+        r = iroot(n, j)
+        if r**j == n:
+            return r, j
+    return n, 1
 
 
 def _factors(n: int) -> dict:
     """The factor table of an integer n >= 2 that `_radicals` reads:
     {r: j} when n = r^j with j > 1 maximal, else {prime: multiplicity}."""
-    for j in range(n.bit_length(), 1, -1):
-        r = iroot(n, j)
-        if r**j == n:
-            return {r: j}
+    r, j = _perfect_power(n)
+    if j > 1:
+        return {r: j}
     out, p = {}, 2
     while p * p <= n:
         while n % p == 0:

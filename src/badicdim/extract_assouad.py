@@ -16,9 +16,9 @@ from .core import (CubeTree, DomainError, Window, WindowedSet,
 from .estimators import _log_ratio
 from .exactmath import (MAX_DENOMINATOR, badic_power_sum_le,
                         count_meets_power_bound, exact_fraction, floor_power,
-                        pow_at_least, pow_at_most)
+                        least_fitting, pow_at_least, pow_at_most)
 
-DEFAULT_RANDOM_RETRIES = 64
+RANDOM_RETRIES = 64
 
 
 @dataclass(frozen=True)
@@ -30,7 +30,6 @@ class PruneParams:
     eps: Fraction
     strategy: str = "greedy"   # "greedy" or "random"
     seed: int = 0
-    retries: int = DEFAULT_RANDOM_RETRIES
 
     def __post_init__(self):
         for name in ("s", "eps"):
@@ -58,9 +57,8 @@ def check_prune_hypotheses(tree: CubeTree, params: PruneParams):
     if not pow_at_most(M, params.s * n, tree.leaf_count):
         raise DomainError(
             f"leaf count {tree.leaf_count} below M^(n*s)")
-    maxima, _ = tree.count_profile()
-    for row in maxima[:tree.depth]:
-        children, path = row[0]  # a node's children are its k = 1 count
+    for level in range(tree.depth):  # children are the k = 1 count
+        children, _, path = tree.extreme_count(1, lo=level, hi=level)
         if children > cap_limit:
             raise DomainError(
                 f"node {path} has {children} children, "
@@ -110,13 +108,13 @@ def prune(tree: CubeTree, params: PruneParams,
     def draw(node):  # as sample(node.children, min(N, #children))
         return sample(len(node.children), min(N, len(node.children)))
 
-    for _ in range(params.retries):
+    for _ in range(RANDOM_RETRIES):
         out = CubeTree(tree.base, tree.dim, tree.depth,
                        grow_preorder(tree.root, tree.depth, draw))
         if count_meets_power_bound(out.leaf_count, M, n, N, params.eps):
             return out
     raise DomainError(
-        f"random prune failed the leaf bound in {params.retries} attempts")
+        f"random prune failed the leaf bound in {RANDOM_RETRIES} attempts")
 
 
 def find_dense_window(tree: CubeTree, n: int):
@@ -276,12 +274,10 @@ def check_gap_condition(windows, alpha_eps: Fraction, base: int) -> bool:
         prev_reach = max(o for o in prev.offset) + base**prev.side_exp
         gap = min(o for o in windows[k].offset if o > 0) - prev_reach \
             if any(o > 0 for o in windows[k].offset) else 0
-        ell_exp = 0
-        while base**ell_exp <= gap:
-            ell_exp += 1
-        ell_exp -= 1  # largest power of b fitting in the realized gap
-        if ell_exp < 0:
+        if gap < 1:
             return False
+        # the largest power of b fitting in the realized gap
+        ell_exp = least_fitting(lambda e: base ** (e + 1) > gap, 0)
         if not badic_power_sum_le(base, term_exps, ell_exp, alpha_eps):
             return False
     return True
@@ -310,13 +306,11 @@ def construct_subset_assouad_global(wset: WindowedSet, alpha: Fraction,
         if k == 0:
             offset = tuple(0 for _ in range(d))
         else:
+            # the least l with sum_i (M^e_i)^(a+e) <= (M^l)^(a+e): the
+            # sum is at least its largest term, so none is below max e_i
             term_exps = [prev.side_exp for prev in wset.windows[:k]]
-            ell_exp = 0
-            while not badic_power_sum_le(M, term_exps, ell_exp, alpha + eps):
-                ell_exp += 1
-                if ell_exp > 10_000:
-                    raise DomainError("gap exponent overflow")
-            target = reach + M**ell_exp
+            target = reach + M**least_fitting(lambda ell: badic_power_sum_le(
+                M, term_exps, ell, alpha + eps), max(term_exps))
             x = ((target + side - 1) // side) * side  # align to own grid
             offset = (x,) + tuple(0 for _ in range(d - 1))
         out_windows.append(Window(offset, w.side_exp, pruned))
@@ -406,8 +400,7 @@ def sandwich_assemble(tree: CubeTree, alpha, levels: int) -> LadderResult:
          for n in range(1, levels + 2)]
     i_mids = [(a[n] + a[n + 1]) / 2 for n in range(levels)]
     j_mids = [(b[n + 1] + b[n]) / 2 for n in range(levels)]
-    maxima, _ = tree.count_profile()
-    max_children = [row[0][0] for row in maxima[:D]]
+    max_children = [tree.extreme_count(1, lo=i, hi=i)[0] for i in range(D)]
 
     caps_b = []
     ub = max_children

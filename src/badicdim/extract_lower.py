@@ -188,13 +188,11 @@ def _check_source(source: CubeTree, params: LowerParams):
             f"below alpha+eps={float(target):.6f}")
 
 
-def construct_subset_lower(source, params: LowerParams,
-                           check_source_estimate: bool = True) -> BallTree:
+def construct_subset_lower(source, params: LowerParams) -> BallTree:
     """Build the nested ball families from the points of `source` (a
     PointSet or a CubeTree whose leaf corners are used)."""
     if isinstance(source, CubeTree):
-        if check_source_estimate:
-            _check_source(source, params)
+        _check_source(source, params)
         D, pts = _tree_lattice(source, params)
     elif isinstance(source, PointSet):
         D, pts = _lattice(source.points)

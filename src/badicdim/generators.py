@@ -30,15 +30,11 @@ class GeneratorSpec:
 
 
 def digit_cantor(base: int, dim: int, digits, depth: int) -> CubeTree:
-    """Self-similar set with per-level digit restriction.  `digits` may
-    be a set of single digits (applied to every axis) or of d-tuples."""
-    digits = list(digits)
-    if digits and not isinstance(digits[0], tuple):
-        keys = [k for k in all_keys(base, dim)
-                if all(d in digits for d in k)]
-    else:
-        keys = digits
-    return CubeTree.from_digit_rule(base, dim, depth, keys)
+    """Self-similar set with per-level digit restriction: every axis
+    takes its digits from the set `digits`."""
+    digits = set(digits)
+    return CubeTree.from_digit_rule(base, dim, depth, [
+        k for k in all_keys(base, dim) if digits.issuperset(k)])
 
 
 def full_cube(base: int, dim: int, depth: int) -> CubeTree:
@@ -50,23 +46,24 @@ def _window_tree(base: int, dim: int, m: int, cell_keys, chain: int
     """Tree over a side-b^m window: m levels of lattice structure given
     by `cell_keys`, then `chain` levels of single-corner chains so each
     occupied unit cell holds one point (local star estimate 0)."""
+    if chain < 0:
+        raise DomainError(f"chain length {chain} must be >= 0")
     node = _LEAF
     for keys in [[(0,) * dim]] * chain + [sorted(cell_keys)] * m:
         node = CubeNode(tuple((k, node) for k in keys))
     return CubeTree(base, dim, m + chain, node)
 
 
-def lattice_window(base: int, dim: int, m: int, chain: int = 4,
-                   offset=None) -> WindowedSet:
+def lattice_window(base: int, dim: int, m: int, chain: int = 4
+                   ) -> WindowedSet:
     """Window [0, b^m)^d containing every integer-corner unit cell:
     local star estimate 0, global estimate d at window scales."""
     tree = _window_tree(base, dim, m, all_keys(base, dim), chain)
-    off = tuple(0 for _ in range(dim)) if offset is None else tuple(offset)
-    return WindowedSet(base, dim, [Window(off, m, tree)])
+    return WindowedSet(base, dim, [Window((0,) * dim, m, tree)])
 
 
-def integer_cantor(base: int, dim: int, m: int, digits, chain: int = 4,
-                   offset=None) -> WindowedSet:
+def integer_cantor(base: int, dim: int, m: int, digits, chain: int = 4
+                   ) -> WindowedSet:
     """Integers whose base-b digits lie in a fixed digit set, one point
     per occupied unit cell: global star estimate log(#digits)/log(b) at
     window scales, local estimate 0."""
@@ -75,8 +72,7 @@ def integer_cantor(base: int, dim: int, m: int, digits, chain: int = 4,
         raise DomainError("bad integer-cantor digit set")
     keys = [k for k in all_keys(base, dim) if all(d in digits for d in k)]
     tree = _window_tree(base, dim, m, keys, chain)
-    off = tuple(0 for _ in range(dim)) if offset is None else tuple(offset)
-    return WindowedSet(base, dim, [Window(off, m, tree)])
+    return WindowedSet(base, dim, [Window((0,) * dim, m, tree)])
 
 
 def one_over_k(count: int, depth: int) -> CubeTree:

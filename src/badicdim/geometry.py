@@ -51,14 +51,6 @@ def dist_inf(x, y) -> Fraction:
     return max(abs(a - b) for a, b in zip(x, y))
 
 
-def balls_disjoint(x, y, r) -> bool:
-    return dist_inf(x, y) > 2 * r
-
-
-def ball_in_ball(y, r, c, R) -> bool:
-    return dist_inf(y, c) + r <= R
-
-
 def in_ball(y, c, R) -> bool:
     return dist_inf(y, c) <= R
 
@@ -118,21 +110,21 @@ def greedy_packing(points, center, R, r=None):
     return greedy_scan(cands, lv.apart, [])
 
 
-def exact_packing(points, center, R, r=None,
-                  limit: int = EXACT_PACKING_LIMIT) -> int:
+def exact_packing(points, center, R, r=None) -> int:
     """True maximum packing number N*_r(points  intersect  B(center, R)).
 
     d = 1 is solved exactly at any size; otherwise branch and bound over
-    at most `limit` candidates (hard error above, never a silent
-    fallback).  `R, r` are exact radii or a `Level` (see `level_of`).
+    at most EXACT_PACKING_LIMIT candidates (hard error above, never a
+    silent fallback).  `R, r` are exact radii or a `Level` (see
+    `level_of`).
     """
     lv = level_of(R, r)
     cands = ball_points(sorted(points), center, lv.inside)
     if len(center) == 1:
         return len(_sweep(cands, lv.apart))
-    if len(cands) > limit:
-        raise DomainError(
-            f"exact packing limited to {limit} candidates, got {len(cands)}")
+    if len(cands) > EXACT_PACKING_LIMIT:
+        raise DomainError(f"exact packing limited to {EXACT_PACKING_LIMIT} "
+                          f"candidates, got {len(cands)}")
     n = len(cands)
     conflict = [[not dist_inf(cands[i], cands[j]) > lv.apart
                  for j in range(n)] for i in range(n)]
@@ -155,8 +147,7 @@ def exact_packing(points, center, R, r=None,
     return best
 
 
-def exact_cover(points, center, R, rho,
-                limit: int = EXACT_PACKING_LIMIT) -> int:
+def exact_cover(points, center, R, rho) -> int:
     """Least number of radius-rho balls (arbitrary centers) covering
     points intersect B(center, R); exact set cover over canonical
     candidate groups.
@@ -168,9 +159,9 @@ def exact_cover(points, center, R, rho,
     pts = [p for p in sorted(set(points)) if in_ball(p, center, R)]
     if not pts:
         return 0
-    if len(pts) > limit:
-        raise DomainError(
-            f"exact cover limited to {limit} points, got {len(pts)}")
+    if len(pts) > EXACT_PACKING_LIMIT:
+        raise DomainError(f"exact cover limited to {EXACT_PACKING_LIMIT} "
+                          f"points, got {len(pts)}")
     d = len(pts[0])
     axis_vals = [sorted(set(p[i] for p in pts)) for i in range(d)]
 
@@ -233,8 +224,6 @@ def badic_cell_cover(points, center, R, r, base: int):
     j = 0
     while Fraction(1, base**j) > r:
         j += 1
-    while j > 0 and Fraction(1, base ** (j - 1)) <= r:
-        j -= 1
     scale = base**j
     cells = set()
     for p in points:

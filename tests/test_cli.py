@@ -106,7 +106,7 @@ def test_info_prints_every_level_count(tmp_path, capsys, gen):
     tree = read_bdt(open(path).read())
     assert code == 0
     assert out.splitlines()[2:] == [
-        f"level {k}: {tree.count_at_depth(k)} cubes"
+        f"level {k}: {tree.descendant_count(tree.root, k)} cubes"
         for k in range(tree.depth + 1)]
 
 
@@ -250,23 +250,36 @@ def test_domain_error_exits_1(tmp_path, capsys):
     assert "error:" in err
 
 
+IN, OUT = "<in>", "<out>"  # the source set and the output path
+
+
 @pytest.mark.parametrize("src, argv", [
     ("t.bdt", ["extract", "assouad", "--alpha", "abc", "--eps", "1/4",
-               "--trace"]),
+               "--trace", OUT, "--in", IN]),
     ("t.bdt", ["extract", "assouad", "--alpha", "1/0", "--eps", "1/4",
-               "--trace"]),
+               "--trace", OUT, "--in", IN]),
     ("t.bdt", ["extract", "assouad", "--alpha", "1/2", "--eps", "1/4",
-               "--strategy", "random:x", "--trace"]),
+               "--strategy", "random:x", "--trace", OUT, "--in", IN]),
     ("w.wdt", ["extract", "assouad-global", "--alpha", "1/2", "--eps",
-               "x", "--out"]),
+               "x", "--out", OUT, "--in", IN]),
     ("t.bdt", ["extract", "lower", "--alpha", "1/2", "--M", "2",
-               "--depth", "1", "--R0", "zz", "--report"]),
-    ("t.bdt", ["estimate", "--kmax", "0", "--report"]),
-    ("t.bdt", ["estimate", "--kmax", "-3", "--report"]),
+               "--depth", "1", "--R0", "zz", "--report", OUT, "--in", IN]),
+    ("t.bdt", ["estimate", "--kmax", "0", "--report", OUT, "--in", IN]),
+    ("t.bdt", ["estimate", "--kmax", "-3", "--report", OUT, "--in", IN]),
     ("w.wdt", ["estimate", "--kind", "star-global", "--kmax", "0",
-               "--report"]),
+               "--report", OUT, "--in", IN]),
     ("t.bdt", ["extract", "assouad", "--alpha", "1/2", "--eps", "1/4",
-               "--M", "0", "--trace"]),
+               "--M", "0", "--trace", OUT, "--in", IN]),
+    ("t.bdt", ["verify", "packing-sandwich", "--samples", "-1"]),
+    ("t.bdt", ["verify", "lemma21", "--samples", "0"]),
+    ("t.bdt", ["gen", "digit-cantor", "--base", "3", "--depth", "2",
+               "--digits", "0,x", "--out", OUT]),
+    ("t.bdt", ["gen", "prop5-union", "--base", "4", "--m", "2",
+               "--local-depth", "3", "--local-digits", "0;2",
+               "--global-digits", "0,1", "--out", OUT]),
+    ("t.bdt", ["gen", "prop5-union", "--base", "4", "--m", "2",
+               "--local-depth", "3", "--local-digits", "0,2",
+               "--global-digits", "1.5", "--out", OUT]),
 ])
 def test_malformed_arguments_exit_2_with_usage(tmp_path, capsys, src, argv):
     path, report = str(tmp_path / src), tmp_path / "report"
@@ -275,7 +288,7 @@ def test_malformed_arguments_exit_2_with_usage(tmp_path, capsys, src, argv):
     assert run(capsys, "gen", *family, "--base", "2", "--dim", "1",
                "--out", path)[0] == 0
     with pytest.raises(SystemExit) as e:
-        main([*argv, str(report), "--in", path])
+        main([{IN: path, OUT: str(report)}.get(a, a) for a in argv])
     out = capsys.readouterr()
     assert e.value.code == 2
     assert out.out == "" and "usage:" in out.err

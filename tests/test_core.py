@@ -54,7 +54,7 @@ def test_subdivide():
 def test_full_tree_counts():
     t = CubeTree.full(2, 1, 30)
     assert t.leaf_count == 2**30  # exact, via shared subtrees
-    assert t.count_at_depth(7) == 128
+    assert t.descendant_count(t.root, 7) == 128
 
 
 def test_digit_rule_tree():

@@ -65,7 +65,7 @@ def test_profile_readers_match_flat_recounts(seed, b, d, depth, kids):
         for q, count in per_cube.items():
             assert count_hit_subcubes(tree, tree.cube(q), k) == count
             if level == 0:
-                assert tree.count_at_depth(k) == count
+                assert list(tree.level_counts())[k] == count
     assert tree.leaf_count == table[0, depth][()]
 
 

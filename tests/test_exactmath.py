@@ -6,7 +6,8 @@ from hypothesis import given, settings, strategies as st
 
 from badicdim.exactmath import (badic_power_sum_le, count_meets_power_bound,
                                 floor_lambda, floor_power, iroot,
-                                parse_fraction, pow_at_least, pow_at_most)
+                                least_fitting, parse_fraction, pow_at_least,
+                                pow_at_most)
 
 
 @given(st.integers(min_value=0, max_value=10**24),
@@ -15,6 +16,25 @@ def test_iroot_is_floor_root(n, k):
     r = iroot(n, k)
     assert r**k <= n
     assert (r + 1) ** k > n
+
+
+@given(st.integers(min_value=1, max_value=10**60),
+       st.integers(min_value=2, max_value=40))
+def test_least_fitting_is_an_integer_logarithm(n, base):
+    e = least_fitting(lambda e: base ** (e + 1) > n, 0)
+    assert base**e <= n < base ** (e + 1)
+
+
+@given(st.integers(-50, 50), st.integers(-50, 50))
+def test_least_fitting_finds_the_threshold(threshold, lo):
+    calls = []
+
+    def fits(x):
+        calls.append(x)
+        return x >= threshold
+
+    assert least_fitting(fits, lo) == max(threshold, lo)
+    assert len(calls) <= 2 * max(threshold - lo, 1).bit_length() + 1
 
 
 def test_iroot_edges():

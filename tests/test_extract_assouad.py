@@ -9,7 +9,8 @@ from hypothesis import given, settings, strategies as st
 from badicdim.core import (CubeNode, CubeTree, DomainError, Window,
                            WindowedSet, write_bdt, write_wdt)
 from badicdim.estimators import _log_ratio, star_dimension_report
-from badicdim.exactmath import count_meets_power_bound, floor_power
+from badicdim.exactmath import (badic_power_sum_le, count_meets_power_bound,
+                                floor_power, least_fitting)
 from badicdim.extract_assouad import (PruneParams, check_gap_condition,
                                       check_prune_hypotheses,
                                       construct_subset_assouad,
@@ -297,6 +298,34 @@ def test_global_single_window_reduces_to_prune():
     out = construct_subset_assouad_global(E, Fraction(1, 2), Fraction(1, 4))
     assert len(out) == 1
     assert out.windows[0].tree.leaf_count <= w.tree.leaf_count
+
+
+def test_far_windows_past_ten_thousand_levels():
+    # a gap search that counted up from 0 gave up above exponent 10,000
+    t1, t2, t3 = (integer_cantor(16, 1, m, [0, 5], chain=1).windows[0].tree
+                  for m in (1, 10050, 10050))
+    side = 16**10050
+    E = WindowedSet(16, 1, [Window((0,), 1, t1), Window((side,), 10050, t2),
+                            Window((3 * side,), 10050, t3)])
+    alpha, eps = Fraction(1, 2), Fraction(1, 4)
+    out = construct_subset_assouad_global(E, alpha, eps)
+    # gaps 16^1 and 16^10051: the last window starts at 2 side + 16 side
+    assert [(w.offset, w.side_exp) for w in out.windows] == [
+        ((0,), 1), ((side,), 10050), ((18 * side,), 10050)]
+    assert check_gap_condition(out.windows, alpha + eps, 16)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(2, 20), st.lists(st.integers(0, 12), min_size=1,
+                                    max_size=4),
+       st.integers(1, 12), st.integers(1, 12))
+def test_gap_exponent_search_matches_a_linear_one(M, exps, p, q):
+    # the global construction's search, from the largest side exponent
+    t, want = Fraction(p, q), 0
+    while not badic_power_sum_le(M, exps, want, t):
+        want += 1
+    assert least_fitting(lambda ell: badic_power_sum_le(M, exps, ell, t),
+                         max(exps)) == want
 
 
 def test_gap_condition_rejects_tight_windows():

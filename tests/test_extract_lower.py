@@ -2,11 +2,12 @@ import itertools
 import random
 from fractions import Fraction
 from functools import cache
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from badicdim import geometry
+from badicdim import extract_lower, geometry
 from badicdim.core import CubeTree, DomainError, PointSet, leaf_corners, \
     leaf_representatives
 from badicdim.exactmath import ScaledPower, floor_lambda, iroot
@@ -228,16 +229,22 @@ def test_construct_rejects_depth0_source():
                                LowerParams(Fraction(1, 2), 2, 0))
 
 
+def _unchecked():
+    """A context in which `construct_subset_lower` skips the source's
+    lower-estimate check, so the construction itself is reached."""
+    return mock.patch.object(extract_lower, "_check_source",
+                             lambda source, params: None)
+
+
 def test_construct_on_unchecked_depth0_source():
     point = CubeTree.full(2, 1, 0)
-    bt = construct_subset_lower(point, LowerParams(Fraction(1, 2), 2, 0),
-                                check_source_estimate=False)
+    with _unchecked():
+        bt = construct_subset_lower(point, LowerParams(Fraction(1, 2), 2, 0))
     assert bt.params.depth == 0 and bt.centers == {(): (Fraction(0),)}
-    with pytest.raises(DomainError, match=(
+    with _unchecked(), pytest.raises(DomainError, match=(
             r"^at word \(root\): insufficient packing: need >= 5, "
             r"achieved 1$")):
-        construct_subset_lower(point, LowerParams(Fraction(1, 2), 2, 1),
-                               check_source_estimate=False)
+        construct_subset_lower(point, LowerParams(Fraction(1, 2), 2, 1))
 
 
 def test_construct_failure_names_word():
@@ -299,7 +306,7 @@ def _reference_points(tree, params):
     w = 1
     while w < tree.depth and not _at_most(Fraction(2, tree.base**w), r_min):
         w += 1
-    while w < tree.depth and tree.count_at_depth(w) < 4 * (
+    while w < tree.depth and tree.descendant_count(tree.root, w) < 4 * (
             params.M + 3**tree.dim):
         w += 1
     sub = tree.subtree((), w) if w < tree.depth else tree
@@ -391,8 +398,8 @@ def _random_source(seed, base, dim, depth, keep):
 def _assert_matches_reference(source, params):
     expected = _reference_lower(source, params)
     try:
-        bt = construct_subset_lower(source, params,
-                                    check_source_estimate=False)
+        with _unchecked():
+            bt = construct_subset_lower(source, params)
     except DomainError as exc:
         assert str(exc) == expected
         return
@@ -439,14 +446,14 @@ def test_lattice_construction_matches_reference_2d(seed, am, depth, R0,
 
 
 def _rebuilt_lattice(tree, params):
-    """The lattice of `_tree_lattice` as one `count_at_depth` walk per
+    """The lattice of `_tree_lattice` as one `descendant_count` walk per
     candidate level and a rebuilt truncation of the tree."""
     c, M, alpha = params.R0, params.M, Fraction(params.alpha)
     w = 1
     while w < tree.depth and floor_lambda(c * tree.base**w, M, alpha,
                                           params.depth) < 2:
         w += 1
-    while w < tree.depth and tree.count_at_depth(w) < 4 * (
+    while w < tree.depth and tree.descendant_count(tree.root, w) < 4 * (
             params.M + 3**tree.dim):
         w += 1
     w = min(w, tree.depth)

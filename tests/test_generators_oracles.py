@@ -24,6 +24,14 @@ def test_generator_spec_validation():
         generate(GeneratorSpec("digit-cantor", {"base": 3}))
 
 
+def test_negative_chain_is_refused():
+    # a negative chain declared a depth below the tree's real depth
+    for make in (lambda: lattice_window(2, 1, 2, chain=-1),
+                 lambda: prop5_union(4, [0, 2], [0, 1, 2], 2, 3, chain=-2)):
+        with pytest.raises(DomainError, match="^chain length -[12] must be"):
+            make()
+
+
 def test_digit_cantor_leaf_count():
     t = digit_cantor(3, 1, [0, 2], 8)
     assert t.leaf_count == 256
@@ -31,7 +39,8 @@ def test_digit_cantor_leaf_count():
 
 def test_lattice_window_values():
     ws = lattice_window(2, 1, 6)
-    assert ws.windows[0].tree.count_at_depth(6) == 64
+    tree = ws.windows[0].tree
+    assert tree.descendant_count(tree.root, 6) == 64
     loc = star_dimension_report(ws, "local", k_max=4)
     glo = star_dimension_report(ws, "global", k_max=6)
     assert loc.headline == 0.0

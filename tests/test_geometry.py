@@ -10,11 +10,15 @@ from badicdim.core import DomainError
 H = Fraction(1, 2)
 
 
+def _balls_disjoint(x, y, r) -> bool:
+    """Closed r-balls at x and y share no point: touching ones do."""
+    return geometry.dist_inf(x, y) > 2 * r
+
+
 def test_ball_predicates():
     assert geometry.dist_inf((0, 0), (1, 2)) == 2
-    assert geometry.balls_disjoint((0,), (1,), Fraction(1, 4))
-    assert not geometry.balls_disjoint((0,), (1,), H)  # touching = joint
-    assert geometry.ball_in_ball((H,), Fraction(1, 4), (H,), H)
+    assert _balls_disjoint((0,), (1,), Fraction(1, 4))
+    assert not _balls_disjoint((0,), (1,), H)  # touching = joint
     assert geometry.in_ball((1,), (H,), H)
 
 
@@ -58,7 +62,7 @@ def _brute_force_packing(points, center, R, r):
     best = 0
     for size in range(len(cands), 0, -1):
         for combo in combinations(cands, size):
-            if all(geometry.balls_disjoint(a, b, r)
+            if all(_balls_disjoint(a, b, r)
                    for a, b in combinations(combo, 2)):
                 return size
     return best
@@ -136,11 +140,11 @@ def test_greedy_packing_is_maximal_and_valid(xs):
     center, R, r = pts[0], Fraction(1, 2), Fraction(3, 64)
     chosen = geometry.greedy_packing(pts, center, R, r)
     for a, b in combinations(chosen, 2):
-        assert geometry.balls_disjoint(a, b, r)
+        assert _balls_disjoint(a, b, r)
     for p in chosen:
         assert geometry.in_ball(p, center, R)
     # maximality: no rejected point can be added
     for p in pts:
         if p in chosen or not geometry.in_ball(p, center, R):
             continue
-        assert any(not geometry.balls_disjoint(p, q, r) for q in chosen)
+        assert any(not _balls_disjoint(p, q, r) for q in chosen)

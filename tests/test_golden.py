@@ -38,15 +38,16 @@ CASES = {
         "a9dbb13f294ee48204a475f0d7d3a16bbd004400bbb8195c962280f42012458a"),
     "gen-base-16": ({}, [
         "gen full-cube --base 16 --dim 1 --depth 2 --out f.bdt",
-        "gen random-branching --base 16 --depth 3 --max-children 3 --seed 2 "
-        "--out r.bdt", "estimate --in r.bdt"],
-        "3aee670240564dfb5dc94413ea67b420d1f9139a17cb0e4ada65bdf8e12743b6"),
+        "gen random-branching --base 16 --depth 3 --max-children 16 --seed 5 "
+        "--out r.bdt", "estimate --in r.bdt",
+        "estimate --in r.bdt --kind lower-cover"],
+        "cd2a2975cde5f6e03ae4328d73e256382551bbf7a2d59f4bcaf2ba707e88a7a6"),
     "gen-lattice-window-2d": ({}, [
         "gen lattice-window --base 2 --dim 2 --m 2 --chain 1 --out w.wdt"],
         "e3af06fe12234f881d60f06f3c9aa102c3057ffcd7d08d1037723fea541be9e1"),
     "gen-lattice-window-negative-chain": ({}, [
         "gen lattice-window --base 2 --m 2 --chain -1 --out w.wdt"],
-        "856b1d9bd67f5829bbedb6e88277903d00522efbadd4099a50d847e939a3a323"),
+        "7a94a452e4a27fa5bdc3a9ca3d9bd614e31a73017bb2409d73b48af66e420a6c"),
     "gen-integer-cantor-b16": ({}, [IC16],
         "cf64a3337a05112a16e1833417ba925fa807fe381c14d4eda865b6ddfccc7476"),
     "gen-one-over-k": ({}, [
@@ -157,7 +158,7 @@ CASES = {
         "9c3a455a18478e9a75a1ebfc2e24c7252bef5553218b97fad6ca768cd8ec1891"),
     "verify-negative-samples": ({}, [
         "verify packing-sandwich --samples -1", "verify lemma21 --samples 0"],
-        "a561ab82bcb404dc4c24eb5d87ce57b515810331a4f7c501e1fc24d682066e4b"),
+        "fe09382076f9642283f536077267b2bf27cc1b3f46b3ec660247b08914d090b8"),
     "info-every-format": ({}, [
         RANDOM, UNION, "info --in r.bdt", "info --in u.wdt"],
         "a4e2d70a1e48a5b48617eec1ef7a8dcd93ad2df1f604906dcf1c8d66367da770"),

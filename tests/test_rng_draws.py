@@ -8,12 +8,13 @@ import math
 import random
 import tracemalloc
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from badicdim import generators
+from badicdim import extract_assouad, generators
 from badicdim.core import (CubeTree, DomainError, all_keys, rng_draws,
                            write_bdt)
 from badicdim.exactmath import count_meets_power_bound
@@ -141,12 +142,12 @@ def test_random_trees_match_a_flat_reference(shape, depth, max_children,
     assert write_bdt(tree) == write_bdt(reference)
 
 
-def _reference_prune(tree, params):
-    """A flat reference of the random prune: every attempt recurses in
-    preorder on one standard library rng, keeping `sample(children,
-    min(N, #children))` of each node."""
+def _reference_prune(tree, params, retries):
+    """A flat reference of the random prune: each of up to `retries`
+    attempts recurses in preorder on one standard library rng, keeping
+    `sample(children, min(N, #children))` of each node."""
     rng, n, cap = random.Random(params.seed), tree.depth, params.cap
-    for _ in range(params.retries):
+    for _ in range(retries):
         leaves = []
 
         def grow(node, path):
@@ -174,18 +175,20 @@ def _reference_prune(tree, params):
        st.integers(0, 10**6), st.integers(1, 4))
 def test_random_prunes_match_a_flat_reference(shape, tree_seed, cap, eps,
                                               seed, retries):
-    # small eps makes attempts fail, so retries draw on the same stream
+    # small eps makes attempts fail, so retries draw on the same stream;
+    # fewer retries than the prune's own make failures reachable
     base, dim, depth, max_children = shape
     tree = random_branching_tree(base, dim, depth, max_children, tree_seed)
     params = PruneParams(base, depth, cap, Fraction(0), eps,
-                         strategy="random", seed=seed, retries=retries)
-    reference = _reference_prune(tree, params)
-    if reference is None:
-        with pytest.raises(DomainError, match="random prune failed"):
-            prune(tree, params, check_hypotheses=False)
-    else:
-        out = prune(tree, params, check_hypotheses=False)
-        assert write_bdt(out) == write_bdt(reference)
+                         strategy="random", seed=seed)
+    reference = _reference_prune(tree, params, retries)
+    with mock.patch.object(extract_assouad, "RANDOM_RETRIES", retries):
+        if reference is None:
+            with pytest.raises(DomainError, match="random prune failed"):
+                prune(tree, params, check_hypotheses=False)
+        else:
+            out = prune(tree, params, check_hypotheses=False)
+            assert write_bdt(out) == write_bdt(reference)
 
 
 def test_wide_alphabets_are_drawn_without_listing_their_keys():

@@ -149,9 +149,10 @@ def test_bases_up_to_36_write_letters_and_round_trip():
 
 
 def test_write_refuses_too_many_leaves():
+    # refused on the leaf count, before any leaf is listed
     with pytest.raises(DomainError) as e:
-        write_bdt(CubeTree.full(2, 1, 3), limit=7)
-    assert str(e.value) == "leaf enumeration of 8 exceeds 7"
+        write_bdt(CubeTree.full(2, 1, 21))
+    assert str(e.value) == "leaf enumeration of 2097152 exceeds 2000000"
 
 
 def _mutate(draw, lines, base):
