@@ -97,7 +97,12 @@ def _cmd_estimate(args) -> int:
             report = estimators.star_dimension_report(obj, "local", args.kmax)
             k_max = args.kmax or obj.depth
         else:
-            k_max = args.kmax or max(w.tree.depth for w in obj.windows)
+            if args.kmax:
+                k_max = args.kmax
+            elif sub == "local":  # the largest k a local cube admits
+                k_max = max(-obj.lattice_forest()[0], 1)
+            else:
+                k_max = max(w.tree.depth for w in obj.windows)
             report = estimators.star_dimension_report(obj, sub, k_max)
     _emit(report.to_tsv(), args.report)
     print(f"estimate={report.headline:.6f} kind={report.kind} "

@@ -495,16 +495,56 @@ class CubeTree:
         return counts[i], lo + i, rows[i][1]
 
     def leaf_values(self, start, step, limit: int = MAX_LEAF_ENUM,
-                    level: int = None, count: int = None) -> list:
-        """One value per leaf, or per cube of `level` given with its cube
-        `count`, in path order, built level by level: `start` at the
-        root and `step(value, key)` down each edge."""
+                    level: int = None) -> list:
+        """One value per leaf, or per cube of `level`, in path order,
+        built level by level: `start` at the root and `step(value, key)`
+        down each edge.  More than `limit` cubes are refused before any
+        is listed."""
         if level is None:
             level, count = self.depth, self.leaf_count
+        else:
+            count = self.descendant_count(self.root, level)
         if count > limit:
             raise DomainError(f"leaf enumeration of {count} exceeds {limit}")
         return [value for value, _ in descend([(start, self.root)],
                                               level, step)]
+
+    def successor(self, level: int, t: int):
+        """The smallest corner >= t of the cubes of `level` of this d = 1
+        tree, as an integer in units of their side, or None.  One descent
+        from the root follows t's digits; where t's digit is missing, it
+        resumes at the deepest larger key passed on the way and takes
+        smallest keys from there: O(level * base)."""
+        if self.dim != 1:
+            raise DomainError("successor queries need a d = 1 tree")
+        b, t = self.base, max(t, 0)
+        digits = []
+        for _ in range(level):
+            t, digit = divmod(t, b)
+            digits.append(digit)
+        if t:  # t >= b^level
+            return None
+        node, corner, branch = self.root, 0, None
+        for i, digit in enumerate(reversed(digits)):
+            below = None
+            for (key,), child in node.children:
+                if key > digit:
+                    branch = (i, corner * b + key, child)
+                    break
+                if key == digit:
+                    below = child
+            if below is None:
+                break
+            node, corner = below, corner * b + digit
+        else:
+            return corner
+        if branch is None:
+            return None
+        i, corner, node = branch
+        for _ in range(level - 1 - i):
+            (key,), node = node.children[0]
+            corner = corner * b + key
+        return corner
 
     def iter_leaf_paths(self, limit: int = MAX_LEAF_ENUM) -> Iterator[Path]:
         yield from self.leaf_values((), lambda path, key: path + (key,),
@@ -661,14 +701,13 @@ class PointSet:
         return len(self.points)
 
 
-def leaf_corners(tree: CubeTree, level: int = None,
-                 count: int = None) -> list:
-    """The lower-left corners of the leaf cubes (or of the `count` cubes
-    of `level`) as integer points at scale base^level, sorted: a child's
+def leaf_corners(tree: CubeTree, level: int = None) -> list:
+    """The lower-left corners of the leaf cubes (or of the cubes of
+    `level`) as integer points at scale base^level, sorted: a child's
     corner is its parent's times base plus its key."""
     return sorted(tree.leaf_values((0,) * tree.dim,
                                    corner_step(tree.base, tree.dim),
-                                   level=level, count=count))
+                                   level=level))
 
 
 def leaf_representatives(tree: CubeTree) -> PointSet:

@@ -17,13 +17,11 @@ standard library.
 
 from __future__ import annotations
 
-from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from itertools import islice
 from math import lcm
-from operator import itemgetter
 
 from . import geometry
 from .core import CubeTree, DomainError, PointSet, leaf_corners
@@ -89,24 +87,38 @@ class BallTree:
 def select_packing_children(points, center, R, r, M: int):
     """Pick M centers (the anchor first) whose r-balls are pairwise
     disjoint and inside B(center, R): greedy lexicographic over the
-    packing candidates.  Requires packing count >= M + 3^d.  `R, r` are
-    exact radii, or a `geometry.Level` and None.  `points` may come in
-    any order and repeat: a point is never apart from itself."""
-    pts = sorted(points)
-    if center not in pts:
+    packing candidates.  Requires a packing of M + 3^d balls, found by
+    a greedy scan that stops once it has them.  `R, r` are exact radii,
+    or a `geometry.Level` and None.  `points` may come in any order and
+    repeat: a point is never apart from itself.  In d = 1 it may also
+    be a successor query (`geometry.successors`)."""
+    d = len(center)
+    if d == 1:
+        succ = points if callable(points) else geometry.successors(
+            sorted(points))
+        found = succ(center[0]) == center
+    else:
+        points = sorted(points)
+        found = center in points
+    if not found:
         raise DomainError("anchor center must belong to the point set")
     lv = geometry.level_of(R, r)
-    d = len(center)
-    achieved = len(geometry.greedy_packing(pts, center, lv))
-    if achieved < M + 3**d:
-        raise DomainError(
-            f"insufficient packing: need >= {M + 3**d}, achieved "
-            f"{achieved}")
+    need = M + 3**d
     if d == 1:
-        chosen = _pick_1d(pts, center, lv, M)
+        c = center[0]
+        achieved = sum(1 for _ in islice(geometry.sweep(
+            succ, c - lv.inside, c + lv.inside, lv.apart), need))
+    else:
+        achieved = len(geometry.greedy_scan(geometry.ball_points(
+            points, center, lv.inside), lv.apart, [], need))
+    if achieved < need:
+        raise DomainError(
+            f"insufficient packing: need >= {need}, achieved {achieved}")
+    if d == 1:
+        chosen = _pick_1d(succ, center, lv, M)
     else:
         chosen = geometry.greedy_scan(
-            geometry.ball_points(pts, center, lv.nested), lv.apart,
+            geometry.ball_points(points, center, lv.nested), lv.apart,
             [center], M)
     if len(chosen) < M:
         raise DomainError(
@@ -114,23 +126,27 @@ def select_packing_children(points, center, R, r, M: int):
     return chosen
 
 
-def _pick_1d(pts, center, lv, M: int) -> list:
+def _pick_1d(succ, center, lv, M: int) -> list:
     """The d = 1 case of the scan in `select_packing_children`: up to M
     points, the anchor first.  Every pick after the anchor lies above
-    the last one, so the next pick is the first point more than `apart`
-    past it, skipping the anchor's band [c - apart, c + apart]: at most
-    two bisections per pick."""
-    chosen, c, key = [center], center[0], itemgetter(0)
-    i = bisect_left(pts, c - lv.nested, key=key)
-    hi = bisect_right(pts, c + lv.nested, i, key=key)
-    while len(chosen) < M and i < hi:
-        if abs(pts[i][0] - c) <= lv.apart:
-            i = bisect_right(pts, c + lv.apart, i, hi, key=key)
-            if i == hi:
-                break
-        chosen.append(pts[i])
-        i = bisect_right(pts, pts[i][0] + lv.apart, i, hi, key=key)
-    return chosen
+    the last one, so the picks are the sweep of the nested ball that
+    passes over the anchor's band [c - apart, c + apart]: one or two
+    successor queries per pick."""
+    c = center[0]
+    return [center, *islice(geometry.sweep(succ, c - lv.nested,
+                                           c + lv.nested, lv.apart, c),
+                            max(M - 1, 0))]
+
+
+def _tree_successors(tree: CubeTree, w: int):
+    """The successor query of `geometry.successors` on the corners of
+    a d = 1 tree's cubes of level w, each one descent
+    (`CubeTree.successor`): no cube is listed.  Values are integers."""
+
+    def succ(t, strict=False):
+        corner = tree.successor(w, t + 1 if strict else t)
+        return None if corner is None else (corner,)
+    return succ
 
 
 def _thresholds(params: LowerParams, D: int) -> tuple:
@@ -154,24 +170,24 @@ def _lattice(points):
                for x in points]
 
 
-def _tree_lattice(tree: CubeTree, params: LowerParams):
-    """(D, sorted integer corners) of the tree's cubes at level w, D =
-    base^w: the first level fine enough for the deepest radius with at
-    least 4 (M + 3^d) cubes, or the last.  Counts are read from one lazy
-    `level_counts` walk from the level the radius picks, and corners from
-    one descent to level w, so deep trees never list all their leaves."""
+def _tree_lattice(tree: CubeTree, params: LowerParams) -> int:
+    """The lattice level w: the first level fine enough for the deepest
+    radius with at least 4 (M + 3^d) cubes, or the last.  Counts are
+    read from one lazy `level_counts` walk from the level the radius
+    picks, so deep trees never list their leaves.  The construction
+    then works on the corners of the cubes of level w, at scale
+    base^w: in d = 1 by successor queries on the tree, in d >= 2 as a
+    listed lattice (`leaf_corners`)."""
     c, M, alpha = params.R0, params.M, params.alpha
     w = 1  # the first w with 2 / base^w <= R_depth
     while w < tree.depth and floor_lambda(c * tree.base**w, M, alpha,
                                           params.depth) < 2:
         w += 1
     w = min(w, tree.depth)
-    counts = [tree.leaf_count] if w == tree.depth else \
-        islice(tree.level_counts(), w, None)
-    for w, count in enumerate(counts, w):
-        if w == tree.depth or count >= 4 * (M + 3**tree.dim):
+    for w, count in enumerate(islice(tree.level_counts(), w, None), w):
+        if count >= 4 * (M + 3**tree.dim):
             break
-    return tree.base**w, leaf_corners(tree, level=w, count=count)
+    return w
 
 
 def _check_source(source: CubeTree, params: LowerParams):
@@ -190,28 +206,38 @@ def _check_source(source: CubeTree, params: LowerParams):
 
 def construct_subset_lower(source, params: LowerParams) -> BallTree:
     """Build the nested ball families from the points of `source` (a
-    PointSet or a CubeTree whose leaf corners are used)."""
+    PointSet, or a CubeTree whose cube corners at one level are used,
+    see `_tree_lattice`).  In d = 1 every query is a successor query."""
     if isinstance(source, CubeTree):
         _check_source(source, params)
-        D, pts = _tree_lattice(source, params)
+        w = _tree_lattice(source, params)
+        D = source.base**w
+        if source.dim == 1:
+            succ = _tree_successors(source, w)
+            first = succ(0)
+        else:
+            pts = leaf_corners(source, w)
+            first = pts[0]
     elif isinstance(source, PointSet):
         D, pts = _lattice(source.points)
+        if not pts:
+            raise DomainError("empty source set")
         pts.sort()
+        succ, first = geometry.successors(pts), pts[0]
     else:
         raise DomainError(f"unsupported source type {type(source)!r}")
-    if not pts:
-        raise DomainError("empty source set")
     inside, apart, nested = _thresholds(params, D)
-    centers = {(): pts[0]}
+    centers = {(): first}
     words = [()]
     for k in range(params.depth):
         lv = geometry.Level(inside[k], apart[k + 1], nested[k])
         next_words = []
         for word in words:
             x = centers[word]
-            local = geometry.ball_points(pts, x, lv.inside)
+            near = succ if source.dim == 1 else geometry.ball_points(
+                pts, x, lv.inside)
             try:
-                children = select_packing_children(local, x, lv, None,
+                children = select_packing_children(near, x, lv, None,
                                                    params.M)
             except DomainError as exc:
                 raise DomainError(
@@ -269,13 +295,10 @@ def _check_invariants(tree: BallTree, apart: list, nested: list,
     failures = []
     for k in range(1, tree.params.depth + 1):
         words = tree.level_words(k)
-        centers = [lattice[w] for w in words]
-        for i in range(len(centers)):
-            for j in range(i + 1, len(centers)):
-                if not dist(centers[i], centers[j]) > apart[k]:
-                    failures.append(
-                        f"level {k}: balls at {words[i]} and {words[j]} "
-                        f"intersect")
+        failures += [
+            f"level {k}: balls at {words[i]} and {words[j]} intersect"
+            for i, j in geometry.close_pairs([lattice[w] for w in words],
+                                             apart[k])]
         for w in words:
             if dist(lattice[w], lattice[w[:-1]]) > nested[k - 1]:
                 failures.append(f"ball at {w} escapes its parent")

@@ -38,12 +38,14 @@ class Level(NamedTuple):
 
 
 def level_of(R, r=None) -> Level:
-    """The thresholds of exact radii R > r, or `R` itself when it is
+    """The thresholds of exact radii R > r >= 0, or `R` itself when it is
     already a `Level` and `r` is left out (the integer-lattice case)."""
     if r is None:
         return R
     if not r < R:
         raise DomainError("packing requires r < R")
+    if r < 0:
+        raise DomainError("packing requires r >= 0")
     return Level(R, 2 * r, R - r)
 
 
@@ -71,7 +73,8 @@ def _sweep(cands, apart) -> list:
     """Greedy packing of sorted 1-D points: keep a point when it lies
     more than `apart` past the last point kept.  The last kept point is
     the nearest kept one, so this is the lexicographic greedy, and it is
-    a maximum packing (interval scheduling)."""
+    a maximum packing (interval scheduling).  `sweep` is the same scan
+    driven by successor queries, for sets that are not listed."""
     kept = []
     last = None
     for p in cands:
@@ -79,6 +82,48 @@ def _sweep(cands, apart) -> list:
             kept.append(p)
             last = p[0]
     return kept
+
+
+def successors(pts):
+    """The successor query of the sorted 1-D points `pts`, by bisection:
+    `succ(t)` is the first point whose coordinate is >= t, or > t when
+    `strict`, or None."""
+    key = itemgetter(0)
+
+    def succ(t, strict=False):
+        i = (bisect_right if strict else bisect_left)(pts, t, key=key)
+        return pts[i] if i < len(pts) else None
+    return succ
+
+
+def sweep(succ, lo, hi, apart, skip=None):
+    """Greedy packing of the 1-D points with coordinate in [lo, hi],
+    lazily, one successor query (`succ`, see `successors`) per step:
+    the scan of `_sweep`, keeping the first point, then the first one
+    more than `apart` (>= 0) past the last kept, without a candidate
+    list.  Points within `apart` of `skip` are passed over."""
+    p = succ(lo)
+    while p is not None and p[0] <= hi:
+        if skip is not None and abs(p[0] - skip) <= apart:
+            p = succ(skip + apart, strict=True)
+            continue
+        yield p
+        p = succ(p[0] + apart, strict=True)
+
+
+def close_pairs(points, apart) -> list:
+    """The index pairs (i, j), i < j, of `points` at most `apart` apart,
+    sorted.  Only points whose first coordinates lie within `apart` of
+    each other are compared, found by bisecting an order of the first
+    coordinates."""
+    order = sorted(range(len(points)), key=lambda i: points[i][0])
+    firsts = [points[i][0] for i in order]
+    pairs = []
+    for a, i in enumerate(order):
+        end = bisect_right(firsts, firsts[a] + apart, a + 1)
+        pairs += [(min(i, j), max(i, j)) for j in order[a + 1:end]
+                  if not dist_inf(points[i], points[j]) > apart]
+    return sorted(pairs)
 
 
 def greedy_scan(cands, apart, chosen: list, limit: int = None) -> list:

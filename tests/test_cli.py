@@ -45,6 +45,24 @@ def test_estimate_report_file_and_kinds(tmp_path, capsys):
     assert "estimate=0.000000" in out
 
 
+def test_estimate_wdt_defaults_to_each_kinds_largest_k(tmp_path, capsys):
+    # leaves of side 4^-4: star-local admits k up to 4, and star-global
+    # keeps the deepest window tree (7 levels) as its default
+    path = str(tmp_path / "u.wdt")
+    assert run(capsys, "gen", "prop5-union", "--base", "4", "--m", "3",
+               "--local-depth", "4", "--local-digits", "0,2",
+               "--global-digits", "0,1,2", "--out", path)[0] == 0
+    code, out, _ = run(capsys, "estimate", "--in", path)
+    assert code == 0
+    assert out.splitlines()[-1] == (
+        "estimate=0.500000 kind=star-local depth=4")
+    code, out, _ = run(capsys, "estimate", "--in", path, "--kind",
+                       "star-global")
+    assert code == 0 and out.splitlines()[-1].endswith("depth=7")
+    code, _, err = run(capsys, "estimate", "--in", path, "--kmax", "5")
+    assert code == 1 and "no admissible cubes for k=5 (local)" in err
+
+
 def test_estimate_counts_misaligned_coarse_leaves_by_cell(tmp_path, capsys):
     # one window [1, 10) of side-1 leaves, offset 1 off the base-3 grid:
     # the aligned cube [0, 9) holds the cells 1..8, and [3, 6) is the

@@ -1,3 +1,6 @@
+import itertools
+import random
+from bisect import bisect_left
 from fractions import Fraction
 
 import pytest
@@ -5,7 +8,8 @@ from hypothesis import given, settings, strategies as st
 
 from badicdim.core import (BadicCube, CubeTree, DomainError, PointSet,
                            SetFormatError, Window, WindowedSet,
-                           leaf_representatives, read_bdt, read_wdt,
+                           leaf_corners, leaf_representatives, read_bdt,
+                           read_wdt,
                            representatives_tree, subdivide, write_bdt,
                            write_wdt)
 from badicdim.estimators import star_dimension_report
@@ -241,3 +245,29 @@ def test_structure_sharing_is_compact():
         assert all(c is node.children[0][1] for _, c in node.children)
         node = node.children[0][1]
     assert len(seen) == 30
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(2, 5), st.integers(0, 5), st.integers(0, 10**6),
+       st.sampled_from([1.0, 0.6, 0.3, 0.05]))
+def test_successor_matches_bisection_of_listed_corners(base, depth, seed,
+                                                       keep):
+    while base**depth > 625:
+        depth -= 1
+    rng = random.Random(seed)
+    keys = [(k,) for k in range(base)]
+    paths = [p for p in itertools.product(keys, repeat=depth)
+             if rng.random() < keep]
+    tree = CubeTree.from_leaves(base, 1, depth,
+                                paths or [(rng.choice(keys),) * depth])
+    for w in range(depth + 1):
+        corners = [c for c, in leaf_corners(tree, w)]
+        for t in range(-2, base**w + 2):
+            i = bisect_left(corners, t)
+            assert tree.successor(w, t) == (
+                corners[i] if i < len(corners) else None)
+
+
+def test_successor_needs_one_dimension():
+    with pytest.raises(DomainError, match="d = 1"):
+        CubeTree.full(2, 2, 3).successor(1, 0)

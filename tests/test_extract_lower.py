@@ -1,7 +1,9 @@
 import itertools
 import random
+from bisect import bisect_left, bisect_right
 from fractions import Fraction
 from functools import cache
+from operator import itemgetter
 from unittest import mock
 
 import pytest
@@ -174,8 +176,8 @@ def test_select_packing_children_1d_matches_plain_scan(values, data, apart,
     pts = sorted((v,) for v in values)
     center = data.draw(st.sampled_from(pts))
     lv = geometry.Level(nested, apart, nested)
-    assert _pick_1d(pts, center, lv, M) == _plain_scan_picks(pts, center,
-                                                            lv, M)
+    assert _pick_1d(geometry.successors(pts), center, lv,
+                    M) == _plain_scan_picks(pts, center, lv, M)
 
 
 def test_construct_depth0():
@@ -271,6 +273,50 @@ def test_invariant_checker_catches_violations():
     v = verify_lower_bounds(bad)
     assert not v.invariants_ok
     assert any("anchor" in f for f in v.failures)
+
+
+def _pairwise_failures(tree, apart, nested, lattice):
+    """`_check_invariants` as one comparison per pair of centers."""
+    failures = []
+    for k in range(1, tree.params.depth + 1):
+        words = tree.level_words(k)
+        centers = [lattice[w] for w in words]
+        for i in range(len(centers)):
+            for j in range(i + 1, len(centers)):
+                if not geometry.dist_inf(centers[i], centers[j]) > apart[k]:
+                    failures.append(
+                        f"level {k}: balls at {words[i]} and {words[j]} "
+                        f"intersect")
+        for w in words:
+            if geometry.dist_inf(lattice[w], lattice[w[:-1]]) > \
+                    nested[k - 1]:
+                failures.append(f"ball at {w} escapes its parent")
+            if w[-1] == 1 and lattice[w] != lattice[w[:-1]]:
+                failures.append(f"anchor violated at {w}")
+    return failures
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(1, 2), st.integers(1, 3), st.integers(2, 4),
+       st.integers(0, 10**6), st.integers(1, 40))
+def test_invariant_check_matches_the_pairwise_loop(dim, depth, M, seed,
+                                                   span):
+    # random centers on a small grid, so that balls often intersect,
+    # escape or move their anchor
+    rng = random.Random(seed)
+    tree = BallTree(LowerParams(Fraction(1, 2), M, depth), dim)
+    words = [w for k in range(depth + 1)
+             for w in itertools.product(range(1, M + 1), repeat=k)]
+    lattice = {w: tuple(rng.randrange(span) for _ in range(dim))
+               for w in words}
+    for w in words:
+        if w and w[-1] == 1 and rng.random() < 0.8:
+            lattice[w] = lattice[w[:-1]]
+        tree.centers[w] = tuple(map(Fraction, lattice[w]))
+    apart = [rng.randrange(span // 2 + 1) for _ in range(depth + 1)]
+    nested = [rng.randrange(span) for _ in range(depth)]
+    assert extract_lower._check_invariants(tree, apart, nested, lattice) \
+        == _pairwise_failures(tree, apart, nested, lattice)
 
 
 def test_source_check_boundary_is_exact():
@@ -483,14 +529,140 @@ def test_tree_lattice_matches_rebuilt_truncation(seed, shape, head, tail,
     tree = _deep_sparse_tree(seed, *shape, head, tail)
     alpha, M = am
     params = LowerParams(alpha, M, levels, R0=R0)
-    assert _tree_lattice(tree, params) == _rebuilt_lattice(tree, params)
+    w = _tree_lattice(tree, params)
+    assert (tree.base**w, leaf_corners(tree, w)) == _rebuilt_lattice(tree,
+                                                                     params)
 
 
-@pytest.mark.parametrize("depth, count", [(30, 4194304), (21, 2097152)])
-def test_tree_lattice_refuses_to_enumerate_too_many_cubes(depth, count):
-    # R_21 = 2^-21 first fits 2 / 2^w at w = 22, or at the last level
+def _listed_lower(tree, params):
+    """The construction on a listed lattice, as it was before d = 1 trees
+    were queried by successor: every corner of the rebuilt truncation,
+    the whole greedy packing of the ball as the feasibility count, and
+    the d = 1 picks by bisection of the ball's list.  The BallTree, or
+    the error text."""
+    D, pts = _rebuilt_lattice(tree, params)
+    inside, apart, nested = extract_lower._thresholds(params, D)
+    M, d = params.M, tree.dim
+    centers, words = {(): pts[0]}, [()]
+    for k in range(params.depth):
+        lv = geometry.Level(inside[k], apart[k + 1], nested[k])
+        next_words = []
+        for word in words:
+            x = centers[word]
+            local = geometry.ball_points(pts, x, lv.inside)
+            where = f"at word {word or '(root)'}: insufficient packing"
+            achieved = len(geometry.greedy_packing(local, x, lv))
+            if d == 1:
+                chosen = _listed_pick_1d(local, x, lv, M)
+            else:
+                chosen = geometry.greedy_scan(
+                    geometry.ball_points(local, x, lv.nested), lv.apart,
+                    [x], M)
+            if achieved < M + 3**d:
+                return f"{where}: need >= {M + 3**d}, achieved {achieved}"
+            if len(chosen) < M:
+                return f"{where}: selected only {len(chosen)} of {M}"
+            for i, c in enumerate(chosen, start=1):
+                centers[word + (i,)] = c
+                next_words.append(word + (i,))
+        words = next_words
+    bt = BallTree(params, d)
+    bt.centers = {w: tuple(Fraction(v, D) for v in x)
+                  for w, x in centers.items()}
+    return bt
+
+
+def _listed_pick_1d(pts, center, lv, M):
+    chosen, c, key = [center], center[0], itemgetter(0)
+    i = bisect_left(pts, c - lv.nested, key=key)
+    hi = bisect_right(pts, c + lv.nested, i, key=key)
+    while len(chosen) < M and i < hi:
+        if abs(pts[i][0] - c) <= lv.apart:
+            i = bisect_right(pts, c + lv.apart, i, hi, key=key)
+            if i == hi:
+                break
+        chosen.append(pts[i])
+        i = bisect_right(pts, pts[i][0] + lv.apart, i, hi, key=key)
+    return chosen
+
+
+def _outputs(construct, tree, params):
+    """(centers, verification TSV, failures), or the error text."""
+    try:
+        with _unchecked():
+            bt = construct(tree, params)
+    except DomainError as exc:
+        return str(exc)
+    if isinstance(bt, str):
+        return bt
+    v = verify_lower_bounds(bt)
+    return bt.centers, v.to_tsv(), v.failures
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(0, 10**6), st.sampled_from([(2, 1), (3, 1), (5, 1),
+                                               (2, 2)]),
+       st.booleans(), st.sampled_from(LATTICE_1D + LATTICE_2D),
+       st.integers(0, 3), st.sampled_from(RADII + [Fraction(1, 3)]),
+       st.sampled_from([1.0, 0.8, 0.5]))
+def test_tree_constructions_match_the_listed_lattice(seed, shape, deep, am,
+                                                     levels, R0, keep):
+    base, dim = shape
+    if deep:
+        tree = _deep_sparse_tree(seed, base, dim, seed % 40, seed % 7)
+    else:
+        depth = 3 if dim == 2 else {2: 7, 3: 5, 5: 4}[base]
+        tree = _random_source(seed, base, dim, depth, keep)
+    alpha, M = am
+    params = LowerParams(alpha, M, levels if dim == 1 else min(levels, 1),
+                         R0=R0)
+    assert _outputs(construct_subset_lower, tree, params) == _outputs(
+        _listed_lower, tree, params)
+
+
+@pytest.mark.parametrize("tree, params, count", [
+    (CubeTree.full(4, 1, 20), LowerParams(Fraction(1, 2), 4, 5), 1365),
+    (CubeTree.full(2, 1, 40), LowerParams(Fraction(1, 2), 16, 3), 4369)])
+def test_deep_1d_trees_build_past_the_listing_limit(tree, params, count):
+    # level w holds 4^11 and 2^35 cubes, past MAX_LEAF_ENUM
+    assert tree.base**_tree_lattice(tree, params) > 2_000_000
+    bt = construct_subset_lower(tree, params)
+    assert len(bt.centers) == count
+    D, points = extract_lower._lattice(list(bt.centers.values()))
+    _, apart, nested = extract_lower._thresholds(params, D)
+    assert extract_lower._check_invariants(
+        bt, apart, nested, dict(zip(bt.centers, points))) == []
+
+
+def test_tree_lattice_refuses_to_enumerate_too_many_cubes():
+    # d >= 2 still lists its lattice: R_10 = 2^-10 first fits 2 / 2^w at
+    # w = 11, the last level, which holds 4^11 cubes
     with pytest.raises(DomainError, match=(
-            f"^leaf enumeration of {count} exceeds 2000000$")):
-        construct_subset_lower(CubeTree.full(2, 1, depth),
-                               LowerParams(Fraction(1), 2, 21))
+            "^leaf enumeration of 4194304 exceeds 2000000$")):
+        construct_subset_lower(CubeTree.full(2, 2, 11),
+                               LowerParams(Fraction(1), 2, 10))
+
+
+def _refuse_listing(*args, **kwargs):
+    raise AssertionError("a d = 1 construction listed the tree's cubes")
+
+
+def test_1d_tree_constructions_list_no_cube():
+    half = Fraction(1, 2)
+    runs = [(CubeTree.full(4, 1, 20), LowerParams(half, 4, 4), 341),
+            (CubeTree.full(2, 1, 40), LowerParams(half, 16, 2), 273),
+            (digit_cantor(3, 1, [0, 2], 12), LowerParams(Fraction(1, 5), 2,
+                                                         2), 7),
+            (random_branching_tree(4, 1, 7, 3, 5), LowerParams(half, 4, 2),
+             "insufficient packing"),
+            (digit_cantor(3, 1, [0, 2], 12), LowerParams(half, 2, 4),
+             "insufficient packing")]
+    with mock.patch.object(CubeTree, "leaf_values", _refuse_listing):
+        for tree, params, want in runs:
+            if isinstance(want, str):
+                with pytest.raises(DomainError, match=want):
+                    construct_subset_lower(tree, params)
+            else:
+                assert len(construct_subset_lower(tree, params).centers) \
+                    == want
 

@@ -35,6 +35,12 @@ def test_greedy_packing_examples():
         [(Fraction(0),)], (Fraction(0),), Fraction(1), H)) == 1
 
 
+def test_packings_refuse_negative_radii():
+    pts = [(Fraction(0),), (H,)]
+    with pytest.raises(DomainError, match="^packing requires r >= 0$"):
+        geometry.greedy_packing(pts, pts[0], H, Fraction(-1, 4))
+
+
 def test_exact_packing_examples():
     pts = [(Fraction(0),), (H,), (Fraction(1),)]
     assert geometry.exact_packing(pts, (H,), Fraction(3, 5),

@@ -78,7 +78,7 @@ CASES = {
         UNION, "estimate --in u.wdt --kind star-global --kmax 3 --workers 1 "
         "--report g.tsv", "estimate --in u.wdt --kind star-local --kmax 4",
         "estimate --in u.wdt"],
-        "f6fa7e4e6d00c6742d47794146c47344b69cdf61f14165c827ab325f9c1e82b8"),
+        "89e64353a892a27d118aafa6c7f3be878f7b28d8ddb6efbd9f8eae210b5f3e42"),
     "estimate-windowed-b16": ({}, [
         IC16, "estimate --in i.wdt --kind star-global --kmax 2"],
         "2fcf85e35e6c7a36d1e3e076153466ec150e03b34911e7aba2ac1b0808187804"),
