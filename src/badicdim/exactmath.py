@@ -9,6 +9,7 @@ final 6-decimal log-ratio formatting done by callers.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 from math import floor as math_floor, gcd as math_gcd, isfinite, prod
 
@@ -234,6 +235,11 @@ class ScaledPower:
     root: int
 
     def __str__(self):
+        return self._text
+
+    @cached_property
+    def _text(self) -> str:
+        """The text of `str`, built once per value."""
         c, lam = _radicals(self.M, Fraction(-1, self.root))
         form = (self.R0 * c ** -self.num, {})
         for f, radicand in lam.items():

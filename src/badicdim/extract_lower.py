@@ -17,6 +17,7 @@ standard library.
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
@@ -170,31 +171,29 @@ def _lattice(points):
                for x in points]
 
 
-def _tree_lattice(tree: CubeTree, params: LowerParams) -> int:
+def _tree_lattice(tree: CubeTree, params: LowerParams, counts: list) -> int:
     """The lattice level w: the first level fine enough for the deepest
-    radius with at least 4 (M + 3^d) cubes, or the last.  Counts are
-    read from one lazy `level_counts` walk from the level the radius
-    picks, so deep trees never list their leaves.  The construction
-    then works on the corners of the cubes of level w, at scale
-    base^w: in d = 1 by successor queries on the tree, in d >= 2 as a
-    listed lattice (`leaf_corners`)."""
+    radius with at least 4 (M + 3^d) cubes, or the last.  `counts` are
+    the tree's level counts (`level_counts`), so deep trees never list
+    their leaves.  The construction then works on the corners of the
+    cubes of level w, at scale base^w: in d = 1 by successor queries on
+    the tree, in d >= 2 as a listed lattice (`leaf_corners`)."""
     c, M, alpha = params.R0, params.M, params.alpha
     w = 1  # the first w with 2 / base^w <= R_depth
     while w < tree.depth and floor_lambda(c * tree.base**w, M, alpha,
                                           params.depth) < 2:
         w += 1
     w = min(w, tree.depth)
-    for w, count in enumerate(islice(tree.level_counts(), w, None), w):
-        if count >= 4 * (M + 3**tree.dim):
-            break
+    while w < tree.depth and counts[w] < 4 * (M + 3**tree.dim):
+        w += 1
     return w
 
 
-def _check_source(source: CubeTree, params: LowerParams):
-    """The source's lower estimate at its last scale k = depth, the
-    root's leaf count, must reach alpha+eps: count >= base^(k
+def _check_source(source: CubeTree, params: LowerParams, count: int):
+    """The source's lower estimate at its last scale k = depth, its
+    `count` of leaves, must reach alpha+eps: count >= base^(k
     (alpha+eps)), decided in integers."""
-    count, k = source.leaf_count, source.depth
+    k = source.depth
     if k == 0:
         raise DomainError("lower construction needs a source of depth >= 1")
     target = params.alpha + params.eps
@@ -207,10 +206,12 @@ def _check_source(source: CubeTree, params: LowerParams):
 def construct_subset_lower(source, params: LowerParams) -> BallTree:
     """Build the nested ball families from the points of `source` (a
     PointSet, or a CubeTree whose cube corners at one level are used,
-    see `_tree_lattice`).  In d = 1 every query is a successor query."""
+    see `_tree_lattice`).  In d = 1 every query is a successor query.
+    A tree is walked once, for its level counts."""
     if isinstance(source, CubeTree):
-        _check_source(source, params)
-        w = _tree_lattice(source, params)
+        counts = list(source.level_counts())
+        _check_source(source, params, counts[-1])
+        w = _tree_lattice(source, params, counts)
         D = source.base**w
         if source.dim == 1:
             succ = _tree_successors(source, w)
@@ -263,7 +264,8 @@ class LowerBoundRow:
     ok: bool
 
     def tsv_row(self) -> str:
-        return (f"{self.center}\t{self.R}\t{self.r}\t{self.n_star}\t"
+        x = ",".join(map(str, self.center))
+        return (f"{x}\t{self.R}\t{self.r}\t{self.n_star}\t"
                 f"{self.bound_num}/{self.bound_den}\t"
                 f"{'ok' if self.ok else 'FAIL'}")
 
@@ -307,6 +309,35 @@ def _check_invariants(tree: BallTree, apart: list, nested: list,
     return failures
 
 
+def _packing_numbers(ordered: list, centers: list, lv, dim: int):
+    """N*_r(B(x, R) n ordered) for each x of `centers`, in order, on
+    integer points: `ordered` sorted, `lv` the pair's `Level`.  Each
+    distinct ball is counted once.  In d = 1 a ball is the slice of
+    `ordered` between two bisections of its first coordinates, swept
+    once (`geometry._sweep`); in d >= 2 it is the tuple of its points,
+    packed by branch and bound, or greedily above
+    `geometry.EXACT_PACKING_LIMIT` points."""
+    known = {}
+    if dim == 1:
+        firsts = [p[0] for p in ordered]
+        for (c,) in centers:
+            key = (bisect_left(firsts, c - lv.inside),
+                   bisect_right(firsts, c + lv.inside))
+            if key not in known:
+                known[key] = len(geometry._sweep(ordered[slice(*key)],
+                                                 lv.apart))
+            yield known[key]
+        return
+    for x in centers:
+        key = tuple(geometry.ball_points(ordered, x, lv.inside))
+        if key not in known:
+            known[key] = (
+                geometry.exact_packing(key, x, lv)
+                if len(key) <= geometry.EXACT_PACKING_LIMIT
+                else len(geometry.greedy_packing(key, x, lv)))
+        yield known[key]
+
+
 def verify_lower_bounds(tree: BallTree) -> LowerVerification:
     """Exhaustive scale-pair verification: for every deepest-level
     center x and every radius pair (R_j, R_{j+k}), check
@@ -314,7 +345,8 @@ def verify_lower_bounds(tree: BallTree) -> LowerVerification:
     exactly because lambda^alpha M = 1.  Also checks the level
     cardinalities.  The box-count ratio log(M^n) / -log(R0 lambda^n) is
     reported as alpha, exact only when R0 = 1.  Packings are counted on
-    the centers' integer lattice."""
+    the centers' integer lattice, once per distinct ball of a radius
+    pair (`_packing_numbers`)."""
     p = tree.params
     M = p.M
     D, points = _lattice(list(tree.centers.values()))
@@ -324,23 +356,18 @@ def verify_lower_bounds(tree: BallTree) -> LowerVerification:
     cardinality_ok = all(
         len(tree.level_words(k)) == M**k for k in range(p.depth + 1))
     leaf_words = tree.level_words(p.depth)
-    ordered = sorted(lattice[w] for w in leaf_words)
+    leaves = [lattice[w] for w in leaf_words]
+    ordered = sorted(leaves)
+    radii = [p.radius(j) for j in range(p.depth + 1)]
     rows = []
     for j in range(p.depth):
         for k in range(1, p.depth - j + 1):
-            R, r = p.radius(j), p.radius(j + k)
             lv = geometry.Level(inside[j], apart[j + k])
             bound_num, bound_den = M**k, M + 1
-            for w in leaf_words:
-                x = lattice[w]
-                local = geometry.ball_points(ordered, x, lv.inside)
-                if (tree.dim == 1
-                        or len(local) <= geometry.EXACT_PACKING_LIMIT):
-                    n_star = geometry.exact_packing(local, x, lv)
-                else:
-                    n_star = len(geometry.greedy_packing(local, x, lv))
-                ok = n_star * bound_den >= bound_num
-                rows.append(LowerBoundRow(tree.centers[w], R, r, n_star,
-                                          bound_num, bound_den, ok))
+            for w, n_star in zip(leaf_words, _packing_numbers(
+                    ordered, leaves, lv, tree.dim)):
+                rows.append(LowerBoundRow(
+                    tree.centers[w], radii[j], radii[j + k], n_star,
+                    bound_num, bound_den, n_star * bound_den >= bound_num))
     return LowerVerification(rows, not failures, cardinality_ok, p.alpha,
                              p.R0 == 1, failures)

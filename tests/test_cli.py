@@ -1,4 +1,3 @@
-import hashlib
 import math
 
 import pytest
@@ -210,52 +209,6 @@ def test_extract_lower_pipeline(tmp_path, capsys):
     with open(rep) as fh:
         assert fh.readline().strip() == "x\tR\tr\tNstar\tbound\tok"
     assert read_bdt(open(out_path).read()).leaf_count == 16
-
-
-# the `--out` files as written before the centers' tree was built by
-# `core.representatives_tree`: SHA-256 of the file and its header
-@pytest.mark.parametrize("gen, extract, header, digest", [
-    (["full-cube", "--base", "4", "--dim", "1", "--depth", "8"],
-     ["--alpha", "1/2", "--M", "4", "--depth", "2"], "bdt b=4 d=1 n=5",
-     "6533c84f2440f233c6d6920030209d6c295330e63fade133451962b0d49552a1"),
-    (["full-cube", "--base", "5", "--dim", "1", "--depth", "6"],
-     ["--alpha", "1/3", "--M", "5", "--depth", "2"], "bdt b=5 d=1 n=6",
-     "4c9171387b0e59f0227511e0d603dd0732b693646ed416df1b8ba16817889baa"),
-    (["digit-cantor", "--base", "3", "--dim", "1", "--digits", "0,2",
-      "--depth", "12"],
-     ["--alpha", "1/5", "--M", "2", "--depth", "2"], "bdt b=3 d=1 n=6",
-     "570c87e38819e4c168299eee9961f014884adb78c25dcd92fa68e70233574a45"),
-    (["full-cube", "--base", "3", "--dim", "2", "--depth", "4"],
-     ["--alpha", "1/2", "--M", "3", "--depth", "1"], "bdt b=3 d=2 n=3",
-     "28d6547113f28f3237046a7b6e4b034b4f91e2017b7f1d15139f485702d07728"),
-    (["full-cube", "--base", "2", "--dim", "2", "--depth", "4"],
-     ["--alpha", "1/4", "--M", "2", "--depth", "1"], "bdt b=2 d=2 n=4",
-     "967a2681de1a8acbb7bd2e70f8cf5da575db46165f8a1e6eb8b8790f8acd6e8e"),
-    (["full-cube", "--base", "5", "--dim", "1", "--depth", "4"],
-     ["--alpha", "2/5", "--M", "5", "--depth", "1"], "bdt b=5 d=1 n=2",
-     "3ed0a6f877f6b72c9d000a05ff0c96a6a35156765d021855b24e3be8c32219e6"),
-    (["full-cube", "--base", "2", "--dim", "1", "--depth", "6"],
-     ["--alpha", "1/2", "--M", "2", "--depth", "0"], "bdt b=2 d=1 n=1",
-     "9d5b6c997d4120953b8d7fd58fedac69b34e07b3dca07825be3170faa31e1641"),
-    (["digit-cantor", "--base", "3", "--dim", "1", "--digits", "1,2",
-      "--depth", "5"],
-     ["--alpha", "1/5", "--M", "2", "--depth", "0"], "bdt b=3 d=1 n=5",
-     "4d72734882ebab21846a8482991bb0788baca00d25a7014f0f2d75836d3ab57d"),
-    (["full-cube", "--base", "16", "--dim", "1", "--depth", "3"],
-     ["--alpha", "1/2", "--M", "4", "--depth", "2"], "bdt b=16 d=1 n=3",
-     "c9a0b26955478b22b0b6be08e9c835fc0422f3807908dc020dd430564d454229"),
-])
-def test_extract_lower_out_files_keep_their_bytes(tmp_path, capsys, gen,
-                                                  extract, header, digest):
-    src, out_path = str(tmp_path / "src.bdt"), str(tmp_path / "out.bdt")
-    assert run(capsys, "gen", *gen, "--out", src)[0] == 0
-    code, out, _ = run(capsys, "extract", "lower", *extract, "--in", src,
-                       "--out", out_path)
-    assert code == 0 and "verification=ok" in out
-    with open(out_path, "rb") as fh:
-        data = fh.read()
-    assert data.decode().splitlines()[0] == header
-    assert hashlib.sha256(data).hexdigest() == digest
 
 
 def test_domain_error_exits_1(tmp_path, capsys):

@@ -235,7 +235,7 @@ def _unchecked():
     """A context in which `construct_subset_lower` skips the source's
     lower-estimate check, so the construction itself is reached."""
     return mock.patch.object(extract_lower, "_check_source",
-                             lambda source, params: None)
+                             lambda source, params, count: None)
 
 
 def test_construct_on_unchecked_depth0_source():
@@ -491,6 +491,93 @@ def test_lattice_construction_matches_reference_2d(seed, am, depth, R0,
     _assert_matches_reference(source, LowerParams(alpha, M, 1, R0=R0))
 
 
+def _per_row_verification(tree):
+    """(rows, failures, flags) of `verify_lower_bounds` with each row's
+    ball copied by `ball_points` and packed on its own: a row is
+    (center, j, j + k, Nstar, ok)."""
+    p, M = tree.params, tree.params.M
+    D, points = extract_lower._lattice(list(tree.centers.values()))
+    lattice = dict(zip(tree.centers, points))
+    inside, apart, nested = extract_lower._thresholds(p, D)
+    leaf_words = tree.level_words(p.depth)
+    ordered = sorted(lattice[w] for w in leaf_words)
+    rows = []
+    for j in range(p.depth):
+        for k in range(1, p.depth - j + 1):
+            lv = geometry.Level(inside[j], apart[j + k])
+            for w in leaf_words:
+                x = lattice[w]
+                local = geometry.ball_points(ordered, x, lv.inside)
+                if tree.dim == 1 or \
+                        len(local) <= geometry.EXACT_PACKING_LIMIT:
+                    n_star = geometry.exact_packing(local, x, lv)
+                else:
+                    n_star = len(geometry.greedy_packing(local, x, lv))
+                rows.append((tree.centers[w], j, j + k, n_star,
+                             n_star * (M + 1) >= M**k))
+    cardinality_ok = all(len(tree.level_words(k)) == M**k
+                         for k in range(p.depth + 1))
+    failures = _pairwise_failures(tree, apart, nested, lattice)
+    return rows, failures, (not failures, cardinality_ok, p.R0 == 1)
+
+
+def _grid_ball_tree(rng, params, dim, D):
+    """Random centers on the lattice of spacing 1/D: a child moves from
+    its parent by up to the parent's radius, or by up to about one and
+    a half times its own ball's diameter, on each axis, or keeps its
+    center (most anchors do), and a few words are missing.  So balls are
+    partial at every scale and repeat, greedy packings in d = 2 can fall
+    short of the maximum, and the disjointness, nesting, anchor and
+    cardinality checks often fail."""
+    inside, apart, _ = extract_lower._thresholds(params, D)
+    lattice = {(): tuple(rng.randrange(D) for _ in range(dim))}
+    for k in range(1, params.depth + 1):
+        for w in itertools.product(range(1, params.M + 1), repeat=k):
+            parent = lattice.get(w[:-1])
+            if parent is None or rng.random() < 0.05:
+                continue
+            move = rng.choice([inside[k - 1], apart[k] * 3 // 2])
+            lattice[w] = parent if w[-1] == 1 and rng.random() < 0.8 \
+                else tuple(v + rng.randint(-move, move) for v in parent)
+    tree = BallTree(params, dim)
+    tree.centers = {w: tuple(Fraction(v, D) for v in x)
+                    for w, x in lattice.items()}
+    return tree
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.integers(0, 10**6), st.sampled_from([(2, 1), (3, 1), (2, 2)]),
+       st.sampled_from(LATTICE_1D + LATTICE_2D), st.integers(1, 3),
+       st.sampled_from(RADII + [Fraction(1, 3)]), st.integers(2, 5000))
+def test_keyed_verifier_matches_the_per_row_loop(seed, shape, am, levels, R0,
+                                                 D):
+    # d = 2 trees reach 27 leaves, past EXACT_PACKING_LIMIT
+    base, dim = shape
+    alpha, M = am
+    if dim == 2:
+        levels = min(levels, 3 if M <= 3 else 2)
+    params = LowerParams(alpha, M, levels, R0=R0)
+    rng = random.Random(seed)
+    trees = [_grid_ball_tree(rng, params, dim, D) for _ in range(3)]
+    source = _random_source(seed, base, dim, 6 if dim == 1 else 3, 0.7)
+    for source in (source, leaf_representatives(source)):
+        try:
+            with _unchecked():
+                trees.append(construct_subset_lower(source, params))
+        except DomainError:
+            pass
+    radii = [params.radius(j) for j in range(levels + 1)]
+    for tree in trees:
+        v = verify_lower_bounds(tree)
+        rows, failures, flags = _per_row_verification(tree)
+        assert [(row.center, row.R, row.r, row.n_star, row.ok)
+                for row in v.rows] == [(x, radii[j], radii[i], n, ok)
+                                       for x, j, i, n, ok in rows]
+        assert v.failures == failures
+        assert (v.invariants_ok, v.cardinality_ok, v.box_ratio_exact) \
+            == flags
+
+
 def _rebuilt_lattice(tree, params):
     """The lattice of `_tree_lattice` as one `descendant_count` walk per
     candidate level and a rebuilt truncation of the tree."""
@@ -529,7 +616,7 @@ def test_tree_lattice_matches_rebuilt_truncation(seed, shape, head, tail,
     tree = _deep_sparse_tree(seed, *shape, head, tail)
     alpha, M = am
     params = LowerParams(alpha, M, levels, R0=R0)
-    w = _tree_lattice(tree, params)
+    w = _tree_lattice(tree, params, list(tree.level_counts()))
     assert (tree.base**w, leaf_corners(tree, w)) == _rebuilt_lattice(tree,
                                                                      params)
 
@@ -625,13 +712,18 @@ def test_tree_constructions_match_the_listed_lattice(seed, shape, deep, am,
     (CubeTree.full(2, 1, 40), LowerParams(Fraction(1, 2), 16, 3), 4369)])
 def test_deep_1d_trees_build_past_the_listing_limit(tree, params, count):
     # level w holds 4^11 and 2^35 cubes, past MAX_LEAF_ENUM
-    assert tree.base**_tree_lattice(tree, params) > 2_000_000
+    w = _tree_lattice(tree, params, list(tree.level_counts()))
+    assert tree.base**w > 2_000_000
     bt = construct_subset_lower(tree, params)
     assert len(bt.centers) == count
     D, points = extract_lower._lattice(list(bt.centers.values()))
     _, apart, nested = extract_lower._thresholds(params, D)
     assert extract_lower._check_invariants(
         bt, apart, nested, dict(zip(bt.centers, points))) == []
+    # one row per leaf and radius pair: 15,360 and 24,576
+    n, M = params.depth, params.M
+    v = verify_lower_bounds(bt)
+    assert v.ok and len(v.rows) == n * (n + 1) // 2 * M**n
 
 
 def test_tree_lattice_refuses_to_enumerate_too_many_cubes():

@@ -132,20 +132,56 @@ CASES = {
         "gen full-cube --base 4 --dim 1 --depth 6 --out f.bdt",
         "extract lower --alpha 1/2 --M 4 --depth 2 --in f.bdt --out o.bdt "
         "--report l.tsv"],
-        "c53074e43d1fe9be22935e15376e28bafb1516e8d04d165d83ecb01d36da983b"),
+        "918b15728564ca5c05b456fc01e4bc4250e4821bcf8e9adf23b7ab399579a6f0"),
     "extract-lower-irrational": ({}, [
         "gen full-cube --base 5 --dim 1 --depth 4 --out f.bdt",
         "extract lower --alpha 2/5 --M 5 --depth 1 --eps 1/10 --R0 1/2 "
         "--in f.bdt --out o.bdt"],
-        "17a4dfa2812661e0d64d5a864efaef2ebea7d7306542828cb99366a9677bd364"),
+        "cb3ca9148ad9e0c180b8428c869ae724de3ad06052b3782c77718cc2c353f9a9"),
     "extract-lower-2d": ({}, [
         "gen full-cube --base 3 --dim 2 --depth 4 --out f.bdt",
         "extract lower --alpha 1/2 --M 3 --depth 1 --in f.bdt --report l.tsv"],
-        "0dc9e92c6a0310095b1a30f37033d0c5e84e41cfd7670760563c3081677713fa"),
+        "8aa957293ead19f3104add5dd93e2f4195f22c76f44671ae877b4926106a6375"),
     "extract-lower-b16": ({}, [
         "gen full-cube --base 16 --dim 1 --depth 3 --out f.bdt",
         "extract lower --alpha 1/2 --M 4 --depth 2 --in f.bdt --out o.bdt"],
-        "f8b6722cae87a4d47d1c58f728cff547b5d1b4a85e2466108daad98896cd8ba5"),
+        "1d5f8518297cf1a365a61b9ef85be2b55bc6b94a3fc6c7577a980be716296af0"),
+    # extract lower --out: the centers' set file, from d = 1 and d = 2
+    # sources, with rational and irrational lambda and depth 0
+    "extract-lower-out-b4": ({}, [
+        "gen full-cube --base 4 --dim 1 --depth 8 --out f.bdt",
+        "extract lower --alpha 1/2 --M 4 --depth 2 --in f.bdt --out o.bdt"],
+        "48162af6527f94da3ed6dd7f176ef0e73c2c09d1cd9e998d98915ab9a999e4c6"),
+    "extract-lower-out-b5": ({}, [
+        "gen full-cube --base 5 --dim 1 --depth 6 --out f.bdt",
+        "extract lower --alpha 1/3 --M 5 --depth 2 --in f.bdt --out o.bdt"],
+        "cd17e3a6cad41a5dbcb7875f23f1ab484cc6020c4a5f203a9e9e5a3743ad5122"),
+    "extract-lower-out-cantor": ({}, [
+        "gen digit-cantor --base 3 --dim 1 --digits 0,2 --depth 12 "
+        "--out c.bdt",
+        "extract lower --alpha 1/5 --M 2 --depth 2 --in c.bdt --out o.bdt"],
+        "f8c9ea0058fa701d0eca24933216d4c9859c063dd33ac5cfe29e5dd2e5e719d3"),
+    "extract-lower-out-2d-b3": ({}, [
+        "gen full-cube --base 3 --dim 2 --depth 4 --out f.bdt",
+        "extract lower --alpha 1/2 --M 3 --depth 1 --in f.bdt --out o.bdt"],
+        "7366cf4d56e8c0954aa7cdec5dd9e18d7269d76f2ebdf5a75ea2aefb7e028922"),
+    "extract-lower-out-2d-b2": ({}, [
+        "gen full-cube --base 2 --dim 2 --depth 4 --out f.bdt",
+        "extract lower --alpha 1/4 --M 2 --depth 1 --in f.bdt --out o.bdt"],
+        "09170926e71bba0ad705b5933ba3a906ab12aecd78a3f8f7bb6ed8360e4edba8"),
+    "extract-lower-out-irrational": ({}, [
+        "gen full-cube --base 5 --dim 1 --depth 4 --out f.bdt",
+        "extract lower --alpha 2/5 --M 5 --depth 1 --in f.bdt --out o.bdt"],
+        "4fb4011cd6382f608558c99ebc725ee9a6d06baee653d469bcc766773d428396"),
+    "extract-lower-out-depth0": ({}, [
+        "gen full-cube --base 2 --dim 1 --depth 6 --out f.bdt",
+        "extract lower --alpha 1/2 --M 2 --depth 0 --in f.bdt --out o.bdt"],
+        "9cdfc41f67cf0b9be5d5060db1cfb498f2abfddecdb89d5372ef11fa42a65408"),
+    "extract-lower-out-depth0-cantor": ({}, [
+        "gen digit-cantor --base 3 --dim 1 --digits 1,2 --depth 5 "
+        "--out c.bdt",
+        "extract lower --alpha 1/5 --M 2 --depth 0 --in c.bdt --out o.bdt"],
+        "ab37347c637cf927e0b6ddea45920aec5c548790d492e09a7361bf3293800a68"),
     "extract-lower-thin-source": ({}, [
         CANTOR, "extract lower --alpha 9/10 --M 2 --depth 2 --in c.bdt"],
         "b3b53ffe841802aaea30a8a48066040bbc4e856c3bb62d3870779ce073164950"),
