@@ -182,6 +182,11 @@ CASES = {
         "--out c.bdt",
         "extract lower --alpha 1/5 --M 2 --depth 0 --in c.bdt --out o.bdt"],
         "ab37347c637cf927e0b6ddea45920aec5c548790d492e09a7361bf3293800a68"),
+    "extract-lower-out-b16": ({}, [
+        "gen full-cube --base 16 --dim 1 --depth 3 --out f.bdt",
+        "extract lower --alpha 1/2 --M 4 --depth 2 --in f.bdt --out o.bdt",
+        "info --in o.bdt"],
+        "c7a4a2b4a66082f2f8e5c82b2babf1abf0474510c9a0dc6e4f6439c3cc7dc0cb"),
     "extract-lower-thin-source": ({}, [
         CANTOR, "extract lower --alpha 9/10 --M 2 --depth 2 --in c.bdt"],
         "b3b53ffe841802aaea30a8a48066040bbc4e856c3bb62d3870779ce073164950"),
