@@ -14,9 +14,9 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
-from itertools import groupby, product
+from itertools import groupby, islice, product
 from math import ceil, gcd, lcm, log
-from operator import add, itemgetter, mul
+from operator import add, itemgetter, mul, ne
 from typing import Iterator
 
 MAX_LEAF_ENUM = 2_000_000
@@ -90,17 +90,48 @@ def rebuild(start, depth: int, children) -> CubeNode:
     return nodes[0]
 
 
+def _split_level(heads: list, depth: int, width: int) -> int:
+    """The first level at which the sorted distinct `heads` (`width`
+    items per level) all have different prefixes: a bisection whose
+    probes compare adjacent prefixes and stop at the first equal pair."""
+    if len(heads) < 2:
+        return 0
+    lo, hi = 1, depth
+    while lo < hi:
+        mid = (lo + hi) // 2
+        cut = itemgetter(slice(mid * width))
+        if all(map(ne, map(cut, heads), map(cut, islice(heads, 1, None)))):
+            hi = mid
+        else:
+            lo = mid + 1
+    return lo
+
+
 def build_sorted(heads: list, depth: int, width: int, edge) -> CubeNode:
     """The tree of the sorted distinct strings or tuples `heads`, built
-    bottom-up; `edge` keys the `width` items of each distinct edge once."""
-    intern, pair, nodes = _Interner().node, itemgetter(1), [_LEAF] * len(heads)
-    for cut in range((depth - 1) * width, -1, -width):
+    bottom-up; `edge` keys the `width` items of each distinct edge once.
+    Below the split level each head's tail is a single path, built once
+    per distinct tail; above it, consecutive heads that share a prefix
+    become one node, level by level."""
+    node, pair = _Interner().__getitem__, itemgetter(1)  # no node is a leaf
+    split = _split_level(heads, depth, width)
+    cut, nodes = split * width, [_LEAF] * len(heads)
+    if split < depth:
+        tails = list(map(itemgetter(slice(cut, None)), heads))
+        chains = dict.fromkeys(tails)
+        for tail in chains:
+            below = _LEAF
+            for i in range(len(tail) - width, -1, -width):
+                below = node(((edge(tail[i:i + width]), below),))
+            chains[tail] = below
+        nodes = list(map(chains.__getitem__, tails))
+    for cut in range(cut - width, -1, -width):
         items = zip(map(itemgetter(slice(cut)), heads), zip(
-            map(edge, map(itemgetter(slice(cut, None)), heads)), nodes))
+            map(edge, map(itemgetter(slice(cut, cut + width)), heads)), nodes))
         heads, nodes = [], []
         for prefix, group in groupby(items, key=itemgetter(0)):
             heads.append(prefix)
-            nodes.append(intern(tuple(map(pair, group))))
+            nodes.append(node(tuple(map(pair, group))))
     return nodes[0]
 
 
@@ -758,6 +789,8 @@ class WindowedSet:
         self.dim = dim
         ws = sorted(windows,
                     key=lambda w: (max(abs(o) for o in w.offset), w.offset))
+        if not ws:
+            raise DomainError("windowed set needs at least one window")
         for w in ws:
             if w.tree.base != base or w.tree.dim != dim:
                 raise DomainError("window tree base/dim mismatch")

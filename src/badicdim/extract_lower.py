@@ -21,8 +21,9 @@ from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
-from itertools import islice
+from itertools import groupby, islice
 from math import lcm
+from operator import attrgetter, is_not
 
 from . import geometry
 from .core import CubeTree, DomainError, PointSet, leaf_corners
@@ -263,12 +264,6 @@ class LowerBoundRow:
     bound_den: int
     ok: bool
 
-    def tsv_row(self) -> str:
-        x = ",".join(map(str, self.center))
-        return (f"{x}\t{self.R}\t{self.r}\t{self.n_star}\t"
-                f"{self.bound_num}/{self.bound_den}\t"
-                f"{'ok' if self.ok else 'FAIL'}")
-
 
 @dataclass
 class LowerVerification:
@@ -286,8 +281,22 @@ class LowerVerification:
                 and all(row.ok for row in self.rows))
 
     def to_tsv(self) -> str:
-        lines = ["x\tR\tr\tNstar\tbound\tok"]
-        lines += [row.tsv_row() for row in self.rows]
+        """One line per row.  The rows come in runs of one radius pair,
+        each run listing the same center objects in the same order, so a
+        run's radii and bound are formatted once and the centers' texts
+        only when a run's centers are not those of the run before."""
+        lines, centers = ["x\tR\tr\tNstar\tbound\tok"], []
+        for (R, r, num, den), run in groupby(self.rows, attrgetter(
+                "R", "r", "bound_num", "bound_den")):
+            run = list(run)
+            if len(run) != len(centers) or any(map(
+                    is_not, centers, map(attrgetter("center"), run))):
+                centers = [row.center for row in run]
+                xs = [",".join(map(str, x)) for x in centers]
+            radii, bound = f"\t{R}\t{r}\t", f"\t{num}/{den}\t"
+            lines += [f"{x}{radii}{row.n_star}{bound}"
+                      f"{'ok' if row.ok else 'FAIL'}"
+                      for x, row in zip(xs, run)]
         return "\n".join(lines) + "\n"
 
 

@@ -154,6 +154,12 @@ def test_windowed_set_disjointness():
     assert len(ws) == 2
 
 
+def test_windowed_set_needs_a_window():
+    with pytest.raises(DomainError,
+                       match="^windowed set needs at least one window$"):
+        WindowedSet(2, 1, [])
+
+
 def test_bdt_roundtrip_fixed():
     t = CubeTree.from_digit_rule(3, 1, 3, [(0,), (2,)])
     text = write_bdt(t)

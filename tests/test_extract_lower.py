@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import random
 from bisect import bisect_left, bisect_right
@@ -262,6 +263,34 @@ def test_report_tsv_shape():
     lines = text.splitlines()
     assert lines[0] == "x\tR\tr\tNstar\tbound\tok"
     assert all(line.endswith("ok") for line in lines[1:])
+
+
+def _flat_tsv(rows):
+    """The TSV with every row formatted on its own."""
+    return "".join(["x\tR\tr\tNstar\tbound\tok\n"] + [
+        f"{','.join(map(str, row.center))}\t{row.R}\t{row.r}\t{row.n_star}"
+        f"\t{row.bound_num}/{row.bound_den}\t{'ok' if row.ok else 'FAIL'}\n"
+        for row in rows])
+
+
+@pytest.mark.parametrize("source, params", [
+    (CubeTree.full(4, 1, 6), LowerParams(Fraction(1, 2), 4, 2)),
+    (CubeTree.full(5, 1, 4), LowerParams(Fraction(2, 5), 5, 1, R0=Fraction(
+        1, 2))),
+    (CubeTree.full(3, 2, 4), LowerParams(Fraction(1, 2), 3, 1))])
+def test_tsv_reuses_center_texts_only_for_the_same_centers(source, params):
+    v = verify_lower_bounds(construct_subset_lower(source, params))
+    rows = v.rows
+    assert v.to_tsv() == _flat_tsv(rows)
+    # shuffled, shortened and reversed runs, equal but new center
+    # objects, and a last run whose last center is another run's first
+    for changed in (random.Random(5).sample(rows, len(rows)), rows[1:],
+                    rows[::-1], [dataclasses.replace(
+                        row, center=tuple(row.center)) for row in rows],
+                    rows[:-1] + [dataclasses.replace(
+                        rows[-1], center=rows[0].center)]):
+        v.rows = changed
+        assert v.to_tsv() == _flat_tsv(changed)
 
 
 def test_invariant_checker_catches_violations():

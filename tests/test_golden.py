@@ -218,6 +218,11 @@ CASES = {
         "info --in header.wdt", "info --in other.txt",
         "info --in missing.bdt"],
         "177661b5de8280779b205c58372bdb4c43c66c56e30f7c02fcebfff84eeb9615"),
+    # a failure that exits 1: a .wdt without windows parses, then is refused
+    "empty-wdt": ({"e.wdt": "wdt b=2 d=1 windows=0\n"}, [
+        "info --in e.wdt", "estimate --in e.wdt --kind star-global",
+        "estimate --in e.wdt --kind star-local"],
+        "f9261647d4461cecffb32d866d0331518cc1a718a498924d8fb343d61eadfbda"),
 }
 
 

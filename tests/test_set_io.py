@@ -2,12 +2,17 @@
 pinned error texts, a parser fuzz against a flat parser and deep
 trees."""
 
+import random
+from itertools import groupby
+from operator import itemgetter
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from badicdim.core import (DIGITS, CubeTree, DomainError, SetFormatError,
-                           Window, WindowedSet, read_bdt, read_wdt,
-                           write_bdt, write_wdt)
+from badicdim.core import (_LEAF, DIGITS, CubeTree, DomainError,
+                           SetFormatError, Window, WindowedSet, _Interner,
+                           _key, _split_level, build_sorted, read_bdt,
+                           read_wdt, write_bdt, write_wdt)
 from badicdim.generators import random_branching_tree
 
 
@@ -122,6 +127,97 @@ def test_builder_names_the_first_bad_path_in_sorted_order(paths, message):
     with pytest.raises(DomainError) as e:
         CubeTree.from_leaves(2, 1, 2, paths)
     assert str(e.value) == message
+
+
+def _level_wise_build_sorted(heads, depth, width, edge):
+    """The builder without split level or tail chains: every
+    level groups consecutive heads that share a prefix."""
+    intern, pair, nodes = _Interner().node, itemgetter(1), [_LEAF] * len(heads)
+    for cut in range((depth - 1) * width, -1, -width):
+        items = zip(map(itemgetter(slice(cut)), heads), zip(
+            map(edge, map(itemgetter(slice(cut, None)), heads)), nodes))
+        heads, nodes = [], []
+        for prefix, group in groupby(items, key=itemgetter(0)):
+            heads.append(prefix)
+            nodes.append(intern(tuple(map(pair, group))))
+    return nodes[0]
+
+
+def _level_major(path, dim):
+    return "".join(DIGITS[key[i]] for key in path for i in range(dim))
+
+
+def _check_builder(base, dim, depth, paths):
+    """`build_sorted` against the level-wise builder, on key tuples and on
+    level-major digit strings, then through `from_leaves`, `read_bdt`
+    and `read_wdt`: equal trees with equal distinct-node counts, the
+    split level one below the deepest common prefix of adjacent heads,
+    and one edge keyed per distinct tail edge below it."""
+    paths = sorted(set(paths))
+    shared = [next((i for i, (x, y) in enumerate(zip(p, q)) if x != y),
+                   depth) for p, q in zip(paths, paths[1:])]
+    split = max(shared, default=-1) + 1
+    ref = CubeTree(base, dim, depth, _level_wise_build_sorted(
+        paths, depth, 1, itemgetter(0)))
+    texts = [_level_major(p, dim) for p in paths]
+    assert _split_level(paths, depth, 1) == split
+    assert _split_level(texts, depth, dim) == split
+    built = [CubeTree(base, dim, depth, build_sorted(
+        paths, depth, 1, itemgetter(0))), CubeTree(base, dim, depth, (
+            build_sorted(texts, depth, dim, _key))),
+        CubeTree.from_leaves(base, dim, depth, reversed(paths))]
+    built.append(read_bdt(write_bdt(ref)))
+    wset = WindowedSet(base, dim, [Window((0,) * dim, depth, ref)])
+    built += [w.tree for w in read_wdt(write_wdt(wset)).windows]
+    for tree in built:
+        assert tree == ref
+        assert _nodes(tree) == _nodes(ref) == _distinct_subtrees(ref)
+    # each distinct tail's edges are keyed once; above the split level,
+    # each distinct prefix's last edge is
+    edges = []
+    build_sorted(paths, depth, 1, lambda item: edges.append(item) or item[0])
+    assert len(edges) == sum(map(len, {p[split:] for p in paths})) + sum(
+        len({p[:level + 1] for p in paths}) for level in range(split))
+    return split
+
+
+@st.composite
+def _sparse_deep_sets(draw):
+    """Few leaves at up to 40 levels: seeded top levels over a few shared
+    tails, so most prefix nodes lie on single-path tails; the digits are
+    drawn from all of the base's or from its two extremes."""
+    base, dim = draw(st.integers(2, 36)), draw(st.sampled_from([1, 2]))
+    depth = draw(st.integers(0, 40))
+    top = draw(st.integers(0, depth))
+    rng = random.Random(draw(st.integers(0, 10**6)))
+    digits = [0, base - 1] if draw(st.booleans()) else range(base)
+
+    def keys(n):
+        return tuple(tuple(rng.choice(digits) for _ in range(dim))
+                     for _ in range(n))
+
+    tails = [keys(depth - top) for _ in range(draw(st.integers(1, 3)))]
+    return base, dim, depth, [keys(top) + rng.choice(tails)
+                              for _ in range(draw(st.integers(1, 12)))]
+
+
+@settings(max_examples=200, deadline=None)
+@given(_sparse_deep_sets())
+def test_tail_chains_build_the_level_wise_tree(case):
+    _check_builder(*case)
+
+
+@pytest.mark.parametrize("base, dim, depth, paths, split", [
+    (7, 1, 40, [tuple((i % 7,) for i in range(40))], 0),  # one leaf
+    (36, 2, 40, [((35, 0),) * 39 + ((k, 1),) for k in (3, 4)],
+     40),  # two leaves that differ only in the last key
+    (5, 1, 0, [()], 0),  # depth 0
+    (3, 2, 0, [()], 0),
+    (4, 1, 14, [((a,), (b,)) + ((0,),) * 12 for a in range(3)
+                for b in range(3)], 2),  # a prop5-union-like lattice
+])
+def test_split_level_edge_cases(base, dim, depth, paths, split):
+    assert _check_builder(base, dim, depth, paths) == split
 
 
 def test_depth_3000_chain_round_trips():
