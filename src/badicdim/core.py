@@ -11,7 +11,6 @@ any depth.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
 from itertools import groupby, islice, product
@@ -312,22 +311,30 @@ def counts_below(nodes, k: int) -> dict:
     return counts
 
 
-@dataclass(frozen=True)
 class BadicCube:
     """A level-n base-b cube in [0,1]^d, identified by d digit strings."""
 
-    base: int
-    level: int
-    coords: tuple  # axis-major: coords[i] is a tuple of `level` digits
+    __slots__ = ("base", "level", "coords")
 
-    def __post_init__(self):
-        if self.base < 2:
+    def __init__(self, base: int, level: int, coords: tuple):
+        if base < 2:
             raise DomainError("base must be >= 2")
-        for axis in self.coords:
-            if len(axis) != self.level:
+        for axis in coords:
+            if len(axis) != level:
                 raise DomainError("coordinate length must equal level")
-            if any(not 0 <= dig < self.base for dig in axis):
+            if any(not 0 <= dig < base for dig in axis):
                 raise DomainError("digit out of range")
+        self.base = base
+        self.level = level
+        self.coords = coords  # axis-major: coords[i] has `level` digits
+
+    def __eq__(self, other):
+        return (isinstance(other, BadicCube)
+                and (self.base, self.level, self.coords)
+                == (other.base, other.level, other.coords))
+
+    def __hash__(self):
+        return hash((self.base, self.level, self.coords))
 
     @property
     def dim(self) -> int:
@@ -711,13 +718,23 @@ def subdivide(cube: BadicCube, dim: int = None) -> list:
     return out
 
 
-@dataclass(frozen=True)
 class PointSet:
     """Finite set of exact coordinates under the max-metric."""
 
-    base: int
-    dim: int
-    points: tuple  # tuple of d-tuples of Fractions, sorted, distinct
+    __slots__ = ("base", "dim", "points")
+
+    def __init__(self, base: int, dim: int, points: tuple):
+        self.base = base
+        self.dim = dim
+        self.points = points  # d-tuples of Fractions, sorted, distinct
+
+    def __eq__(self, other):
+        return (isinstance(other, PointSet)
+                and (self.base, self.dim, self.points)
+                == (other.base, other.dim, other.points))
+
+    def __hash__(self):
+        return hash((self.base, self.dim, self.points))
 
     @classmethod
     def of(cls, base: int, dim: int, points) -> "PointSet":
@@ -773,11 +790,13 @@ def representatives_tree(points: PointSet) -> CubeTree:
         for c in corners])
 
 
-@dataclass(frozen=True)
 class Window:
-    offset: tuple  # d-tuple of ints
-    side_exp: int  # footprint side = base**side_exp
-    tree: CubeTree
+    __slots__ = ("offset", "side_exp", "tree")
+
+    def __init__(self, offset: tuple, side_exp: int, tree: CubeTree):
+        self.offset = offset  # d-tuple of ints
+        self.side_exp = side_exp  # footprint side = base**side_exp
+        self.tree = tree
 
 
 class WindowedSet:

@@ -7,7 +7,6 @@ log-ratio column of the reports.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from fractions import Fraction
 
 from . import geometry
@@ -17,22 +16,26 @@ from .core import (BadicCube, CubeTree, DomainError, PointSet, WindowedSet,
 COVER_METHOD_TAG = "badic-cells"
 
 
-@dataclass(frozen=True)
 class ScaleRecord:
-    k: int
-    count: int
-    witness: str
-    log_ratio: float
+    __slots__ = ("k", "count", "witness", "log_ratio")
+
+    def __init__(self, k: int, count: int, witness: str, log_ratio: float):
+        self.k = k
+        self.count = count
+        self.witness = witness
+        self.log_ratio = log_ratio
 
     def tsv_row(self) -> str:
         return f"{self.k}\t{self.count}\t{self.log_ratio:.6f}\t{self.witness}"
 
 
-@dataclass
 class DimensionReport:
-    kind: str
-    base: int
-    records: list = field(default_factory=list)
+    __slots__ = ("kind", "base", "records")
+
+    def __init__(self, kind: str, base: int, records: list = None):
+        self.kind = kind
+        self.base = base
+        self.records = [] if records is None else records
 
     @property
     def headline(self) -> float:
@@ -166,16 +169,21 @@ def packing_count(points: PointSet, center, R, r) -> int:
     return len(geometry.greedy_packing(points.points, center, R, r))
 
 
-@dataclass(frozen=True)
 class SandwichRow:
-    center: tuple
-    R: Fraction
-    r: Fraction
-    cover_2r: int
-    packing: int
-    cover_r3: int
-    method: str
-    ok: bool
+    __slots__ = ("center", "R", "r", "cover_2r", "packing", "cover_r3",
+                 "method", "ok")
+
+    def __init__(self, center: tuple, R: Fraction, r: Fraction,
+                 cover_2r: int, packing: int, cover_r3: int, method: str,
+                 ok: bool):
+        self.center = center
+        self.R = R
+        self.r = r
+        self.cover_2r = cover_2r
+        self.packing = packing
+        self.cover_r3 = cover_r3
+        self.method = method
+        self.ok = ok
 
 
 def verify_cover_pack_sandwich(points: PointSet, samples) -> list:

@@ -8,7 +8,6 @@ final 6-decimal log-ratio formatting done by callers.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
 from math import floor as math_floor, gcd as math_gcd, isfinite, prod
@@ -213,7 +212,6 @@ def _radicals(n: int, e: Fraction) -> tuple:
     return form
 
 
-@dataclass(frozen=True)
 class ScaledPower:
     """The irrational number R0 * M^(num/root) = R0 * lam^k for
     lam = M^(-q/p), num = -qk and root = p; `scaled_power` makes one
@@ -227,12 +225,22 @@ class ScaledPower:
     12^(-7/3) in one step is 18**(1/3)/864), so the exponent is kept
     unreduced.  It depends on q and k only through qk, so it is built
     as (M^(-1/p))^(qk).  It reads `num*radicals/den`, the radicals
-    ordered by radicand text, with `sqrt(x)` for the exponent 1/2."""
+    ordered by radicand text, with `sqrt(x)` for the exponent 1/2.
+    Two with the same four fields compare and hash equal."""
 
-    R0: Fraction
-    M: int
-    num: int
-    root: int
+    def __init__(self, R0: Fraction, M: int, num: int, root: int):
+        self.R0 = R0
+        self.M = M
+        self.num = num
+        self.root = root
+
+    def __eq__(self, other):
+        return (isinstance(other, ScaledPower)
+                and (self.R0, self.M, self.num, self.root)
+                == (other.R0, other.M, other.num, other.root))
+
+    def __hash__(self):
+        return hash((self.R0, self.M, self.num, self.root))
 
     def __str__(self):
         return self._text

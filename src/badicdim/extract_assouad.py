@@ -7,7 +7,6 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass, field
 from fractions import Fraction
 from operator import itemgetter
 
@@ -21,26 +20,35 @@ from .exactmath import (MAX_DENOMINATOR, badic_power_sum_le,
 RANDOM_RETRIES = 64
 
 
-@dataclass(frozen=True)
 class PruneParams:
-    base: int               # M
-    depth: int              # n
-    cap: int                # N, per-node child cap
-    s: Fraction
-    eps: Fraction
-    strategy: str = "greedy"   # "greedy" or "random"
-    seed: int = 0
+    __slots__ = ("base", "depth", "cap", "s", "eps", "strategy", "seed")
 
-    def __post_init__(self):
-        for name in ("s", "eps"):
-            object.__setattr__(self, name,
-                               exact_fraction(getattr(self, name), name))
-        if self.cap < 1:
+    def __init__(self, base: int, depth: int, cap: int, s: Fraction,
+                 eps: Fraction, strategy: str = "greedy", seed: int = 0):
+        self.base = base        # M
+        self.depth = depth      # n
+        self.cap = cap          # N, per-node child cap
+        self.s = exact_fraction(s, "s")
+        self.eps = exact_fraction(eps, "eps")
+        self.strategy = strategy  # "greedy" or "random"
+        self.seed = seed
+        if cap < 1:
             raise DomainError("child cap N must be >= 1")
         if self.eps < 0:
             raise DomainError("slack eps must be >= 0")
-        if self.strategy not in ("greedy", "random"):
-            raise DomainError(f"unknown strategy '{self.strategy}'")
+        if strategy not in ("greedy", "random"):
+            raise DomainError(f"unknown strategy '{strategy}'")
+
+    def _fields(self) -> tuple:
+        return (self.base, self.depth, self.cap, self.s, self.eps,
+                self.strategy, self.seed)
+
+    def __eq__(self, other):
+        return isinstance(other, PruneParams) and \
+            self._fields() == other._fields()
+
+    def __hash__(self):
+        return hash(self._fields())
 
 
 def check_prune_hypotheses(tree: CubeTree, params: PruneParams):
@@ -130,15 +138,20 @@ def find_dense_window(tree: CubeTree, n: int):
     return path, level, count
 
 
-@dataclass
 class StageRecord:
-    stage: int
-    window_path: tuple
-    window_level: int
-    window_count: int
-    piece_leaves: int
-    bound_ok: bool
-    base: int
+    __slots__ = ("stage", "window_path", "window_level", "window_count",
+                 "piece_leaves", "bound_ok", "base")
+
+    def __init__(self, stage: int, window_path: tuple, window_level: int,
+                 window_count: int, piece_leaves: int, bound_ok: bool,
+                 base: int):
+        self.stage = stage
+        self.window_path = window_path
+        self.window_level = window_level
+        self.window_count = window_count
+        self.piece_leaves = piece_leaves
+        self.bound_ok = bound_ok
+        self.base = base
 
     def tsv_row(self) -> str:
         window = "root" if not self.window_path else "|".join(
@@ -148,17 +161,23 @@ class StageRecord:
                 f"{'ok' if self.bound_ok else 'FAIL'}")
 
 
-@dataclass
 class ConstructionTrace:
-    target_alpha: Fraction
-    eps: Fraction
-    cap: int
-    stages: list = field(default_factory=list)
-    headline: float = float("nan")
-    delta: float = float("nan")
-    k_star: int = 0
-    paper_corner_ok: bool = True
-    tree: CubeTree = None
+    __slots__ = ("target_alpha", "eps", "cap", "stages", "headline",
+                 "delta", "k_star", "paper_corner_ok", "tree")
+
+    def __init__(self, target_alpha: Fraction, eps: Fraction, cap: int,
+                 stages: list = None, headline: float = float("nan"),
+                 delta: float = float("nan"), k_star: int = 0,
+                 paper_corner_ok: bool = True, tree: CubeTree = None):
+        self.target_alpha = target_alpha
+        self.eps = eps
+        self.cap = cap
+        self.stages = [] if stages is None else stages
+        self.headline = headline
+        self.delta = delta
+        self.k_star = k_star
+        self.paper_corner_ok = paper_corner_ok
+        self.tree = tree
 
     def to_tsv(self) -> str:
         lines = ["stage\twindow\tlevel\tcount\tbound\tok"]
@@ -355,20 +374,26 @@ def plan_caps(depth: int, target_log: float, upper):
     return caps
 
 
-@dataclass
 class LadderStage:
-    index: int
-    interval: tuple
-    caps: list
-    headline: float
+    __slots__ = ("index", "interval", "caps", "headline")
+
+    def __init__(self, index: int, interval: tuple, caps: list,
+                 headline: float):
+        self.index = index
+        self.interval = interval
+        self.caps = caps
+        self.headline = headline
 
 
-@dataclass
 class LadderResult:
-    a_trees: list
-    b_trees: list
-    a_stages: list
-    b_stages: list
+    __slots__ = ("a_trees", "b_trees", "a_stages", "b_stages")
+
+    def __init__(self, a_trees: list, b_trees: list, a_stages: list,
+                 b_stages: list):
+        self.a_trees = a_trees
+        self.b_trees = b_trees
+        self.a_stages = a_stages
+        self.b_stages = b_stages
 
 
 def sandwich_assemble(tree: CubeTree, alpha, levels: int) -> LadderResult:

@@ -18,7 +18,6 @@ standard library.
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from itertools import groupby, islice
@@ -31,24 +30,22 @@ from .estimators import _log_ratio
 from .exactmath import exact_fraction, floor_lambda, pow_at_most, scaled_power
 
 
-@dataclass(frozen=True)
 class LowerParams:
-    alpha: Fraction
-    M: int
-    depth: int
-    eps: Fraction = Fraction(0)
-    R0: Fraction = Fraction(1)
-
-    def __post_init__(self):
-        for name in ("alpha", "eps", "R0"):
-            object.__setattr__(self, name,
-                               exact_fraction(getattr(self, name), name))
+    def __init__(self, alpha: Fraction, M: int, depth: int,
+                 eps: Fraction = Fraction(0), R0: Fraction = Fraction(1)):
+        self.alpha = exact_fraction(alpha, "alpha")
+        self.M = M
+        self.depth = depth
+        self.eps = exact_fraction(eps, "eps")
+        self.R0 = exact_fraction(R0, "R0")
         if not 0 < self.alpha <= 1:
             raise DomainError("alpha must be in (0, 1]")
-        if self.M < 2:
+        if M < 2:
             raise DomainError("M must be >= 2")
-        if self.depth < 0:
+        if depth < 0:
             raise DomainError("depth must be >= 0")
+        if self.eps < 0:
+            raise DomainError("slack eps must be >= 0")
         if self.R0 <= 0:
             raise DomainError("R0 must be positive")
 
@@ -65,15 +62,17 @@ class LowerParams:
                             self.alpha.numerator)
 
 
-@dataclass
 class BallTree:
     """Centers indexed by words over {1..M}; level-k radius is
     R0 * lambda^k.  Level-k balls are disjoint, children nest in their
     parent, and the first child keeps the parent's center."""
 
-    params: LowerParams
-    dim: int
-    centers: dict = field(default_factory=dict)  # word tuple -> point
+    __slots__ = ("params", "dim", "centers")
+
+    def __init__(self, params: LowerParams, dim: int, centers: dict = None):
+        self.params = params
+        self.dim = dim
+        self.centers = {} if centers is None else centers  # word -> point
 
     def level_words(self, k: int):
         return sorted(w for w in self.centers if len(w) == k)
@@ -254,25 +253,34 @@ def construct_subset_lower(source, params: LowerParams) -> BallTree:
     return tree
 
 
-@dataclass(frozen=True)
 class LowerBoundRow:
-    center: tuple
-    R: object
-    r: object
-    n_star: int
-    bound_num: int   # bound = M^k / (M+1), stored as the pair (M^k, M+1)
-    bound_den: int
-    ok: bool
+    __slots__ = ("center", "R", "r", "n_star", "bound_num", "bound_den",
+                 "ok")
+
+    def __init__(self, center: tuple, R, r, n_star: int, bound_num: int,
+                 bound_den: int, ok: bool):
+        self.center = center
+        self.R = R
+        self.r = r
+        self.n_star = n_star
+        # bound = M^k / (M+1), stored as the pair (M^k, M+1)
+        self.bound_num = bound_num
+        self.bound_den = bound_den
+        self.ok = ok
 
 
-@dataclass
 class LowerVerification:
-    rows: list
-    invariants_ok: bool
-    cardinality_ok: bool
-    box_ratio: Fraction
-    box_ratio_exact: bool
-    failures: list
+    __slots__ = ("rows", "invariants_ok", "cardinality_ok", "box_ratio",
+                 "box_ratio_exact", "failures")
+
+    def __init__(self, rows: list, invariants_ok: bool, cardinality_ok: bool,
+                 box_ratio: Fraction, box_ratio_exact: bool, failures: list):
+        self.rows = rows
+        self.invariants_ok = invariants_ok
+        self.cardinality_ok = cardinality_ok
+        self.box_ratio = box_ratio
+        self.box_ratio_exact = box_ratio_exact
+        self.failures = failures
 
     @property
     def ok(self) -> bool:

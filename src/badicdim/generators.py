@@ -7,7 +7,6 @@ The oracle's size guard is a hard error, never a silent fallback.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
 
 from .core import (CubeNode, CubeTree, DomainError, Window, WindowedSet,
                    _LEAF, all_keys, check_shape, grow_preorder, rng_draws)
@@ -18,21 +17,30 @@ FAMILIES = ("digit-cantor", "full-cube", "lattice-window", "integer-cantor",
 ORACLE_LEAF_LIMIT = 300_000
 
 
-@dataclass(frozen=True)
 class GeneratorSpec:
-    family: str
-    params: dict = field(default_factory=dict)
+    __slots__ = ("family", "params")
 
-    def __post_init__(self):
-        if self.family not in FAMILIES:
-            raise DomainError(f"unknown family '{self.family}'; "
+    def __init__(self, family: str, params: dict = None):
+        if family not in FAMILIES:
+            raise DomainError(f"unknown family '{family}'; "
                               f"choose from {FAMILIES}")
+        self.family = family
+        self.params = {} if params is None else params
+
+
+def _base_digits(digits, base: int) -> set:
+    """`digits` as a set; the least one outside 0..base-1 raises."""
+    digits = set(digits)
+    for dig in sorted(digits):
+        if not 0 <= dig < base:
+            raise DomainError(f"digit {dig} outside 0..{base - 1}")
+    return digits
 
 
 def digit_cantor(base: int, dim: int, digits, depth: int) -> CubeTree:
     """Self-similar set with per-level digit restriction: every axis
     takes its digits from the set `digits`."""
-    digits = set(digits)
+    digits = _base_digits(digits, base)
     return CubeTree.from_digit_rule(base, dim, depth, [
         k for k in all_keys(base, dim) if digits.issuperset(k)])
 
@@ -105,8 +113,8 @@ def prop5_union(base: int, local_digits, global_digits, m: int,
     chain defaults to local_depth."""
     dim = 1
     cantor = digit_cantor(base, dim, local_digits, local_depth)
-    keys = [k for k in all_keys(base, dim)
-            if all(d in sorted(set(global_digits)) for d in k)]
+    global_digits = _base_digits(global_digits, base)
+    keys = [k for k in all_keys(base, dim) if global_digits.issuperset(k)]
     lattice = _window_tree(base, dim, m, keys,
                            local_depth if chain is None else chain)
     # the integer window sits at base**m: any cube containing both

@@ -1,4 +1,3 @@
-import dataclasses
 import itertools
 import random
 from bisect import bisect_left, bisect_right
@@ -14,8 +13,9 @@ from badicdim import extract_lower, geometry
 from badicdim.core import CubeTree, DomainError, PointSet, leaf_corners, \
     leaf_representatives
 from badicdim.exactmath import ScaledPower, floor_lambda, iroot
-from badicdim.extract_lower import (BallTree, LowerParams, _pick_1d,
-                                    _tree_lattice, construct_subset_lower,
+from badicdim.extract_lower import (BallTree, LowerBoundRow, LowerParams,
+                                    _pick_1d, _tree_lattice,
+                                    construct_subset_lower,
                                     select_packing_children,
                                     verify_lower_bounds)
 from badicdim.generators import digit_cantor, random_branching_tree
@@ -282,13 +282,17 @@ def test_tsv_reuses_center_texts_only_for_the_same_centers(source, params):
     v = verify_lower_bounds(construct_subset_lower(source, params))
     rows = v.rows
     assert v.to_tsv() == _flat_tsv(rows)
+
+    def moved(row, center):
+        return LowerBoundRow(center, row.R, row.r, row.n_star,
+                             row.bound_num, row.bound_den, row.ok)
+
     # shuffled, shortened and reversed runs, equal but new center
     # objects, and a last run whose last center is another run's first
     for changed in (random.Random(5).sample(rows, len(rows)), rows[1:],
-                    rows[::-1], [dataclasses.replace(
-                        row, center=tuple(row.center)) for row in rows],
-                    rows[:-1] + [dataclasses.replace(
-                        rows[-1], center=rows[0].center)]):
+                    rows[::-1],
+                    [moved(row, tuple(list(row.center))) for row in rows],
+                    rows[:-1] + [moved(rows[-1], rows[0].center)]):
         v.rows = changed
         assert v.to_tsv() == _flat_tsv(changed)
 

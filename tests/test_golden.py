@@ -218,11 +218,20 @@ CASES = {
         "info --in header.wdt", "info --in other.txt",
         "info --in missing.bdt"],
         "177661b5de8280779b205c58372bdb4c43c66c56e30f7c02fcebfff84eeb9615"),
-    # a failure that exits 1: a .wdt without windows parses, then is refused
+    # failures that exit 1: a .wdt without windows parses, then is
+    # refused; digits outside 0..b-1 and a negative eps are refused
     "empty-wdt": ({"e.wdt": "wdt b=2 d=1 windows=0\n"}, [
         "info --in e.wdt", "estimate --in e.wdt --kind star-global",
         "estimate --in e.wdt --kind star-local"],
         "f9261647d4461cecffb32d866d0331518cc1a718a498924d8fb343d61eadfbda"),
+    "out-of-range-digits-and-negative-eps": ({}, [
+        "gen digit-cantor --base 3 --digits 0,5 --depth 2",
+        "gen digit-cantor --base 3 --digits 7 --depth 2",
+        "gen prop5-union --base 4 --m 2 --local-depth 2 --local-digits 0,2 "
+        "--global-digits 0,9",
+        CANTOR, "extract lower --alpha 9/10 --M 2 --depth 1 --eps -1 "
+        "--in c.bdt"],
+        "3cb5bbf9205ed07147addd9f345e2e8e067cdd862836bfd8455db6d884884167"),
 }
 
 
