@@ -3,7 +3,7 @@ geometrically shrinking radii, with the scale ratio chosen so that
 lambda^alpha * M = 1.
 
 The construction and its verifier work on integer lattice points: the
-source's corners at one scale D (base^w for a tree).  Each computes one
+source tree's cube corners at one scale D = base^w.  Each computes one
 threshold table, exactly (`exactmath.floor_lambda`): per scale j the
 floors of R_j D, 2 R_j D and (R_j - R_{j+1}) D.  Every in-ball,
 disjointness and nesting decision is then one integer comparison,
@@ -25,7 +25,7 @@ from math import lcm
 from operator import attrgetter, is_not
 
 from . import geometry
-from .core import CubeTree, DomainError, PointSet, leaf_corners
+from .core import CubeTree, DomainError, leaf_corners
 from .estimators import _log_ratio
 from .exactmath import exact_fraction, floor_lambda, pow_at_most, scaled_power
 
@@ -85,41 +85,36 @@ class BallTree:
         return self.level_centers(self.params.depth)
 
 
-def select_packing_children(points, center, R, r, M: int):
+def select_packing_children(query, center, lv: geometry.Level, M: int):
     """Pick M centers (the anchor first) whose r-balls are pairwise
     disjoint and inside B(center, R): greedy lexicographic over the
     packing candidates.  Requires a packing of M + 3^d balls, found by
-    a greedy scan that stops once it has them.  `R, r` are exact radii,
-    or a `geometry.Level` and None.  `points` may come in any order and
-    repeat: a point is never apart from itself.  In d = 1 it may also
-    be a successor query (`geometry.successors`)."""
+    a greedy scan that stops once it has them.  `lv` holds the radius
+    pair's thresholds on the integer lattice.  `query` is the lattice:
+    in d = 1 its successor query (`_tree_successors`), in d >= 2 its
+    sorted list of points, of which the inside ball is taken once."""
     d = len(center)
-    if d == 1:
-        succ = points if callable(points) else geometry.successors(
-            sorted(points))
-        found = succ(center[0]) == center
-    else:
-        points = sorted(points)
-        found = center in points
-    if not found:
-        raise DomainError("anchor center must belong to the point set")
-    lv = geometry.level_of(R, r)
     need = M + 3**d
     if d == 1:
         c = center[0]
-        achieved = sum(1 for _ in islice(geometry.sweep(
-            succ, c - lv.inside, c + lv.inside, lv.apart), need))
+        found = query(c) == center
+        packing = islice(geometry.sweep(query, c - lv.inside, c + lv.inside,
+                                        lv.apart), need)
     else:
-        achieved = len(geometry.greedy_scan(geometry.ball_points(
-            points, center, lv.inside), lv.apart, [], need))
+        ball = geometry.ball_points(query, center, lv.inside)
+        found = center in ball
+        packing = geometry.greedy_scan(ball, lv.apart, [], need)
+    if not found:
+        raise DomainError("anchor center must belong to the point set")
+    achieved = sum(1 for _ in packing)
     if achieved < need:
         raise DomainError(
             f"insufficient packing: need >= {need}, achieved {achieved}")
     if d == 1:
-        chosen = _pick_1d(succ, center, lv, M)
+        chosen = _pick_1d(query, center, lv, M)
     else:
         chosen = geometry.greedy_scan(
-            geometry.ball_points(points, center, lv.nested), lv.apart,
+            geometry.ball_points(ball, center, lv.nested), lv.apart,
             [center], M)
     if len(chosen) < M:
         raise DomainError(
@@ -140,8 +135,8 @@ def _pick_1d(succ, center, lv, M: int) -> list:
 
 
 def _tree_successors(tree: CubeTree, w: int):
-    """The successor query of `geometry.successors` on the corners of
-    a d = 1 tree's cubes of level w, each one descent
+    """The successor query of `geometry.sweep` on the corners of a
+    d = 1 tree's cubes of level w, each one descent
     (`CubeTree.successor`): no cube is listed.  Values are integers."""
 
     def succ(t, strict=False):
@@ -203,30 +198,23 @@ def _check_source(source: CubeTree, params: LowerParams, count: int):
             f"below alpha+eps={float(target):.6f}")
 
 
-def construct_subset_lower(source, params: LowerParams) -> BallTree:
-    """Build the nested ball families from the points of `source` (a
-    PointSet, or a CubeTree whose cube corners at one level are used,
-    see `_tree_lattice`).  In d = 1 every query is a successor query.
-    A tree is walked once, for its level counts."""
-    if isinstance(source, CubeTree):
-        counts = list(source.level_counts())
-        _check_source(source, params, counts[-1])
-        w = _tree_lattice(source, params, counts)
-        D = source.base**w
-        if source.dim == 1:
-            succ = _tree_successors(source, w)
-            first = succ(0)
-        else:
-            pts = leaf_corners(source, w)
-            first = pts[0]
-    elif isinstance(source, PointSet):
-        D, pts = _lattice(source.points)
-        if not pts:
-            raise DomainError("empty source set")
-        pts.sort()
-        succ, first = geometry.successors(pts), pts[0]
-    else:
+def construct_subset_lower(source: CubeTree, params: LowerParams) -> BallTree:
+    """Build the nested ball families from the corners of the cubes of
+    one level of the tree `source` (see `_tree_lattice`).  In d = 1
+    every query is a successor query.  The tree is walked once, for its
+    level counts."""
+    if not isinstance(source, CubeTree):
         raise DomainError(f"unsupported source type {type(source)!r}")
+    counts = list(source.level_counts())
+    _check_source(source, params, counts[-1])
+    w = _tree_lattice(source, params, counts)
+    D = source.base**w
+    if source.dim == 1:
+        query = _tree_successors(source, w)
+        first = query(0)
+    else:
+        query = leaf_corners(source, w)
+        first = query[0]
     inside, apart, nested = _thresholds(params, D)
     centers = {(): first}
     words = [()]
@@ -235,11 +223,8 @@ def construct_subset_lower(source, params: LowerParams) -> BallTree:
         next_words = []
         for word in words:
             x = centers[word]
-            near = succ if source.dim == 1 else geometry.ball_points(
-                pts, x, lv.inside)
             try:
-                children = select_packing_children(near, x, lv, None,
-                                                   params.M)
+                children = select_packing_children(query, x, lv, params.M)
             except DomainError as exc:
                 raise DomainError(
                     f"at word {word or '(root)'}: {exc}") from None
@@ -247,10 +232,8 @@ def construct_subset_lower(source, params: LowerParams) -> BallTree:
                 centers[word + (i,)] = c
                 next_words.append(word + (i,))
         words = next_words
-    tree = BallTree(params, source.dim)
-    tree.centers = {w: tuple(Fraction(v, D) for v in x)
-                    for w, x in centers.items()}
-    return tree
+    return BallTree(params, source.dim, {
+        w: tuple(Fraction(v, D) for v in x) for w, x in centers.items()})
 
 
 class LowerBoundRow:

@@ -29,11 +29,14 @@ class GeneratorSpec:
 
 
 def _base_digits(digits, base: int) -> set:
-    """`digits` as a set; the least one outside 0..base-1 raises."""
+    """`digits` as a set; the least one outside 0..base-1 raises, and so
+    does an empty set."""
     digits = set(digits)
     for dig in sorted(digits):
         if not 0 <= dig < base:
             raise DomainError(f"digit {dig} outside 0..{base - 1}")
+    if not digits:
+        raise DomainError("allowed digit set is empty")
     return digits
 
 

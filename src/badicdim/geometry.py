@@ -84,24 +84,13 @@ def _sweep(cands, apart) -> list:
     return kept
 
 
-def successors(pts):
-    """The successor query of the sorted 1-D points `pts`, by bisection:
-    `succ(t)` is the first point whose coordinate is >= t, or > t when
-    `strict`, or None."""
-    key = itemgetter(0)
-
-    def succ(t, strict=False):
-        i = (bisect_right if strict else bisect_left)(pts, t, key=key)
-        return pts[i] if i < len(pts) else None
-    return succ
-
-
 def sweep(succ, lo, hi, apart, skip=None):
     """Greedy packing of the 1-D points with coordinate in [lo, hi],
-    lazily, one successor query (`succ`, see `successors`) per step:
-    the scan of `_sweep`, keeping the first point, then the first one
-    more than `apart` (>= 0) past the last kept, without a candidate
-    list.  Points within `apart` of `skip` are passed over."""
+    lazily, one successor query per step (`succ(t)`: the first point
+    at >= t, or > t when `strict`, or None): the scan of `_sweep`,
+    keeping the first point, then the first one more than `apart`
+    (>= 0) past the last kept, without a candidate list.  Points within
+    `apart` of `skip` are passed over."""
     p = succ(lo)
     while p is not None and p[0] <= hi:
         if skip is not None and abs(p[0] - skip) <= apart:

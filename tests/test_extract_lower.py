@@ -11,10 +11,11 @@ from hypothesis import given, settings, strategies as st
 
 from badicdim import extract_lower, geometry
 from badicdim.core import CubeTree, DomainError, PointSet, leaf_corners, \
-    leaf_representatives
+    leaf_representatives, representatives_tree
 from badicdim.exactmath import ScaledPower, floor_lambda, iroot
 from badicdim.extract_lower import (BallTree, LowerBoundRow, LowerParams,
                                     _pick_1d, _tree_lattice,
+                                    _tree_successors,
                                     construct_subset_lower,
                                     select_packing_children,
                                     verify_lower_bounds)
@@ -134,26 +135,56 @@ def test_radius_text_is_pinned(M, p, q, R0, k, text):
     assert isinstance(radius, ScaledPower) == ("(" in text)
 
 
+# the corners 0..15 of the cubes of level 4 of the full binary tree,
+# every one in the ball and apart from every other
+SIXTEEN = _tree_successors(CubeTree.full(2, 1, 4), 4)
+WIDE = geometry.Level(15, 0, 14)
+
+
 def test_select_packing_children_example():
-    pts = [(Fraction(i, 15),) for i in range(16)]
-    chosen = select_packing_children(pts, (Fraction(0),), Fraction(1),
-                                     Fraction(1, 64), 4)
+    chosen = select_packing_children(SIXTEEN, (0,), WIDE, 4)
     assert len(chosen) == 4
-    assert chosen[0] == (Fraction(0),)
+    assert chosen[0] == (0,)
 
 
 def test_select_packing_children_m1():
-    pts = [(Fraction(i, 15),) for i in range(16)]
-    chosen = select_packing_children(pts, (Fraction(0),), Fraction(1),
-                                     Fraction(1, 64), 1)
-    assert chosen == [(Fraction(0),)]
+    assert select_packing_children(SIXTEEN, (0,), WIDE, 1) == [(0,)]
 
 
 def test_select_packing_children_sparse_error():
-    pts = [(Fraction(0),), (Fraction(1, 2),), (Fraction(1),)]
+    three = CubeTree.from_leaves(4, 1, 1, [((0,),), ((2,),), ((3,),)])
     with pytest.raises(DomainError, match="achieved 3"):
-        select_packing_children(pts, (Fraction(0),), Fraction(2),
-                                Fraction(1, 64), 4)
+        select_packing_children(_tree_successors(three, 1), (0,),
+                                geometry.Level(8, 0, 7), 4)
+
+
+def test_select_packing_children_2d_picks_inside_the_nested_ball():
+    # the lattice 0..7 on each axis: the inside ball of radius 3 holds
+    # (0, 0), which comes first, but only the nested ball's points, at
+    # distance <= 1 from the anchor, may be picked
+    lattice = leaf_corners(CubeTree.full(2, 2, 3))
+    assert select_packing_children(lattice, (3, 3), geometry.Level(3, 0, 1),
+                                   4) == [(3, 3), (2, 2), (2, 3), (2, 4)]
+
+
+@pytest.mark.parametrize("query, center", [
+    (_tree_successors(CubeTree.from_leaves(4, 1, 1, [((0,),), ((2,),)]), 1),
+     (1,)),
+    (leaf_corners(CubeTree.full(2, 2, 2)), (1, 4))])
+def test_select_packing_children_refuses_an_anchor_off_the_lattice(query,
+                                                                   center):
+    # in d = 1 the successor of 1 is 2; in d = 2 the lattice is 0..3 on
+    # each axis
+    with pytest.raises(DomainError, match=(
+            "^anchor center must belong to the point set$")):
+        select_packing_children(query, center, geometry.Level(8, 0, 7), 2)
+
+
+def test_construct_refuses_a_point_set():
+    points = PointSet.of(2, 1, [(Fraction(1, 4),), (Fraction(3, 4),)])
+    with pytest.raises(DomainError, match=(
+            "^unsupported source type <class 'badicdim.core.PointSet'>$")):
+        construct_subset_lower(points, LowerParams(Fraction(1, 2), 2, 0))
 
 
 def _plain_scan_picks(pts, center, lv, M):
@@ -170,20 +201,25 @@ def _plain_scan_picks(pts, center, lv, M):
 
 
 @settings(max_examples=300, deadline=None)
-@given(st.lists(st.integers(-40, 40), min_size=1, max_size=60), st.data(),
+@given(st.lists(st.integers(0, 80), min_size=1, max_size=60), st.data(),
        st.integers(0, 6), st.integers(0, 40), st.integers(1, 8))
 def test_select_packing_children_1d_matches_plain_scan(values, data, apart,
                                                        nested, M):
-    pts = sorted((v,) for v in values)
+    # the values are the corners of a base-3 depth-4 tree's leaves
+    values = sorted(set(values))
+    tree = CubeTree.from_leaves(3, 1, 4, [
+        tuple((v // 3**i % 3,) for i in (3, 2, 1, 0)) for v in values])
+    pts = [(v,) for v in values]
     center = data.draw(st.sampled_from(pts))
     lv = geometry.Level(nested, apart, nested)
-    assert _pick_1d(geometry.successors(pts), center, lv,
+    assert _pick_1d(_tree_successors(tree, 4), center, lv,
                     M) == _plain_scan_picks(pts, center, lv, M)
 
 
 def test_construct_depth0():
     ps = PointSet.of(2, 1, [(Fraction(1, 4),), (Fraction(3, 4),)])
-    bt = construct_subset_lower(ps, LowerParams(Fraction(1, 2), 2, 0))
+    bt = construct_subset_lower(representatives_tree(ps),
+                                LowerParams(Fraction(1, 2), 2, 0))
     assert bt.leaf_points == [(Fraction(1, 4),)]  # min point anchors
 
 
@@ -252,8 +288,11 @@ def test_construct_on_unchecked_depth0_source():
 
 def test_construct_failure_names_word():
     ps = PointSet.of(4, 1, [(Fraction(i, 16),) for i in range(8)])
-    with pytest.raises(DomainError, match="at word"):
-        construct_subset_lower(ps, LowerParams(Fraction(1, 2), 4, 3))
+    with pytest.raises(DomainError, match=(
+            r"^at word \(root\): insufficient packing: need >= 7, "
+            r"achieved 3$")):
+        construct_subset_lower(representatives_tree(ps),
+                               LowerParams(Fraction(1, 2), 4, 3))
 
 
 def test_report_tsv_shape():
@@ -593,12 +632,11 @@ def test_keyed_verifier_matches_the_per_row_loop(seed, shape, am, levels, R0,
     rng = random.Random(seed)
     trees = [_grid_ball_tree(rng, params, dim, D) for _ in range(3)]
     source = _random_source(seed, base, dim, 6 if dim == 1 else 3, 0.7)
-    for source in (source, leaf_representatives(source)):
-        try:
-            with _unchecked():
-                trees.append(construct_subset_lower(source, params))
-        except DomainError:
-            pass
+    try:
+        with _unchecked():
+            trees.append(construct_subset_lower(source, params))
+    except DomainError:
+        pass
     radii = [params.radius(j) for j in range(levels + 1)]
     for tree in trees:
         v = verify_lower_bounds(tree)

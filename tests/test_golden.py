@@ -232,6 +232,12 @@ CASES = {
         CANTOR, "extract lower --alpha 9/10 --M 2 --depth 1 --eps -1 "
         "--in c.bdt"],
         "3cb5bbf9205ed07147addd9f345e2e8e067cdd862836bfd8455db6d884884167"),
+    # an empty global digit set is refused, as an empty local one is,
+    # before any file is written
+    "gen-prop5-union-empty-global-digits": ({}, [
+        "gen prop5-union --base 4 --m 2 --local-depth 2 --local-digits 0,2 "
+        "--global-digits , --out e.wdt"],
+        "a07b69e574fcb2ea032f4f56fa090c39d4feb259665bcc3d3ea565d648452629"),
 }
 
 

@@ -1,6 +1,7 @@
-"""No module of the package imports a name it never uses, calls `id`,
-imports anything beyond the standard library or holds a tolerance-sized
-float literal, and a CLI run loads no `dataclasses`, `inspect`, `ast` or
+"""No module of the package imports a name it never uses, defines a
+function or class that nothing reads or exports, calls `id`, imports
+anything beyond the standard library or holds a tolerance-sized float
+literal, and a CLI run loads no `dataclasses`, `inspect`, `ast` or
 `dis`.  Only the standard library's `ast` is needed, so the gates run
 wherever the tests do."""
 
@@ -54,6 +55,46 @@ def test_gate_finds_unused_names():
               "__all__ = ['read_bdt']\n"
               "def f(x: CubeTree):\n    return m.log(x)\n")
     assert unused_imports(source) == ["line 2: os", "line 4: CubeNode"]
+
+
+def dead_names(sources: dict, exported) -> list:
+    """The module-level functions and classes of `sources` (file name ->
+    text) that are not in `exported` and that no module reads: no
+    `ast.Name` load and no `ast.Attribute` load names them."""
+    defined, read = [], set()
+    for name, source in sources.items():
+        module = ast.parse(source)
+        defined += [(name, stmt.lineno, stmt.name) for stmt in module.body
+                    if isinstance(stmt, (ast.FunctionDef,
+                                         ast.AsyncFunctionDef, ast.ClassDef))]
+        for node in ast.walk(module):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute) and \
+                    isinstance(node.ctx, ast.Load):
+                read.add(node.attr)
+    return [f"{name} line {line}: {def_name}"
+            for name, line, def_name in defined
+            if def_name not in read and def_name not in exported]
+
+
+def test_every_module_level_name_is_exported_or_read():
+    assert dead_names({path.name: path.read_text() for path in MODULES},
+                      badicdim.__all__) == []
+
+
+def test_gate_finds_dead_names():
+    sources = {
+        "a.py": ("def called():\n    pass\ndef dead():\n    pass\n"
+                 "class Unread:\n    def method(self):\n        pass\n"
+                 "def public():\n    pass\ndef by_attribute():\n    pass\n"
+                 "def stored():\n    pass\n"),
+        "b.py": ("from .a import called, dead\nfrom . import a\n"
+                 "a.stored = 1\nx = called(), a.by_attribute\n"
+                 "async def tail():\n    pass\n")}
+    assert dead_names(sources, ["public"]) == [
+        "a.py line 3: dead", "a.py line 5: Unread", "a.py line 12: stored",
+        "b.py line 5: tail"]
 
 
 def id_calls(source: str) -> list:
