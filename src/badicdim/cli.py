@@ -18,8 +18,8 @@ from . import estimators, extract_assouad, extract_lower, generators
 from .core import (CubeTree, DomainError, PointSet, SetFormatError,
                    WindowedSet, leaf_representatives, read_bdt, read_wdt,
                    representatives_tree, write_bdt, write_wdt)
-from .exactmath import (count_meets_power_bound, parse_fraction,
-                        pow_at_least)
+from .exactmath import (count_meets_power_bound, least_fitting,
+                        parse_fraction, pow_at_least)
 
 
 def _read_set(path: str):
@@ -68,13 +68,10 @@ def _positive_int(text: str) -> int:
 
 
 def _cmd_gen(args) -> int:
-    params = {}
-    for name in ("base", "dim", "depth", "m", "chain", "count",
-                 "max_children", "seed", "local_depth", "digits",
-                 "local_digits", "global_digits"):
-        val = getattr(args, name, None)
-        if val is not None:
-            params[name] = val
+    params = {name: getattr(args, name) for name in (
+        "base", "dim", "depth", "m", "chain", "count", "max_children",
+        "seed", "local_depth", "digits", "local_digits", "global_digits")
+        if getattr(args, name, None) is not None}
     obj = generators.generate(generators.GeneratorSpec(args.family, params))
     _write_set(obj, args.out)
     return 0
@@ -114,10 +111,8 @@ def _cmd_estimate(args) -> int:
 
 
 def _parse_strategy(text: str):
-    if text == "greedy":
-        return "greedy", 0
-    if text == "random":
-        return "random", 0
+    if text in ("greedy", "random"):
+        return text, 0
     if text.startswith("random:"):
         return "random", int(text.split(":", 1)[1])
     raise argparse.ArgumentTypeError(f"unknown strategy '{text}'")
@@ -126,9 +121,7 @@ def _parse_strategy(text: str):
 def _rebase_to(tree: CubeTree, M: int) -> CubeTree:
     if M == tree.base:
         return tree
-    t = 1
-    while tree.base**t < M:
-        t += 1
+    t = least_fitting(lambda t: tree.base**t >= M, 1)
     if tree.base**t != M:
         raise DomainError(
             f"M={M} is not a power of the tree base {tree.base}")
@@ -141,16 +134,12 @@ def _cmd_extract_assouad(args) -> int:
         raise DomainError("extract assouad needs a .bdt tree")
     tree = obj if args.M is None else _rebase_to(obj, args.M)
     strategy, seed = args.strategy
-    if args.seed:
-        seed = args.seed
+    seed = args.seed or seed
     trace = extract_assouad.construct_subset_assouad(
         tree, args.alpha, args.eps, args.stages, strategy=strategy,
         seed=seed)
-    if args.out:
-        out_tree = trace.tree
-        if out_tree.base != obj.base:  # undo the rebase for writing
-            out_tree = out_tree.debase(obj.base)
-        _write_set(out_tree, args.out)
+    if args.out:  # in the source base; debase is the identity without --M
+        _write_set(trace.tree.debase(obj.base), args.out)
     _emit(trace.to_tsv(), args.trace)
     print(f"headline={trace.headline:.6f} delta={trace.delta:.6f} "
           f"kstar={trace.k_star}")
@@ -247,10 +236,8 @@ def _verify_prune_bound(seed: int, samples: int):
         max_kids = tree.extreme_count(1)[0]
         # smallest eps (denominator 6) making every N <= max_kids
         # admissible: the lemma requires N <= M^(s+eps) with s = 0 here
-        num = 0
-        while not pow_at_least(M, Fraction(num, 6), max_kids):
-            num += 1
-        eps = Fraction(num, 6)
+        eps = Fraction(least_fitting(lambda num: pow_at_least(
+            M, Fraction(num, 6), max_kids), 0), 6)
         for N in range(1, max_kids + 1):
             params = extract_assouad.PruneParams(
                 M, depth, N, Fraction(0), eps)

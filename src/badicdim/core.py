@@ -404,11 +404,8 @@ class CubeTree:
 
     @classmethod
     def full(cls, base: int, dim: int, depth: int) -> "CubeTree":
-        keys = all_keys(base, dim)
-        node = _LEAF
-        for _ in range(depth):
-            node = CubeNode(tuple((k, node) for k in keys))
-        return cls(base, dim, depth, node)
+        check_shape(base, dim, depth)
+        return cls.from_digit_rule(base, dim, depth, all_keys(base, dim))
 
     @classmethod
     def from_digit_rule(cls, base: int, dim: int, depth: int,

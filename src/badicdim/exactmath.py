@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from functools import cached_property
 from fractions import Fraction
-from math import floor as math_floor, gcd as math_gcd, isfinite, prod
+from math import floor as math_floor, gcd as math_gcd, isfinite, lcm, prod
 
 from .core import DomainError
 
@@ -117,9 +117,7 @@ def badic_power_sum_le(base: int, term_exps: list[int], bound_exp: int,
     base, m = _perfect_power(base)
     fracs = [Fraction(e * p * m, q) for e in term_exps]
     tgt_frac = Fraction(bound_exp * p * m, q)
-    q = 1
-    for f in fracs + [tgt_frac]:
-        q = q * f.denominator // math_gcd(q, f.denominator)
+    q = lcm(*[f.denominator for f in fracs + [tgt_frac]])
     nums = [int(f * q) for f in fracs]
     target = int(tgt_frac * q)
     if q == 1:

@@ -7,15 +7,17 @@ from __future__ import annotations
 
 import math
 import random
+from bisect import bisect_left
 from fractions import Fraction
+from itertools import permutations
 from operator import itemgetter
 
 from .core import (CubeTree, DomainError, Window, WindowedSet,
-                   digit_text, grow_preorder, rebuild, rng_draws)
+                   digit_text, grow_preorder, rebuild, rng_draws, walk)
 from .estimators import _log_ratio
 from .exactmath import (MAX_DENOMINATOR, badic_power_sum_le,
                         count_meets_power_bound, exact_fraction, floor_power,
-                        least_fitting, pow_at_least, pow_at_most)
+                        iroot, least_fitting, pow_at_least, pow_at_most)
 
 RANDOM_RETRIES = 64
 
@@ -73,23 +75,37 @@ def check_prune_hypotheses(tree: CubeTree, params: PruneParams):
                 f"cap floor(M^(s+eps))={cap_limit}")
 
 
-def prune_with_caps(tree: CubeTree, caps) -> CubeTree:
-    """Greedy prune: per level i keep at most caps[i] children, chosen
-    as those with the largest descendant-leaf counts (lexicographic tie
-    break).  Deterministic; monotone in the caps."""
-    caps = list(caps)
-    if len(caps) != tree.depth:
-        raise DomainError("need one cap per level")
-
+def _ranked(tree: CubeTree) -> dict:
+    """Each distinct node -> its `(key, child)` pairs ranked by (-leaf
+    count, key), the order in which a prune keeps them (children come in
+    key order, and the sort is stable)."""
     leaves = tree.leaf_counts
+    return {node: sorted(node.children, key=lambda kc: leaves[kc[1]],
+                         reverse=True) for node in leaves}
 
+
+def _keep(tree: CubeTree, ranked: dict, caps) -> CubeTree:
+    """The prune of `tree` that keeps the first caps[i] ranked children
+    of each level-i node."""
     def children(node, level):
-        ranked = sorted(node.children,
-                        key=lambda kc: (-leaves[kc[1]], kc[0]))
-        return sorted(ranked[:caps[level]], key=itemgetter(0))
+        return sorted(ranked[node][:caps[level]], key=itemgetter(0))
 
     return CubeTree(tree.base, tree.dim, tree.depth,
                     rebuild(tree.root, tree.depth, children))
+
+
+def prune_with_caps(tree: CubeTree, caps) -> CubeTree:
+    """Greedy prune: per level i keep at most caps[i] >= 1 children,
+    chosen as those with the largest descendant-leaf counts
+    (lexicographic tie break).  Deterministic; monotone in the caps."""
+    caps = list(caps)
+    if len(caps) != tree.depth:
+        raise DomainError("need one cap per level")
+    for level, cap in enumerate(caps):
+        if cap < 1:
+            raise DomainError(f"child cap N={cap} at level {level} must "
+                              f"be >= 1")
+    return _keep(tree, _ranked(tree), caps)
 
 
 def prune(tree: CubeTree, params: PruneParams,
@@ -188,6 +204,8 @@ class ConstructionTrace:
 def _validate_target(M: int, dim: int, alpha: Fraction, eps: Fraction):
     if not 0 < alpha:
         raise DomainError("target alpha must be positive")
+    if eps < 0:
+        raise DomainError("slack eps must be >= 0")
     N = floor_power(M, alpha)
     if not pow_at_most(M, alpha - eps / 2, N):
         raise DomainError(
@@ -343,37 +361,6 @@ def construct_subset_assouad_global(wset: WindowedSet, alpha: Fraction,
 # -- two-sided ladder -------------------------------------------------
 
 
-def plan_caps(depth: int, target_log: float, upper):
-    """Per-level child caps in 1..upper[i] whose product tracks
-    exp(target_log).  Deterministic."""
-    upper = list(upper)
-    if len(upper) != depth:
-        raise DomainError("need one bound per level")
-    caps = []
-    remaining = target_log
-    for i in range(depth):
-        ideal = math.exp(remaining / (depth - i))
-        cap = min(upper[i], max(1, round(ideal)))
-        caps.append(cap)
-        remaining -= math.log(cap)
-    # local refinement: nudge single levels while it shrinks the error
-    def err(cs):
-        return abs(sum(math.log(c) for c in cs) - target_log)
-
-    improved = True
-    while improved:
-        improved = False
-        for i in range(depth):
-            for step in (-1, 1):
-                cand = caps[i] + step
-                if 1 <= cand <= upper[i]:
-                    trial = caps[:i] + [cand] + caps[i + 1:]
-                    if err(trial) < err(caps):
-                        caps = trial
-                        improved = True
-    return caps
-
-
 class LadderStage:
     __slots__ = ("index", "interval", "caps", "headline")
 
@@ -396,16 +383,60 @@ class LadderResult:
         self.b_stages = b_stages
 
 
+def _fit_caps(count, upper: list, lo: int, hi: int, name: str) -> list:
+    """Caps at or below `upper` whose leaf count `count(caps)` lies in
+    [lo, hi].  Bisects the chain of single decrements that lowers the
+    largest cap first (the deepest on ties), on which the count only
+    falls; steps down from the last caps above the window by the
+    gentlest single decrement, or one landing in it; where every one
+    undershoots, tries moving one unit of cap between two levels."""
+    reached = set()
+
+    def size(caps):
+        reached.add(n := count(caps))
+        return n
+
+    chain = [list(upper)]
+    while max(chain[-1]) > 1:
+        caps = list(chain[-1])
+        caps[max(range(len(caps)), key=lambda i: (caps[i], i))] -= 1
+        chain.append(caps)
+    k = bisect_left(chain, True, key=lambda caps: size(caps) <= hi)
+    if k < len(chain) and size(chain[k]) >= lo:
+        return chain[k]
+    over = chain[k - 1] if k else []  # the last caps above the window
+    while over:
+        step = max(([*over[:i], cap - 1, *over[i + 1:]]
+                    for i, cap in enumerate(over) if cap > 1),
+                   key=lambda caps: (lo <= size(caps) <= hi, size(caps)),
+                   default=None)
+        if step is None or size(step) < lo:
+            break
+        if size(step) <= hi:
+            return step
+        over = step
+    for i, j in permutations(range(len(over)), 2):
+        moved = [cap - (k == i) + (k == j) for k, cap in enumerate(over)]
+        if over[i] > 1 and over[j] < upper[j] and lo <= size(moved) <= hi:
+            return moved
+    raise DomainError(
+        f"no caps give stage {name} a leaf count in [{lo}, {hi}]; nearest "
+        f"reached: {max((n for n in reached if n < lo), default='none')} "
+        f"below, {min((n for n in reached if n > hi), default='none')} above")
+
+
 def sandwich_assemble(tree: CubeTree, alpha, levels: int) -> LadderResult:
     """Nested ladder A_1 c ... c A_L c B_L c ... c B_1 with stage
     headlines inside I_n = (a_n, a_{n+1}] and J_n = [b_{n+1}, b_n),
     a_n = alpha(1 - 2^-n) rising to alpha and b_n falling from the
     source estimate s toward alpha.
 
-    A headline is log(c) / (D log M) for a leaf count c, so stages are
-    decided on c in integers; floats only plan caps and print.  alpha is
-    read by `exactmath.exact_fraction`, and its denominator must be at
-    most MAX_DENOMINATOR, as the stage powers carry it."""
+    A headline is log(c) / (D log M) for a leaf count c, so a stage is
+    an integer interval of c, and its caps are searched (`_fit_caps`) at
+    or below those of the stage enclosing it, in the order B_1, ...,
+    B_L, A_L, ..., A_1, so the chain nests.  Floats only print.  alpha
+    is read by `exactmath.exact_fraction`, and its denominator must be
+    at most MAX_DENOMINATOR, as the stage powers carry it."""
     if levels < 1:
         raise DomainError("ladder needs L >= 1")
     alpha = exact_fraction(alpha, "alpha")
@@ -419,62 +450,48 @@ def sandwich_assemble(tree: CubeTree, alpha, levels: int) -> LadderResult:
     s = _log_ratio(C, D, M)
     if not 0 < alpha or pow_at_least(M, alpha * D, C):  # alpha >= s
         raise DomainError(f"alpha must lie in (0, {s:.6f})")
-    log_m, alpha_f = math.log(M), float(alpha)
-    a = [alpha_f * (1 - 2.0**-n) for n in range(1, levels + 2)]
-    b = [s + (alpha_f - s) * (1 - 2.0 ** (1 - n))
+
+    def b_first(n):  # least c of headline >= b_n: c^t >= C M^(alpha D (t-1))
+        t, e = 2 ** (n - 1), alpha * D * (2 ** (n - 1) - 1)
+        return iroot(C**e.denominator * M**e.numerator - 1,
+                     t * e.denominator) + 1
+
+    a = [alpha * (1 - Fraction(1, 2**n)) for n in range(1, levels + 2)]
+    b = [s + (float(alpha) - s) * (1 - 2.0 ** (1 - n))
          for n in range(1, levels + 2)]
-    i_mids = [(a[n] + a[n + 1]) / 2 for n in range(levels)]
-    j_mids = [(b[n + 1] + b[n]) / 2 for n in range(levels)]
-    max_children = [tree.extreme_count(1, lo=i, hi=i)[0] for i in range(D)]
+    stages = [("B", n, b_first(n + 1), b_first(n) - 1, (b[n], b[n - 1]))
+              for n in range(1, levels + 1)]  # then A, in search order
+    stages += [("A", n, floor_power(M, D * a[n - 1]) + 1, floor_power(
+        M, D * a[n]), (float(a[n - 1]), float(a[n])))
+        for n in range(levels, 0, -1)]
+    ranked, layers = _ranked(tree), list(walk({tree.root: None}, D))
+    memo = {(): dict.fromkeys(layers[-1], 1)}  # caps of levels i.. -> counts
 
-    caps_b = []
-    ub = max_children
-    for n in range(levels):
-        caps = plan_caps(D, j_mids[n] * D * log_m, ub)
-        caps_b.append(caps)
-        ub = caps
-    caps_a = []
-    for n in reversed(range(levels)):
-        ub = caps_b[n] if not caps_a else \
-            [min(x, y) for x, y in zip(caps_b[n], caps_a[0])]
-        caps_a.insert(0, plan_caps(D, i_mids[n] * D * log_m, ub))
+    def count(caps):  # the leaf count of _keep(tree, ranked, caps)
+        key = tuple(caps)
+        for i in reversed(range(D)):
+            if key[i:] not in memo:
+                below = memo[key[i + 1:]]
+                memo[key[i:]] = {node: sum([below[kid] for _, kid in
+                                            ranked[node][:key[i]]])
+                                 for node in layers[i]}
+        return memo[key][tree.root]
 
-    def above_a(c, n):  # headline > a_n: M^(D a_n) < c
-        return not pow_at_least(M, D * alpha * (1 - Fraction(1, 2**n)), c)
-
-    def reaches_b(c, n):  # headline >= b_n: c^t >= C M^(alpha D (t - 1))
-        t = 2 ** (n - 1)
-        return pow_at_most(M, alpha * D * (t - 1), Fraction(c**t, C))
-
-    def build(caps, interval, idx, half_open_low):
-        sub = prune_with_caps(tree, caps)
-        c = sub.leaf_count
-        headline = _log_ratio(c, D, M)
-        lo, hi = interval
-        if half_open_low:   # (a_idx, a_{idx+1}]
-            ok = above_a(c, idx) and not above_a(c, idx + 1)
-        else:               # [b_{idx+1}, b_idx)
-            ok = reaches_b(c, idx + 1) and not reaches_b(c, idx)
-        if not ok:
-            raise DomainError(
-                f"stage {idx} headline {headline:.6f} outside "
-                f"{'(' if half_open_low else '['}{lo:.6f}, {hi:.6f}"
-                f"{']' if half_open_low else ')'}")
-        return sub, headline
-
-    a_trees, b_trees, a_stages, b_stages = [], [], [], []
-    for n in range(levels):
-        sub, headline = build(caps_b[n], (b[n + 1], b[n]), n + 1, False)
-        b_trees.append(sub)
-        b_stages.append(LadderStage(n + 1, (b[n + 1], b[n]), caps_b[n],
-                                    headline))
-    for n in range(levels):
-        sub, headline = build(caps_a[n], (a[n], a[n + 1]), n + 1, True)
-        a_trees.append(sub)
-        a_stages.append(LadderStage(n + 1, (a[n], a[n + 1]), caps_a[n],
-                                    headline))
-    chain = a_trees + list(reversed(b_trees))
-    for inner, outer in zip(chain, chain[1:]):
-        if not outer.contains_tree(inner):
-            raise DomainError("ladder nesting violated")
+    caps = [max(len(node.children) for node in layer)
+            for layer in layers[:-1]]
+    built = []
+    for name, n, lo, hi, interval in stages:
+        caps = _fit_caps(count, caps, lo, hi, f"{name}_{n}")
+        sub = _keep(tree, ranked, caps)
+        if not lo <= sub.leaf_count <= hi:
+            raise DomainError(f"stage {name}_{n} kept {sub.leaf_count} "
+                              f"leaves, outside [{lo}, {hi}]")
+        built.append((sub, LadderStage(n, interval, caps, _log_ratio(
+            sub.leaf_count, D, M))))
+    chain = built[::-1]  # A_1, ..., A_L, B_L, ..., B_1
+    if not all(outer.contains_tree(inner)
+               for (inner, _), (outer, _) in zip(chain, chain[1:])):
+        raise DomainError("ladder nesting violated")
+    a_trees, a_stages = map(list, zip(*chain[:levels]))
+    b_trees, b_stages = map(list, zip(*built[:levels]))
     return LadderResult(a_trees, b_trees, a_stages, b_stages)

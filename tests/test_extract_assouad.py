@@ -4,19 +4,20 @@ import statistics
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from badicdim.core import (CubeNode, CubeTree, DomainError, Window,
                            WindowedSet, write_bdt, write_wdt)
 from badicdim.estimators import _log_ratio, star_dimension_report
 from badicdim.exactmath import (badic_power_sum_le, count_meets_power_bound,
                                 floor_power, least_fitting)
-from badicdim.extract_assouad import (PruneParams, check_gap_condition,
+from badicdim.extract_assouad import (LadderResult, PruneParams,
+                                      check_gap_condition,
                                       check_prune_hypotheses,
                                       construct_subset_assouad,
                                       construct_subset_assouad_global,
                                       find_dense_window, headline_in_window,
-                                      plan_caps, prune, prune_with_caps,
+                                      prune, prune_with_caps,
                                       sandwich_assemble)
 from badicdim.extract_lower import (LowerParams, construct_subset_lower,
                                     verify_lower_bounds)
@@ -61,6 +62,14 @@ def test_prune_monotone_in_caps():
     small = prune_with_caps(t, [1, 2, 1, 2])
     big = prune_with_caps(t, [2, 3, 2, 3])
     assert big.contains_tree(small)
+
+
+def test_prune_with_caps_refuses_a_cap_below_one():
+    # a zero cap would leave interior nodes without children: a tree of
+    # no leaves, which no .bdt file holds
+    with pytest.raises(DomainError,
+                       match="^child cap N=0 at level 1 must be >= 1$"):
+        prune_with_caps(CubeTree.full(2, 1, 3), [2, 0, 2])
 
 
 def test_random_prune_reproducible_and_bounded():
@@ -335,13 +344,6 @@ def test_gap_condition_rejects_tight_windows():
     assert not check_gap_condition(close, Fraction(3, 4), 2)
 
 
-def test_plan_caps_tracks_target():
-    caps = plan_caps(6, math.log(2.0**3), [2] * 6)
-    assert all(1 <= c <= 2 for c in caps)
-    got = sum(math.log(c) for c in caps)
-    assert abs(got - 3 * math.log(2)) < math.log(2) / 2 + 1e-9
-
-
 def test_sandwich_ladder_l1():
     E = CubeTree.full(2, 1, 24)
     res = sandwich_assemble(E, 0.5, 1)
@@ -458,6 +460,34 @@ def _reaches_b(c: int, C: int, M: int, D: int, alpha: Fraction,
     return c ** (t * e.denominator) >= C**e.denominator * M**e.numerator
 
 
+def _assert_ladder_in_windows(tree, alpha, levels, res):
+    """Each stage's leaf count lies in its integer window, and A_1 c ...
+    c A_L c B_L c ... c B_1 c the source."""
+    M, D, C = tree.base, tree.depth, tree.leaf_count
+    assert len(res.a_trees) == len(res.b_trees) == levels
+    for n, (a, b) in enumerate(zip(res.a_trees, res.b_trees), start=1):
+        lo, hi = (alpha * D * (1 - Fraction(1, 2**m)) for m in (n, n + 1))
+        assert _power_below(M, lo, a.leaf_count)
+        assert not _power_below(M, hi, a.leaf_count)
+        assert _reaches_b(b.leaf_count, C, M, D, alpha, n + 1)
+        assert not _reaches_b(b.leaf_count, C, M, D, alpha, n)
+    chain = res.a_trees + res.b_trees[::-1] + [tree]
+    assert all(outer.contains_tree(inner)
+               for inner, outer in zip(chain, chain[1:]))
+
+
+def _assemble_or_refuse(tree, alpha, levels):
+    """The ladder, or None when `sandwich_assemble` refuses it with the
+    named interval error, which is the only refusal allowed for
+    alpha < s."""
+    try:
+        return sandwich_assemble(tree, alpha, levels)
+    except DomainError as exc:
+        assert str(exc).startswith("no caps give stage "), str(exc)
+        assert "a leaf count in [" in str(exc)
+        return None
+
+
 @settings(max_examples=60, deadline=None)
 @given(st.integers(0, 10**6), st.integers(6, 16),
        st.sampled_from([Fraction(1, 4), Fraction(1, 3), Fraction(1, 2)]),
@@ -466,21 +496,114 @@ def test_ladder_stage_counts_lie_in_their_integer_windows(seed, depth, alpha,
                                                           levels):
     tree = random_branching_tree(2, 1, depth, 2, seed)
     M, D, C = 2, depth, tree.leaf_count
-    try:
-        res = sandwich_assemble(tree, alpha, levels)
-    except DomainError as exc:
-        if not _power_below(M, alpha * D, C):  # alpha >= s
-            assert str(exc).startswith("alpha must lie in (0, ")
-        else:
-            assert " outside " in str(exc)
+    if not _power_below(M, alpha * D, C):  # alpha >= s
+        with pytest.raises(DomainError, match=r"^alpha must lie in \(0, "):
+            sandwich_assemble(tree, alpha, levels)
         return
-    assert _power_below(M, alpha * D, C)
-    for n, (a, b) in enumerate(zip(res.a_trees, res.b_trees), start=1):
-        lo, hi = (alpha * D * (1 - Fraction(1, 2**m)) for m in (n, n + 1))
-        assert _power_below(M, lo, a.leaf_count)
-        assert not _power_below(M, hi, a.leaf_count)
-        assert _reaches_b(b.leaf_count, C, M, D, alpha, n + 1)
-        assert not _reaches_b(b.leaf_count, C, M, D, alpha, n)
+    res = _assemble_or_refuse(tree, alpha, levels)
+    if res is not None:
+        _assert_ladder_in_windows(tree, alpha, levels, res)
+
+
+def _float_planner_builds(tree, alpha, levels) -> bool:
+    """Whether the former float planner built this ladder, as a
+    reference: per-level caps planned from float logs toward each
+    stage's middle headline under the per-level maximum child count,
+    each stage nested under the one enclosing it, then checked exactly
+    on the leaf counts of the pruned trees and for nesting."""
+    D, M, C = tree.depth, tree.base, tree.leaf_count
+    s = math.log(C) / (D * math.log(M))
+
+    def plan(target_log, upper):
+        caps, remaining = [], target_log
+        for i in range(D):
+            ideal = math.exp(remaining / (D - i))
+            caps.append(min(upper[i], max(1, round(ideal))))
+            remaining -= math.log(caps[-1])
+
+        def err(cs):
+            return abs(sum(math.log(c) for c in cs) - target_log)
+
+        improved = True
+        while improved:
+            improved = False
+            for i in range(D):
+                for step in (-1, 1):
+                    trial = caps[:i] + [caps[i] + step] + caps[i + 1:]
+                    if 1 <= trial[i] <= upper[i] and err(trial) < err(caps):
+                        caps, improved = trial, True
+        return caps
+
+    a = [float(alpha) * (1 - 2.0**-n) for n in range(1, levels + 2)]
+    b = [s + (float(alpha) - s) * (1 - 2.0 ** (1 - n))
+         for n in range(1, levels + 2)]
+    caps_b, upper = [], [tree.extreme_count(1, lo=i, hi=i)[0]
+                         for i in range(D)]
+    for n in range(levels):
+        upper = plan((b[n + 1] + b[n]) / 2 * D * math.log(M), upper)
+        caps_b.append(upper)
+    caps_a = []
+    for n in reversed(range(levels)):
+        upper = caps_b[n] if not caps_a else \
+            [min(x, y) for x, y in zip(caps_b[n], caps_a[0])]
+        caps_a.insert(0, plan((a[n] + a[n + 1]) / 2 * D * math.log(M),
+                              upper))
+    res = LadderResult([prune_with_caps(tree, caps) for caps in caps_a],
+                       [prune_with_caps(tree, caps) for caps in caps_b],
+                       [], [])
+    try:
+        _assert_ladder_in_windows(tree, alpha, levels, res)
+    except AssertionError:
+        return False
+    return True
+
+
+@st.composite
+def _ladder_cases(draw):
+    base = draw(st.integers(2, 4))
+    tree = random_branching_tree(
+        base, 1, draw(st.integers(3, 10)), draw(st.integers(2, base)),
+        draw(st.integers(0, 10**6)))
+    alpha = draw(st.sampled_from([Fraction(1, 4), Fraction(1, 3),
+                                  Fraction(1, 2), Fraction(2, 3)]))
+    return tree, alpha, draw(st.integers(1, 2))
+
+
+# The float planner builds both pinned ladders; a search made only of
+# chain bisection and gentle decrements does not, since every single
+# decrement from the last caps above the window undershoots it.
+_PINNED = [(random_branching_tree(3, 1, 8, 3, 34), Fraction(1, 4), 2),
+           (random_branching_tree(4, 1, 7, 4, 75), Fraction(1, 4), 2)]
+
+
+@settings(max_examples=80, deadline=None)
+@given(_ladder_cases())
+@example(_PINNED[0])
+@example(_PINNED[1])
+def test_ladder_builds_wherever_the_float_planner_did(case):
+    tree, alpha, levels = case
+    assume(_power_below(tree.base, alpha * tree.depth, tree.leaf_count))
+    res = _assemble_or_refuse(tree, alpha, levels)
+    if res is None:
+        assert not _float_planner_builds(tree, alpha, levels)
+    else:
+        _assert_ladder_in_windows(tree, alpha, levels, res)
+
+
+@pytest.mark.parametrize("case", range(len(_PINNED)))
+def test_pinned_ladders_build_as_the_float_planner_did(case):
+    tree, alpha, levels = _PINNED[case]
+    assert _float_planner_builds(tree, alpha, levels)
+    _assert_ladder_in_windows(tree, alpha, levels,
+                              sandwich_assemble(tree, alpha, levels))
+
+
+def test_ladder_builds_on_random_binary_trees():
+    # the float planner built 2 of these 40
+    for seed in range(40):
+        tree = random_branching_tree(2, 1, 16, 2, seed)
+        _assert_ladder_in_windows(tree, Fraction(1, 4), 1, sandwich_assemble(
+            tree, Fraction(1, 4), 1))
 
 
 @st.composite

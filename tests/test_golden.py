@@ -232,6 +232,13 @@ CASES = {
         CANTOR, "extract lower --alpha 9/10 --M 2 --depth 1 --eps -1 "
         "--in c.bdt"],
         "3cb5bbf9205ed07147addd9f345e2e8e067cdd862836bfd8455db6d884884167"),
+    # a negative slack is refused by both Assouad extractions by name,
+    # not as an inequality that no M could satisfy
+    "extract-assouad-negative-eps": ({}, [
+        "gen full-cube --base 2 --depth 6 --out f.bdt",
+        "extract assouad --alpha 1/2 --eps -1 --in f.bdt", UNION,
+        "extract assouad-global --alpha 1/2 --eps -1 --in u.wdt"],
+        "1b31f40adec513eb6616bc9a49869de54f78d0527386a1c6964b86b1ab0d57fc"),
     # an empty global digit set is refused, as an empty local one is,
     # before any file is written
     "gen-prop5-union-empty-global-digits": ({}, [
