@@ -101,9 +101,9 @@ def _cmd_estimate(args) -> int:
             else:
                 k_max = max(w.tree.depth for w in obj.windows)
             report = estimators.star_dimension_report(obj, sub, k_max)
+    headline = report.headline  # an empty report fails before any write
     _emit(report.to_tsv(), args.report)
-    print(f"estimate={report.headline:.6f} kind={report.kind} "
-          f"depth={k_max}")
+    print(f"estimate={headline:.6f} kind={report.kind} depth={k_max}")
     return 0
 
 

@@ -138,15 +138,15 @@ class _LastLevel(dict):
     """`(source, draw)` -> the hash-consed node with the drawn children of
     `source` as leaves, built on the first such draw only."""
 
-    def __init__(self, nodes: dict):
+    def __init__(self, nodes: _Interner):
         super().__init__()
-        self.nodes = nodes  # children tuple -> node, shared with the grower
+        self.nodes = nodes  # shared with the grower
 
     def __missing__(self, drawn):
         source, picked = drawn
         kids = source.children
-        key = tuple([(kids[j][0], _LEAF) for j in picked])
-        node = self[drawn] = self.nodes.setdefault(key, CubeNode(key))
+        node = self[drawn] = self.nodes[
+            tuple([(kids[j][0], _LEAF) for j in picked])]
         return node
 
 
@@ -159,7 +159,7 @@ def grow_preorder(root, depth: int, draw) -> CubeNode:
     key order; a last-level node is built once per distinct draw."""
     if not depth:
         return _LEAF
-    nodes, stack = {}, []
+    nodes, stack = _Interner(), []  # no drawn node is a leaf
     lasts = _LastLevel(nodes)
     # a frame: a source's pairs, its kept indices and its built children;
     # the first keeps the root alone and returns it once it is built
@@ -181,11 +181,8 @@ def grow_preorder(root, depth: int, draw) -> CubeNode:
             return built[0]
         key = tuple(zip(map(itemgetter(0), map(pairs.__getitem__, picks)),
                         built))
-        node = nodes.get(key)
-        if node is None:
-            node = nodes[key] = CubeNode(key)
         pairs, picks, built = stack.pop()
-        built.append(node)
+        built.append(nodes[key])
         level -= 1
 
 
@@ -661,8 +658,7 @@ class CubeTree:
     def debase(self, b: int) -> "CubeTree":
         """Inverse of rebase: view a base b^t tree in base b, with depth
         multiplied by t."""
-        t = 0
-        side = 1
+        t, side = 0, 1
         while side < self.base:
             side *= b
             t += 1
@@ -670,32 +666,23 @@ class CubeTree:
             raise DomainError(f"base {self.base} is not a power of {b}")
         if t == 1:
             return self
-        splits = {}  # node -> its children as (t base-b keys, child)
-
-        def split(node):
-            if node not in splits:
-                splits[node] = out = []
-                for key, child in node.children:
-                    digits = []
-                    for _ in range(t):
-                        digits.append(tuple(v % b for v in key))
-                        key = tuple(v // b for v in key)
-                    out.append((tuple(reversed(digits)), child))
-            return splits[node]
+        top = (0,) * self.dim
 
         def children(state, level):
-            # a state: a base-b^t node and the base-b keys read below it
+            # a state: a base-b^t node and, per axis, the number that the
+            # level % t base-b digits read below it spell
             node, head = state
-            j = len(head)
+            unit = b ** (t - 1 - level % t)
             below = {}
-            for digits, child in split(node):
-                if digits[:j] == head:
-                    below[digits[j]] = (child, ()) if j + 1 == t else \
-                        (node, digits[:j + 1])
+            for key, child in node.children:
+                if tuple([v // unit // b for v in key]) == head:
+                    below[tuple([v // unit % b for v in key])] = (
+                        node, tuple([v // unit for v in key])) if unit > 1 \
+                        else (child, top)
             return sorted(below.items(), key=itemgetter(0))
 
         return CubeTree(b, self.dim, self.depth * t,
-                        rebuild((self.root, ()), self.depth * t, children))
+                        rebuild((self.root, top), self.depth * t, children))
 
 
 def all_keys(base: int, dim: int) -> list:

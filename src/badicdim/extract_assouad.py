@@ -432,11 +432,12 @@ def sandwich_assemble(tree: CubeTree, alpha, levels: int) -> LadderResult:
     source estimate s toward alpha.
 
     A headline is log(c) / (D log M) for a leaf count c, so a stage is
-    an integer interval of c, and its caps are searched (`_fit_caps`) at
-    or below those of the stage enclosing it, in the order B_1, ...,
-    B_L, A_L, ..., A_1, so the chain nests.  Floats only print.  alpha
-    is read by `exactmath.exact_fraction`, and its denominator must be
-    at most MAX_DENOMINATOR, as the stage powers carry it."""
+    an integer interval of c, refused when empty, and its caps are
+    searched (`_fit_caps`) at or below those of the stage enclosing it,
+    in the order B_1, ..., B_L, A_L, ..., A_1, so the chain nests.
+    Floats only print.  alpha is read by `exactmath.exact_fraction`, and
+    its denominator must be at most MAX_DENOMINATOR, as the stage powers
+    carry it."""
     if levels < 1:
         raise DomainError("ladder needs L >= 1")
     alpha = exact_fraction(alpha, "alpha")
@@ -464,6 +465,11 @@ def sandwich_assemble(tree: CubeTree, alpha, levels: int) -> LadderResult:
     stages += [("A", n, floor_power(M, D * a[n - 1]) + 1, floor_power(
         M, D * a[n]), (float(a[n - 1]), float(a[n])))
         for n in range(levels, 0, -1)]
+    for name, n, lo, hi, _ in stages:
+        if lo > hi:
+            raise DomainError(f"no caps give stage {name}_{n} a leaf count "
+                              f"in [{lo}, {hi}]: the interval is empty at "
+                              f"depth {D}")
     ranked, layers = _ranked(tree), list(walk({tree.root: None}, D))
     memo = {(): dict.fromkeys(layers[-1], 1)}  # caps of levels i.. -> counts
 

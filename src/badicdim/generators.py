@@ -67,10 +67,9 @@ def _window_tree(base: int, dim: int, m: int, cell_keys, chain: int
 
 def lattice_window(base: int, dim: int, m: int, chain: int = 4
                    ) -> WindowedSet:
-    """Window [0, b^m)^d containing every integer-corner unit cell:
-    local star estimate 0, global estimate d at window scales."""
-    tree = _window_tree(base, dim, m, all_keys(base, dim), chain)
-    return WindowedSet(base, dim, [Window((0,) * dim, m, tree)])
+    """`integer_cantor` with every digit: every integer-corner unit cell
+    of [0, b^m)^d, local star estimate 0, global estimate d."""
+    return integer_cantor(base, dim, m, range(base), chain)
 
 
 def integer_cantor(base: int, dim: int, m: int, digits, chain: int = 4
@@ -78,8 +77,8 @@ def integer_cantor(base: int, dim: int, m: int, digits, chain: int = 4
     """Integers whose base-b digits lie in a fixed digit set, one point
     per occupied unit cell: global star estimate log(#digits)/log(b) at
     window scales, local estimate 0."""
-    digits = sorted(set(digits))
-    if not digits or any(not 0 <= dig < base for dig in digits):
+    digits = sorted(set(digits))  # a base below 2 fails with the tree
+    if base > 1 and (not digits or not 0 <= digits[0] <= digits[-1] < base):
         raise DomainError("bad integer-cantor digit set")
     keys = [k for k in all_keys(base, dim) if all(d in digits for d in k)]
     tree = _window_tree(base, dim, m, keys, chain)

@@ -20,6 +20,8 @@ from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
 from fractions import Fraction
+from functools import cache
+from itertools import product
 from operator import itemgetter
 from typing import NamedTuple
 
@@ -188,60 +190,29 @@ def exact_cover(points, center, R, rho) -> int:
 
     In the max metric a subset is coverable by one rho-ball iff its
     per-axis spans are all <= 2*rho, so candidate balls can be anchored
-    per axis at point coordinates.
+    per axis at point coordinates.  The search covers the least uncovered
+    point by each maximal group holding it, once per uncovered set.
     """
+    if rho < 0:
+        raise DomainError("cover requires rho >= 0")
     pts = [p for p in sorted(set(points)) if in_ball(p, center, R)]
-    if not pts:
-        return 0
     if len(pts) > EXACT_PACKING_LIMIT:
         raise DomainError(f"exact cover limited to {EXACT_PACKING_LIMIT} "
                           f"points, got {len(pts)}")
-    d = len(pts[0])
-    axis_vals = [sorted(set(p[i] for p in pts)) for i in range(d)]
+    groups = {frozenset(i for i, p in enumerate(pts)
+                        if all(a <= x <= a + 2 * rho
+                               for a, x in zip(anchor, p)))
+              for anchor in product(*map(set, zip(*pts)))}
+    groups = [g for g in groups if not any(g < h for h in groups)]
 
-    def anchored_groups():
-        groups = set()
-
-        def rec(axis, anchor):
-            if axis == d:
-                grp = frozenset(
-                    i for i, p in enumerate(pts)
-                    if all(anchor[k] <= p[k] <= anchor[k] + 2 * rho
-                           for k in range(d)))
-                if grp:
-                    groups.add(grp)
-                return
-            for v in axis_vals[axis]:
-                rec(axis + 1, anchor + (v,))
-
-        rec(0, ())
-        # drop groups strictly inside another
-        return [g for g in groups
-                if not any(g < h for h in groups)]
-
-    groups = anchored_groups()
-    full = frozenset(range(len(pts)))
-    best = len(pts)
-    memo = {}
-
-    def solve(uncovered: frozenset, used: int):
-        nonlocal best
+    @cache
+    def least(uncovered: frozenset) -> int:
         if not uncovered:
-            best = min(best, used)
-            return
-        if used + 1 >= best:
-            return
-        prev = memo.get(uncovered)
-        if prev is not None and prev <= used:
-            return
-        memo[uncovered] = used
+            return 0
         pivot = min(uncovered)
-        for g in groups:
-            if pivot in g:
-                solve(uncovered - g, used + 1)
+        return 1 + min(least(uncovered - g) for g in groups if pivot in g)
 
-    solve(full, 0)
-    return best
+    return least(frozenset(range(len(pts))))
 
 
 def badic_cell_cover(points, center, R, r, base: int):

@@ -127,6 +127,19 @@ def test_info_prints_every_level_count(tmp_path, capsys, gen):
         for k in range(tree.depth + 1)]
 
 
+@pytest.mark.parametrize("kind", ["star-local", "lower-cover"])
+def test_estimate_without_rows_writes_nothing(tmp_path, capsys, kind):
+    path, report = str(tmp_path / "t.bdt"), tmp_path / "report"
+    assert run(capsys, "gen", "random-branching", "--base", "2", "--depth",
+               "0", "--max-children", "1", "--out", path)[0] == 0
+    for extra in ([], ["--report", str(report)]):
+        code, out, err = run(capsys, "estimate", "--in", path, "--kind",
+                             kind, *extra)
+        assert (code, out) == (1, "")
+        assert "empty report has no headline" in err
+        assert not report.exists()
+
+
 def test_info_wdt(tmp_path, capsys):
     path = str(tmp_path / "w.wdt")
     run(capsys, "gen", "integer-cantor", "--base", "4", "--dim", "1",

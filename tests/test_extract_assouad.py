@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
+from badicdim import extract_assouad
 from badicdim.core import (CubeNode, CubeTree, DomainError, Window,
                            WindowedSet, write_bdt, write_wdt)
 from badicdim.estimators import _log_ratio, star_dimension_report
@@ -604,6 +605,20 @@ def test_ladder_builds_on_random_binary_trees():
         tree = random_branching_tree(2, 1, 16, 2, seed)
         _assert_ladder_in_windows(tree, Fraction(1, 4), 1, sandwich_assemble(
             tree, Fraction(1, 4), 1))
+
+
+def test_ladder_refuses_an_empty_stage_before_any_cap_search(monkeypatch):
+    # at depth 8, floor(2^(8 a_1)) = floor(2^(8 a_2)) = 2 for alpha = 1/4:
+    # no leaf count has a headline in (a_1, a_2]
+    def search(*args):
+        raise AssertionError("the caps of a stage were searched")
+
+    monkeypatch.setattr(extract_assouad, "_fit_caps", search)
+    with pytest.raises(DomainError, match=(
+            r"^no caps give stage A_1 a leaf count in \[3, 2\]: the "
+            r"interval is empty at depth 8$")):
+        sandwich_assemble(random_branching_tree(2, 1, 8, 2, 0),
+                          Fraction(1, 4), 1)
 
 
 @st.composite

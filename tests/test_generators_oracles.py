@@ -32,6 +32,13 @@ def test_negative_chain_is_refused():
             make()
 
 
+def test_lattice_window_refuses_a_base_below_two_by_its_shape():
+    # it is `integer_cantor` with digits range(base), which is empty here
+    for base in (0, 1):
+        with pytest.raises(DomainError, match="^need base >= 2, dim >= 1"):
+            lattice_window(base, 1, 2)
+
+
 def test_digit_cantor_leaf_count():
     t = digit_cantor(3, 1, [0, 2], 8)
     assert t.leaf_count == 256

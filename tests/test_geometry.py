@@ -131,6 +131,51 @@ def test_exact_cover_beats_badic_proxy():
     assert count == 2
 
 
+def test_exact_cover_refuses_a_negative_radius():
+    pts = [(Fraction(0),), (H,)]
+    with pytest.raises(DomainError, match="^cover requires rho >= 0$"):
+        geometry.exact_cover(pts, (H,), Fraction(1), Fraction(-1, 8))
+
+
+def _set_partitions(items):
+    """Every partition of the list `items` into blocks."""
+    if not items:
+        yield []
+        return
+    first = items[0]
+    for part in _set_partitions(items[1:]):
+        yield [[first], *part]
+        for i in range(len(part)):
+            yield [*part[:i], [first, *part[i]], *part[i + 1:]]
+
+
+def _brute_force_cover(points, center, R, rho):
+    """The fewest blocks of a partition of the points in B(center, R)
+    whose every block spans at most 2 rho on each axis: one rho-ball
+    covers a set iff its spans are that small, wherever the ball is."""
+    inside = [p for p in set(points) if geometry.in_ball(p, center, R)]
+    return min(len(part) for part in _set_partitions(inside)
+               if all(max(axis) - min(axis) <= 2 * rho
+                      for block in part for axis in zip(*block)))
+
+
+def _lattice_points(dim):
+    coords = st.tuples(*[st.integers(0, 16)] * dim)
+    return st.tuples(st.lists(coords, max_size=8, unique=True), coords)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(1, 2).flatmap(_lattice_points), st.integers(1, 24),
+       st.integers(0, 12))
+def test_exact_cover_matches_brute_force(case, R8, rho16):
+    raw, c = case
+    pts = [tuple(Fraction(x, 8) for x in p) for p in raw]
+    center = tuple(Fraction(x, 8) for x in c)
+    R, rho = Fraction(R8, 8), Fraction(rho16, 16)
+    assert geometry.exact_cover(pts, center, R, rho) == \
+        _brute_force_cover(pts, center, R, rho)
+
+
 def test_badic_cell_cover_scale():
     pts = [(Fraction(0),), (H,), (Fraction(1),)]
     count, j = geometry.badic_cell_cover(pts, (H,), Fraction(9, 16),

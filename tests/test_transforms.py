@@ -1,11 +1,12 @@
 """Tree transforms (`subtree`, `union`, `contains_tree`, `rebase`,
-`debase`, `prune_with_caps`) against flat leaf-path sets, their
-hash-consing, and trees deeper than the interpreter's recursion limit."""
+`debase`, `prune_with_caps`, random `prune`) against flat leaf-path
+sets, their hash-consing, and trees deeper than the interpreter's
+recursion limit."""
 
 from hypothesis import given, settings, strategies as st
 
 from badicdim.core import CubeTree
-from badicdim.extract_assouad import prune_with_caps
+from badicdim.extract_assouad import PruneParams, prune, prune_with_caps
 from badicdim.generators import random_branching_tree
 
 
@@ -125,6 +126,13 @@ def test_transforms_match_flat_leaf_sets(case):
             got.setdefault(p[:level], set()).add(p[level])
         for prefix, keys in got.items():
             assert len(keys) == min(caps[level], len(wanted[prefix]))
+
+    # eps = d puts the random prune's leaf bound at or below 1
+    cap = min(caps, default=1)
+    drawn = prune(a, PruneParams(a.base, a.depth, cap, 0, a.dim, "random",
+                                 len(pa)), check_hypotheses=False)
+    assert _paths(drawn) <= pa
+    assert _hash_consed(drawn)
 
 
 def _first_path(tree, n):
