@@ -87,23 +87,14 @@ def _cmd_estimate(args) -> int:
         if not isinstance(obj, CubeTree):
             raise DomainError("lower-cover estimates need a .bdt tree")
         report = estimators.lower_dimension_report(obj, args.kmax)
-        k_max = args.kmax or obj.depth
-    else:
-        sub = kind.removeprefix("star-")
-        if isinstance(obj, CubeTree):
-            report = estimators.star_dimension_report(obj, "local", args.kmax)
-            k_max = args.kmax or obj.depth
-        else:
-            if args.kmax:
-                k_max = args.kmax
-            elif sub == "local":  # the largest k a local cube admits
-                k_max = max(-obj.lattice_forest()[0], 1)
-            else:
-                k_max = max(w.tree.depth for w in obj.windows)
-            report = estimators.star_dimension_report(obj, sub, k_max)
+    else:  # a tree's star report is local at every k
+        sub = "local" if isinstance(obj, CubeTree) else \
+            kind.removeprefix("star-")
+        report = estimators.star_dimension_report(obj, sub, args.kmax)
     headline = report.headline  # an empty report fails before any write
     _emit(report.to_tsv(), args.report)
-    print(f"estimate={headline:.6f} kind={report.kind} depth={k_max}")
+    print(f"estimate={headline:.6f} kind={report.kind} "
+          f"depth={report.records[-1].k}")
     return 0
 
 

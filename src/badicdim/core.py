@@ -16,7 +16,7 @@ from functools import cache
 from itertools import groupby, islice, product
 from math import ceil, gcd, lcm, log
 from operator import add, itemgetter, mul, ne
-from typing import Iterator
+from typing import Iterator, NamedTuple
 
 MAX_LEAF_ENUM = 2_000_000
 DIGITS = "0123456789abcdefghijklmnopqrstuvwxyz"  # .bdt/.wdt, base <= 36
@@ -692,14 +692,11 @@ def all_keys(base: int, dim: int) -> list:
     return sorted(keys)
 
 
-def subdivide(cube: BadicCube, dim: int = None) -> list:
+def subdivide(cube: BadicCube) -> list:
     """The b^d children of `cube` at level n+1, lexicographic order."""
-    d = cube.dim if dim is None else dim
-    out = []
-    for key in all_keys(cube.base, d):
-        coords = tuple(cube.coords[i] + (key[i],) for i in range(d))
-        out.append(BadicCube(cube.base, cube.level + 1, coords))
-    return out
+    return [BadicCube(cube.base, cube.level + 1, tuple(
+        axis + (digit,) for axis, digit in zip(cube.coords, key)))
+        for key in all_keys(cube.base, cube.dim)]
 
 
 class PointSet:
@@ -774,13 +771,10 @@ def representatives_tree(points: PointSet) -> CubeTree:
         for c in corners])
 
 
-class Window:
-    __slots__ = ("offset", "side_exp", "tree")
-
-    def __init__(self, offset: tuple, side_exp: int, tree: CubeTree):
-        self.offset = offset  # d-tuple of ints
-        self.side_exp = side_exp  # footprint side = base**side_exp
-        self.tree = tree
+class Window(NamedTuple):
+    offset: tuple  # d-tuple of ints
+    side_exp: int  # footprint side = base**side_exp
+    tree: CubeTree
 
 
 class WindowedSet:

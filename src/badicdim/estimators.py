@@ -8,34 +8,27 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from typing import NamedTuple
 
 from . import geometry
 from .core import (BadicCube, CubeTree, DomainError, PointSet, WindowedSet,
                    corner_step, counts_below, walk)
 
-COVER_METHOD_TAG = "badic-cells"
 
-
-class ScaleRecord:
-    __slots__ = ("k", "count", "witness", "log_ratio")
-
-    def __init__(self, k: int, count: int, witness: str, log_ratio: float):
-        self.k = k
-        self.count = count
-        self.witness = witness
-        self.log_ratio = log_ratio
+class ScaleRecord(NamedTuple):
+    k: int
+    count: int
+    witness: str
+    log_ratio: float
 
     def tsv_row(self) -> str:
         return f"{self.k}\t{self.count}\t{self.log_ratio:.6f}\t{self.witness}"
 
 
-class DimensionReport:
-    __slots__ = ("kind", "base", "records")
-
-    def __init__(self, kind: str, base: int, records: list = None):
-        self.kind = kind
-        self.base = base
-        self.records = [] if records is None else records
+class DimensionReport(NamedTuple):
+    kind: str
+    base: int
+    records: list
 
     @property
     def headline(self) -> float:
@@ -51,6 +44,13 @@ class DimensionReport:
 
 def _log_ratio(count: int, k: int, base: int) -> float:
     return math.log(count) / (k * math.log(base))
+
+
+def _report(kind: str, base: int, counts) -> DimensionReport:
+    """The report of `counts`, (k, count, witness) triples in k order."""
+    return DimensionReport(kind, base, [
+        ScaleRecord(k, count, str(witness), _log_ratio(count, k, base))
+        for k, count, witness in counts])
 
 
 def count_hit_subcubes(tree: CubeTree, cube: BadicCube, k: int) -> int:
@@ -113,22 +113,21 @@ def h_star(obj, k: int, kind: str = "local"):
 
 def star_dimension_report(obj, kind: str = "local",
                           k_max: int = None) -> DimensionReport:
+    """H* at k = 1..k_max.  k_max defaults to a tree's depth; on a
+    windowed set, to the largest k a local cube admits, or for `global`
+    to the deepest window's depth."""
     if isinstance(obj, CubeTree):
         if k_max is None:
             k_max = obj.depth
         if k_max > obj.depth:
             raise DomainError(f"k_max {k_max} exceeds depth {obj.depth}")
-        base = obj.base
-    else:
-        if k_max is None:
-            raise DomainError("windowed sets need an explicit k_max")
-        base = obj.base
-    report = DimensionReport(kind=f"star-{kind}", base=base)
-    for k in range(1, k_max + 1):
-        count, witness = h_star(obj, k, kind)
-        report.records.append(ScaleRecord(
-            k, count, str(witness), _log_ratio(count, k, base)))
-    return report
+    elif not isinstance(obj, WindowedSet):
+        raise DomainError(f"unsupported set type {type(obj)!r}")
+    elif k_max is None:
+        k_max = max(-obj.lattice_forest()[0], 1) if kind == "local" else \
+            max(w.tree.depth for w in obj.windows)
+    return _report(f"star-{kind}", obj.base, (
+        (k, *h_star(obj, k, kind)) for k in range(1, k_max + 1)))
 
 
 def lower_dimension_report(tree: CubeTree,
@@ -142,18 +141,15 @@ def lower_dimension_report(tree: CubeTree,
         k_max = tree.depth
     if k_max > tree.depth:
         raise DomainError(f"k_max {k_max} exceeds depth {tree.depth}")
-    report = DimensionReport(kind="lower-cover", base=tree.base)
-    for k in range(1, k_max + 1):
-        count, _, path = tree.extreme_count(k, largest=False)
-        report.records.append(ScaleRecord(
-            k, count, str(tree.cube(path)), _log_ratio(count, k, tree.base)))
-    return report
+    return _report("lower-cover", tree.base, (
+        (k, count, tree.cube(path)) for k in range(1, k_max + 1)
+        for count, _, path in [tree.extreme_count(k, largest=False)]))
 
 
 def ball_cover_count(points: PointSet, center, R, r) -> int:
     """Covering count of points within B(center, R) by b-adic cells at
-    the largest b-adic scale <= r (method tag COVER_METHOD_TAG).  Upper
-    bound on the true least cover, exact up to the fixed 2^d factor."""
+    the largest b-adic scale <= r.  Upper bound on the true least cover,
+    exact up to the fixed 2^d factor."""
     if center not in points.points:
         raise DomainError("center must belong to the point set")
     count, _ = geometry.badic_cell_cover(points.points, center, R, r,
@@ -169,21 +165,15 @@ def packing_count(points: PointSet, center, R, r) -> int:
     return len(geometry.greedy_packing(points.points, center, R, r))
 
 
-class SandwichRow:
-    __slots__ = ("center", "R", "r", "cover_2r", "packing", "cover_r3",
-                 "method", "ok")
-
-    def __init__(self, center: tuple, R: Fraction, r: Fraction,
-                 cover_2r: int, packing: int, cover_r3: int, method: str,
-                 ok: bool):
-        self.center = center
-        self.R = R
-        self.r = r
-        self.cover_2r = cover_2r
-        self.packing = packing
-        self.cover_r3 = cover_r3
-        self.method = method
-        self.ok = ok
+class SandwichRow(NamedTuple):
+    center: tuple
+    R: Fraction
+    r: Fraction
+    cover_2r: int
+    packing: int
+    cover_r3: int
+    method: str
+    ok: bool
 
 
 def verify_cover_pack_sandwich(points: PointSet, samples) -> list:

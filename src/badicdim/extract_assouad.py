@@ -11,6 +11,7 @@ from bisect import bisect_left
 from fractions import Fraction
 from itertools import permutations
 from operator import itemgetter
+from typing import NamedTuple
 
 from .core import (CubeTree, DomainError, Window, WindowedSet,
                    digit_text, grow_preorder, rebuild, rng_draws, walk)
@@ -154,20 +155,14 @@ def find_dense_window(tree: CubeTree, n: int):
     return path, level, count
 
 
-class StageRecord:
-    __slots__ = ("stage", "window_path", "window_level", "window_count",
-                 "piece_leaves", "bound_ok", "base")
-
-    def __init__(self, stage: int, window_path: tuple, window_level: int,
-                 window_count: int, piece_leaves: int, bound_ok: bool,
-                 base: int):
-        self.stage = stage
-        self.window_path = window_path
-        self.window_level = window_level
-        self.window_count = window_count
-        self.piece_leaves = piece_leaves
-        self.bound_ok = bound_ok
-        self.base = base
+class StageRecord(NamedTuple):
+    stage: int
+    window_path: tuple
+    window_level: int
+    window_count: int
+    piece_leaves: int
+    bound_ok: bool
+    base: int
 
     def tsv_row(self) -> str:
         window = "root" if not self.window_path else "|".join(
@@ -177,23 +172,16 @@ class StageRecord:
                 f"{'ok' if self.bound_ok else 'FAIL'}")
 
 
-class ConstructionTrace:
-    __slots__ = ("target_alpha", "eps", "cap", "stages", "headline",
-                 "delta", "k_star", "paper_corner_ok", "tree")
-
-    def __init__(self, target_alpha: Fraction, eps: Fraction, cap: int,
-                 stages: list = None, headline: float = float("nan"),
-                 delta: float = float("nan"), k_star: int = 0,
-                 paper_corner_ok: bool = True, tree: CubeTree = None):
-        self.target_alpha = target_alpha
-        self.eps = eps
-        self.cap = cap
-        self.stages = [] if stages is None else stages
-        self.headline = headline
-        self.delta = delta
-        self.k_star = k_star
-        self.paper_corner_ok = paper_corner_ok
-        self.tree = tree
+class ConstructionTrace(NamedTuple):
+    target_alpha: Fraction
+    eps: Fraction
+    cap: int
+    stages: list
+    headline: float
+    delta: float
+    k_star: int
+    paper_corner_ok: bool
+    tree: CubeTree
 
     def to_tsv(self) -> str:
         lines = ["stage\twindow\tlevel\tcount\tbound\tok"]
@@ -257,8 +245,7 @@ def construct_subset_assouad(tree: CubeTree, alpha: Fraction, eps: Fraction,
         raise DomainError(
             f"alpha {float(alpha):.6f} exceeds the source estimate "
             f"{_log_ratio(tree.leaf_count, D, M):.6f}")
-    trace = ConstructionTrace(alpha, eps, N, paper_corner_ok=paper_corner_ok)
-    n = 1
+    records, out, n = [], None, 1
     for stage in range(1, stages + 1):
         if n > D:
             raise DomainError(
@@ -271,25 +258,25 @@ def construct_subset_assouad(tree: CubeTree, alpha: Fraction, eps: Fraction,
                       check_hypotheses=False)
         bound_ok = count_meets_power_bound(piece.leaf_count, M, n, N, eps / 2)
         kept = _graft(tree, path, piece)
-        trace.tree = kept if trace.tree is None else trace.tree.union(kept)
-        trace.stages.append(StageRecord(
+        out = kept if out is None else out.union(kept)
+        records.append(StageRecord(
             stage, path, level, count, piece.leaf_count, bound_ok, M))
-        trace.k_star = n
+        k_star = n
         if level == 0 and stage < stages:
             raise DomainError(
                 f"resolution exhausted: the stage-{stage} window sits at "
                 f"level 0, so stage lengths cannot advance (depth {D})")
         n = n + level
-    count = trace.tree.extreme_count(trace.k_star)[0]
-    trace.headline = _log_ratio(count, trace.k_star, M)
-    trace.delta = d * math.log(2) / (trace.k_star * math.log(M))
-    if not headline_in_window(count, M, d, trace.k_star, alpha, eps):
-        lo = float(alpha - eps) - trace.delta
-        hi = float(alpha + eps) + trace.delta
+    count = out.extreme_count(k_star)[0]
+    headline = _log_ratio(count, k_star, M)
+    delta = d * math.log(2) / (k_star * math.log(M))
+    if not headline_in_window(count, M, d, k_star, alpha, eps):
         raise DomainError(
-            f"achieved headline {trace.headline:.6f} outside "
-            f"[{lo:.6f}, {hi:.6f}]")
-    return trace
+            f"achieved headline {headline:.6f} outside "
+            f"[{float(alpha - eps) - delta:.6f}, "
+            f"{float(alpha + eps) + delta:.6f}]")
+    return ConstructionTrace(alpha, eps, N, records, headline, delta, k_star,
+                             paper_corner_ok, out)
 
 
 def headline_in_window(count: int, M: int, d: int, k: int, alpha: Fraction,
@@ -361,26 +348,18 @@ def construct_subset_assouad_global(wset: WindowedSet, alpha: Fraction,
 # -- two-sided ladder -------------------------------------------------
 
 
-class LadderStage:
-    __slots__ = ("index", "interval", "caps", "headline")
-
-    def __init__(self, index: int, interval: tuple, caps: list,
-                 headline: float):
-        self.index = index
-        self.interval = interval
-        self.caps = caps
-        self.headline = headline
+class LadderStage(NamedTuple):
+    index: int
+    interval: tuple
+    caps: list
+    headline: float
 
 
-class LadderResult:
-    __slots__ = ("a_trees", "b_trees", "a_stages", "b_stages")
-
-    def __init__(self, a_trees: list, b_trees: list, a_stages: list,
-                 b_stages: list):
-        self.a_trees = a_trees
-        self.b_trees = b_trees
-        self.a_stages = a_stages
-        self.b_stages = b_stages
+class LadderResult(NamedTuple):
+    a_trees: list
+    b_trees: list
+    a_stages: list
+    b_stages: list
 
 
 def _fit_caps(count, upper: list, lo: int, hi: int, name: str) -> list:

@@ -19,10 +19,10 @@ from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
 from fractions import Fraction
-from functools import cached_property
 from itertools import groupby, islice
 from math import lcm
 from operator import attrgetter, is_not
+from typing import NamedTuple
 
 from . import geometry
 from .core import CubeTree, DomainError, leaf_corners
@@ -31,6 +31,8 @@ from .exactmath import exact_fraction, floor_lambda, pow_at_most, scaled_power
 
 
 class LowerParams:
+    __slots__ = ("alpha", "M", "depth", "eps", "R0")
+
     def __init__(self, alpha: Fraction, M: int, depth: int,
                  eps: Fraction = Fraction(0), R0: Fraction = Fraction(1)):
         self.alpha = exact_fraction(alpha, "alpha")
@@ -49,15 +51,9 @@ class LowerParams:
         if self.R0 <= 0:
             raise DomainError("R0 must be positive")
 
-    @cached_property
-    def lam(self):
-        """lambda = M^(-q/p) for alpha = p/q, exact: a Fraction, or an
-        `exactmath.ScaledPower` when it is irrational."""
-        return scaled_power(1, self.M, -self.alpha.denominator,
-                            self.alpha.numerator)
-
     def radius(self, k: int):
-        """R0 * lambda^k, exact (see `lam`)."""
+        """R0 * lambda^k with lambda = M^(-q/p) for alpha = p/q, exact: a
+        Fraction, or an `exactmath.ScaledPower` when it is irrational."""
         return scaled_power(self.R0, self.M, -self.alpha.denominator * k,
                             self.alpha.numerator)
 
@@ -236,34 +232,24 @@ def construct_subset_lower(source: CubeTree, params: LowerParams) -> BallTree:
         w: tuple(Fraction(v, D) for v in x) for w, x in centers.items()})
 
 
-class LowerBoundRow:
-    __slots__ = ("center", "R", "r", "n_star", "bound_num", "bound_den",
-                 "ok")
-
-    def __init__(self, center: tuple, R, r, n_star: int, bound_num: int,
-                 bound_den: int, ok: bool):
-        self.center = center
-        self.R = R
-        self.r = r
-        self.n_star = n_star
-        # bound = M^k / (M+1), stored as the pair (M^k, M+1)
-        self.bound_num = bound_num
-        self.bound_den = bound_den
-        self.ok = ok
+class LowerBoundRow(NamedTuple):
+    center: tuple
+    R: object
+    r: object
+    n_star: int
+    # bound = M^k / (M+1), stored as the pair (M^k, M+1)
+    bound_num: int
+    bound_den: int
+    ok: bool
 
 
-class LowerVerification:
-    __slots__ = ("rows", "invariants_ok", "cardinality_ok", "box_ratio",
-                 "box_ratio_exact", "failures")
-
-    def __init__(self, rows: list, invariants_ok: bool, cardinality_ok: bool,
-                 box_ratio: Fraction, box_ratio_exact: bool, failures: list):
-        self.rows = rows
-        self.invariants_ok = invariants_ok
-        self.cardinality_ok = cardinality_ok
-        self.box_ratio = box_ratio
-        self.box_ratio_exact = box_ratio_exact
-        self.failures = failures
+class LowerVerification(NamedTuple):
+    rows: list
+    invariants_ok: bool
+    cardinality_ok: bool
+    box_ratio: Fraction
+    box_ratio_exact: bool
+    failures: list
 
     @property
     def ok(self) -> bool:

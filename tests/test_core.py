@@ -12,9 +12,14 @@ from badicdim.core import (BadicCube, CubeTree, DomainError, PointSet,
                            read_wdt,
                            representatives_tree, subdivide, write_bdt,
                            write_wdt)
-from badicdim.estimators import star_dimension_report
-from badicdim.extract_assouad import StageRecord
-from badicdim.generators import random_branching_tree
+from badicdim.estimators import (lower_dimension_report,
+                                 star_dimension_report,
+                                 verify_cover_pack_sandwich)
+from badicdim.extract_assouad import (StageRecord, construct_subset_assouad,
+                                      sandwich_assemble)
+from badicdim.extract_lower import (LowerParams, construct_subset_lower,
+                                    verify_lower_bounds)
+from badicdim.generators import digit_cantor, random_branching_tree
 
 
 def test_report_digits_are_set_file_digits():
@@ -27,6 +32,25 @@ def test_report_digits_are_set_file_digits():
     assert row.tsv_row() == "1\t1|f\t2\t3\t4\tok"
     # bases above 36 have no digit characters: dotted decimals
     assert str(BadicCube(40, 2, ((1, 38),))) == "1.38"
+
+
+@pytest.mark.parametrize("run", [
+    lambda: star_dimension_report(random_branching_tree(2, 1, 6, 2, 1)),
+    lambda: lower_dimension_report(random_branching_tree(2, 1, 6, 2, 1)),
+    lambda: construct_subset_assouad(
+        digit_cantor(3, 1, [0, 2], 18).rebase(3), Fraction(2, 5),
+        Fraction(1, 5), 3),
+    lambda: sandwich_assemble(CubeTree.full(2, 1, 12), Fraction(1, 2), 2),
+    lambda: verify_cover_pack_sandwich(
+        leaf_representatives(digit_cantor(3, 1, [0, 2], 4)),
+        [((Fraction(0),), Fraction(1, 2), Fraction(1, 9))]),
+    lambda: verify_lower_bounds(construct_subset_lower(
+        CubeTree.full(5, 1, 4), LowerParams(Fraction(2, 5), 5, 1)))],
+    ids=["star", "lower", "construct", "ladder", "sandwich", "verify"])
+def test_records_compare_by_value(run):
+    # the lower case's radii are irrational: sqrt(5)/125 at k = 1
+    first, second = run(), run()
+    assert first is not second and first == second
 
 
 def test_cube_basics():

@@ -112,6 +112,16 @@ def test_windowed_local_vs_global():
     assert all(r.count == 1 for r in loc.records)      # exactly 0
     assert all(r.log_ratio == 0.0 for r in loc.records)
     assert glo.headline == 1.0                          # exactly d
+    # by default, the largest k a local cube admits (cells of side 2^-4)
+    # and the depth of the window tree
+    assert star_dimension_report(ws, "local").records[-1].k == 4
+    assert star_dimension_report(ws, "global").records[-1].k == 10
+
+
+def test_star_report_refuses_an_unsupported_set_by_name():
+    points = PointSet.of(2, 1, [(Fraction(1, 4),)])
+    with pytest.raises(DomainError, match="unsupported set type <class "):
+        star_dimension_report(points)
 
 
 def test_lower_report_examples():

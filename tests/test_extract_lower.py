@@ -24,7 +24,7 @@ from badicdim.generators import digit_cantor, random_branching_tree
 
 def test_params_validation_and_lambda():
     p = LowerParams(alpha=Fraction(1, 2), M=4, depth=3)
-    assert p.lam == Fraction(1, 16)  # lambda^alpha * M = 1
+    assert p.radius(1) == Fraction(1, 16)  # lambda^alpha * M = 1
     assert p.radius(2) == Fraction(1, 256)
     with pytest.raises(DomainError):
         LowerParams(alpha=Fraction(3, 2), M=4, depth=3)
@@ -74,8 +74,9 @@ def _is_lambda_power(radius, params, k) -> bool:
 def test_lambda_irrational_case_is_exact():
     # alpha = 2/3, M = 2: lambda = 2^(-3/2), kept as an exact triple
     p = LowerParams(alpha=Fraction(2, 3), M=2, depth=1, R0=Fraction(3, 2))
-    assert isinstance(p.lam, ScaledPower)
-    assert p.lam.R0 == 1 and -2 * p.lam.num == 3 * p.lam.root  # lam^-2 = 2^3
+    lam = LowerParams(alpha=Fraction(2, 3), M=2, depth=1).radius(1)
+    assert isinstance(lam, ScaledPower)
+    assert lam.R0 == 1 and -2 * lam.num == 3 * lam.root  # lam^-2 = 2^3
     for k in range(5):
         assert _is_lambda_power(p.radius(k), p, k)
     assert isinstance(p.radius(2), Fraction)  # 2^-3 R0 is rational
@@ -239,7 +240,7 @@ def test_construct_cantor_rejects_thin_packing():
     # failure is reported rather than silently absorbed.
     E = digit_cantor(3, 1, [0, 2], 12)
     params = LowerParams(Fraction(1, 2), 2, 4)
-    assert params.lam == Fraction(1, 4)
+    assert params.radius(1) == Fraction(1, 4)
     with pytest.raises(DomainError, match="insufficient packing"):
         construct_subset_lower(E, params)
 
@@ -332,8 +333,7 @@ def test_tsv_reuses_center_texts_only_for_the_same_centers(source, params):
                     rows[::-1],
                     [moved(row, tuple(list(row.center))) for row in rows],
                     rows[:-1] + [moved(rows[-1], rows[0].center)]):
-        v.rows = changed
-        assert v.to_tsv() == _flat_tsv(changed)
+        assert v._replace(rows=changed).to_tsv() == _flat_tsv(changed)
 
 
 def test_invariant_checker_catches_violations():

@@ -1,7 +1,7 @@
 """No module of the package imports a name it never uses, defines a
-function or class that nothing reads or exports, calls `id`, imports
-anything beyond the standard library or holds a tolerance-sized float
-literal, and a CLI run loads no `dataclasses`, `inspect`, `ast` or
+function, class or constant that nothing reads or exports, calls `id`,
+imports anything beyond the standard library or holds a tolerance-sized
+float literal, and a CLI run loads no `dataclasses`, `inspect`, `ast` or
 `dis`.  Only the standard library's `ast` is needed, so the gates run
 wherever the tests do."""
 
@@ -58,15 +58,24 @@ def test_gate_finds_unused_names():
 
 
 def dead_names(sources: dict, exported) -> list:
-    """The module-level functions and classes of `sources` (file name ->
-    text) that are not in `exported` and that no module reads: no
-    `ast.Name` load and no `ast.Attribute` load names them."""
+    """The module-level functions, classes and single-name assignments
+    (`X = ...`, dunders exempt) of `sources` (file name -> text) that
+    are not in `exported` and that no module reads: no `ast.Name` load
+    and no `ast.Attribute` load names them."""
     defined, read = [], set()
     for name, source in sources.items():
         module = ast.parse(source)
-        defined += [(name, stmt.lineno, stmt.name) for stmt in module.body
-                    if isinstance(stmt, (ast.FunctionDef,
-                                         ast.AsyncFunctionDef, ast.ClassDef))]
+        for stmt in module.body:
+            if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                 ast.ClassDef)):
+                target = stmt.name
+            elif isinstance(stmt, ast.Assign) and len(stmt.targets) == 1 \
+                    and isinstance(stmt.targets[0], ast.Name):
+                target = stmt.targets[0].id
+            else:
+                continue
+            if not (target.startswith("__") and target.endswith("__")):
+                defined.append((name, stmt.lineno, target))
         for node in ast.walk(module):
             if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
                 read.add(node.id)
@@ -91,10 +100,13 @@ def test_gate_finds_dead_names():
                  "def stored():\n    pass\n"),
         "b.py": ("from .a import called, dead\nfrom . import a\n"
                  "a.stored = 1\nx = called(), a.by_attribute\n"
-                 "async def tail():\n    pass\n")}
-    assert dead_names(sources, ["public"]) == [
+                 "async def tail():\n    pass\n"),
+        "c.py": ("__version__ = '1'\nLIMIT = 3\nUNUSED = 'tag'\n"
+                 "ROWS: int = 2\nA = B = 0\nC, D = 1, 2\n"
+                 "def f():\n    LOCAL = LIMIT\n    return LOCAL\n")}
+    assert dead_names(sources, ["public", "f"]) == [
         "a.py line 3: dead", "a.py line 5: Unread", "a.py line 12: stored",
-        "b.py line 5: tail"]
+        "b.py line 4: x", "b.py line 5: tail", "c.py line 3: UNUSED"]
 
 
 def id_calls(source: str) -> list:
