@@ -100,9 +100,15 @@ def _windowed_h_star(wset: WindowedSet, k: int, kind: str):
     return count, witness
 
 
+def _check_kind(kind: str):
+    if kind not in ("local", "global"):
+        raise DomainError(f"kind must be 'local' or 'global', got {kind!r}")
+
+
 def h_star(obj, k: int, kind: str = "local"):
     """H*_{b^k}: max over admissible cubes Q of the hit-subcube count,
     with an argmax witness (ties: smallest level, then lexicographic)."""
+    _check_kind(kind)
     if isinstance(obj, CubeTree):
         count, cube = _tree_h_star(obj, k)
         return count, cube
@@ -116,6 +122,7 @@ def star_dimension_report(obj, kind: str = "local",
     """H* at k = 1..k_max.  k_max defaults to a tree's depth; on a
     windowed set, to the largest k a local cube admits, or for `global`
     to the deepest window's depth."""
+    _check_kind(kind)
     if isinstance(obj, CubeTree):
         if k_max is None:
             k_max = obj.depth

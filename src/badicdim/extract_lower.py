@@ -19,9 +19,8 @@ from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
 from fractions import Fraction
-from itertools import groupby, islice
+from itertools import islice
 from math import lcm
-from operator import attrgetter, is_not
 from typing import NamedTuple
 
 from . import geometry
@@ -135,8 +134,8 @@ def _tree_successors(tree: CubeTree, w: int):
     d = 1 tree's cubes of level w, each one descent
     (`CubeTree.successor`): no cube is listed.  Values are integers."""
 
-    def succ(t, strict=False):
-        corner = tree.successor(w, t + 1 if strict else t)
+    def succ(t):
+        corner = tree.successor(w, t)
         return None if corner is None else (corner,)
     return succ
 
@@ -233,17 +232,24 @@ def construct_subset_lower(source: CubeTree, params: LowerParams) -> BallTree:
 
 
 class LowerBoundRow(NamedTuple):
-    center: tuple
+    """One radius pair (R, r): the packing number N* of each deepest
+    center's ball, in word order, against bound = M^k / (M+1), stored
+    as the pair (M^k, M+1)."""
     R: object
     r: object
-    n_star: int
-    # bound = M^k / (M+1), stored as the pair (M^k, M+1)
+    n_stars: tuple
     bound_num: int
     bound_den: int
-    ok: bool
+
+    @property
+    def ok(self) -> bool:
+        """Every count meets the bound."""
+        return all(n * self.bound_den >= self.bound_num
+                   for n in self.n_stars)
 
 
 class LowerVerification(NamedTuple):
+    leaves: list  # the deepest centers, in word order
     rows: list
     invariants_ok: bool
     cardinality_ok: bool
@@ -254,26 +260,18 @@ class LowerVerification(NamedTuple):
     @property
     def ok(self) -> bool:
         return (self.invariants_ok and self.cardinality_ok
-                and not self.failures
                 and all(row.ok for row in self.rows))
 
     def to_tsv(self) -> str:
-        """One line per row.  The rows come in runs of one radius pair,
-        each run listing the same center objects in the same order, so a
-        run's radii and bound are formatted once and the centers' texts
-        only when a run's centers are not those of the run before."""
-        lines, centers = ["x\tR\tr\tNstar\tbound\tok"], []
-        for (R, r, num, den), run in groupby(self.rows, attrgetter(
-                "R", "r", "bound_num", "bound_den")):
-            run = list(run)
-            if len(run) != len(centers) or any(map(
-                    is_not, centers, map(attrgetter("center"), run))):
-                centers = [row.center for row in run]
-                xs = [",".join(map(str, x)) for x in centers]
-            radii, bound = f"\t{R}\t{r}\t", f"\t{num}/{den}\t"
-            lines += [f"{x}{radii}{row.n_star}{bound}"
-                      f"{'ok' if row.ok else 'FAIL'}"
-                      for x, row in zip(xs, run)]
+        """One line per radius pair and deepest center, pair by pair."""
+        xs = [",".join(map(str, x)) for x in self.leaves]
+        lines = ["x\tR\tr\tNstar\tbound\tok"]
+        for row in self.rows:
+            num, den = row.bound_num, row.bound_den
+            radii, bound = f"\t{row.R}\t{row.r}\t", f"\t{num}/{den}\t"
+            lines += [f"{x}{radii}{n}{bound}"
+                      f"{'ok' if n * den >= num else 'FAIL'}"
+                      for x, n in zip(xs, row.n_stars)]
         return "\n".join(lines) + "\n"
 
 
@@ -301,7 +299,7 @@ def _packing_numbers(ordered: list, centers: list, lv, dim: int):
     distinct ball is counted once.  In d = 1 a ball is the slice of
     `ordered` between two bisections of its first coordinates, swept
     once (`geometry._sweep`); in d >= 2 it is the tuple of its points,
-    packed by branch and bound, or greedily above
+    packed exactly (`geometry.exact_packing`), or greedily above
     `geometry.EXACT_PACKING_LIMIT` points."""
     known = {}
     if dim == 1:
@@ -349,11 +347,8 @@ def verify_lower_bounds(tree: BallTree) -> LowerVerification:
     for j in range(p.depth):
         for k in range(1, p.depth - j + 1):
             lv = geometry.Level(inside[j], apart[j + k])
-            bound_num, bound_den = M**k, M + 1
-            for w, n_star in zip(leaf_words, _packing_numbers(
-                    ordered, leaves, lv, tree.dim)):
-                rows.append(LowerBoundRow(
-                    tree.centers[w], radii[j], radii[j + k], n_star,
-                    bound_num, bound_den, n_star * bound_den >= bound_num))
-    return LowerVerification(rows, not failures, cardinality_ok, p.alpha,
+            rows.append(LowerBoundRow(radii[j], radii[j + k], tuple(
+                _packing_numbers(ordered, leaves, lv, tree.dim)), M**k, M + 1))
+    return LowerVerification([tree.centers[w] for w in leaf_words], rows,
+                             not failures, cardinality_ok, p.alpha,
                              p.R0 == 1, failures)

@@ -87,19 +87,20 @@ def _sweep(cands, apart) -> list:
 
 
 def sweep(succ, lo, hi, apart, skip=None):
-    """Greedy packing of the 1-D points with coordinate in [lo, hi],
-    lazily, one successor query per step (`succ(t)`: the first point
-    at >= t, or > t when `strict`, or None): the scan of `_sweep`,
-    keeping the first point, then the first one more than `apart`
-    (>= 0) past the last kept, without a candidate list.  Points within
-    `apart` of `skip` are passed over."""
+    """Greedy packing of the 1-D integer points with coordinate in
+    [lo, hi], lazily, one successor query per step (`succ(t)`: the first
+    point at >= t, or None): the scan of `_sweep`, keeping the first
+    point, then the first one more than `apart` (>= 0) past the last
+    kept, without a candidate list.  Points within `apart` of `skip` are
+    passed over.  The bounds are integers too, so the first point past
+    t is `succ(t + 1)`."""
     p = succ(lo)
     while p is not None and p[0] <= hi:
         if skip is not None and abs(p[0] - skip) <= apart:
-            p = succ(skip + apart, strict=True)
+            p = succ(skip + apart + 1)
             continue
         yield p
-        p = succ(p[0] + apart, strict=True)
+        p = succ(p[0] + apart + 1)
 
 
 def close_pairs(points, apart) -> list:
@@ -149,10 +150,11 @@ def greedy_packing(points, center, R, r=None):
 def exact_packing(points, center, R, r=None) -> int:
     """True maximum packing number N*_r(points  intersect  B(center, R)).
 
-    d = 1 is solved exactly at any size; otherwise branch and bound over
-    at most EXACT_PACKING_LIMIT candidates (hard error above, never a
-    silent fallback).  `R, r` are exact radii or a `Level` (see
-    `level_of`).
+    d = 1 is solved exactly at any size; otherwise at most
+    EXACT_PACKING_LIMIT candidates (hard error above, never a silent
+    fallback) are searched, once per remaining set: the least remaining
+    candidate is left out, or kept with every candidate near it removed.
+    `R, r` are exact radii or a `Level` (see `level_of`).
     """
     lv = level_of(R, r)
     cands = ball_points(sorted(points), center, lv.inside)
@@ -161,26 +163,17 @@ def exact_packing(points, center, R, r=None) -> int:
     if len(cands) > EXACT_PACKING_LIMIT:
         raise DomainError(f"exact packing limited to {EXACT_PACKING_LIMIT} "
                           f"candidates, got {len(cands)}")
-    n = len(cands)
-    conflict = [[not dist_inf(cands[i], cands[j]) > lv.apart
-                 for j in range(n)] for i in range(n)]
-    best = 0
+    near = [frozenset(j for j, q in enumerate(cands)
+                      if not dist_inf(p, q) > lv.apart) for p in cands]
 
-    def grow(idx: int, chosen: list):
-        nonlocal best
-        if len(chosen) + (n - idx) <= best:
-            return
-        if idx == n:
-            best = max(best, len(chosen))
-            return
-        if all(not conflict[idx][j] for j in chosen):
-            chosen.append(idx)
-            grow(idx + 1, chosen)
-            chosen.pop()
-        grow(idx + 1, chosen)
+    @cache
+    def most(rest: frozenset) -> int:
+        if not rest:
+            return 0
+        pivot = min(rest)
+        return max(most(rest - {pivot}), 1 + most(rest - near[pivot]))
 
-    grow(0, [])
-    return best
+    return most(frozenset(range(len(cands))))
 
 
 def exact_cover(points, center, R, rho) -> int:

@@ -1,6 +1,7 @@
 """The traced benchmark run (`bench/run.py --trace 1`) looks up every
 name in `bench/tracing.py`'s TARGETS; a renamed or deleted one makes it
-fail with a KeyError."""
+fail with a KeyError.  The workloads also read a few attributes of the
+results they get back."""
 
 import importlib
 import importlib.util
@@ -31,3 +32,16 @@ def test_trace_targets_resolve():
             assert inspect.isgeneratorfunction(raw), attr
         else:
             assert callable(raw), attr
+
+
+def test_result_attributes_the_bench_reads():
+    # bench/tracing.py counts a report's `records` and a verification's
+    # `rows`; bench/workloads.py reads a verification's `ok` and `to_tsv`
+    # and tells a BallTree from a verification by `centers`
+    from badicdim.estimators import DimensionReport
+    from badicdim.extract_lower import LowerVerification
+    assert "records" in DimensionReport._fields
+    assert "rows" in LowerVerification._fields
+    assert hasattr(LowerVerification, "ok")
+    assert hasattr(LowerVerification, "to_tsv")
+    assert not hasattr(LowerVerification, "centers")

@@ -118,6 +118,19 @@ def test_windowed_local_vs_global():
     assert star_dimension_report(ws, "global").records[-1].k == 10
 
 
+@pytest.mark.parametrize("call, kind", [
+    (lambda kind: star_dimension_report(lattice_window(2, 1, 6), kind, 3),
+     "bogus"),
+    (lambda kind: star_dimension_report(_cantor(4), kind), "Local"),
+    (lambda kind: h_star(_cantor(4), 1, kind), "nonsense"),
+    (lambda kind: h_star(lattice_window(2, 1, 6), 1, kind), "star-global")])
+def test_star_kinds_other_than_local_and_global_are_refused_by_name(call,
+                                                                    kind):
+    with pytest.raises(DomainError, match=(
+            f"^kind must be 'local' or 'global', got '{kind}'$")):
+        call(kind)
+
+
 def test_star_report_refuses_an_unsupported_set_by_name():
     points = PointSet.of(2, 1, [(Fraction(1, 4),)])
     with pytest.raises(DomainError, match="unsupported set type <class "):

@@ -13,7 +13,7 @@ from badicdim import extract_lower, geometry
 from badicdim.core import CubeTree, DomainError, PointSet, leaf_corners, \
     leaf_representatives, representatives_tree
 from badicdim.exactmath import ScaledPower, floor_lambda, iroot
-from badicdim.extract_lower import (BallTree, LowerBoundRow, LowerParams,
+from badicdim.extract_lower import (BallTree, LowerParams,
                                     _pick_1d, _tree_lattice,
                                     _tree_successors,
                                     construct_subset_lower,
@@ -305,12 +305,21 @@ def test_report_tsv_shape():
     assert all(line.endswith("ok") for line in lines[1:])
 
 
-def _flat_tsv(rows):
-    """The TSV with every row formatted on its own."""
+def _flat_rows(v):
+    """(center, R, r, Nstar, bound, ok) per radius pair and deepest
+    center of the verification `v`, pair by pair."""
+    return [(x, row.R, row.r, n, (row.bound_num, row.bound_den),
+             n * row.bound_den >= row.bound_num)
+            for row in v.rows for x, n in zip(v.leaves, row.n_stars)]
+
+
+def _flat_tsv(v):
+    """The TSV with every (center, radius pair) line formatted on its
+    own."""
     return "".join(["x\tR\tr\tNstar\tbound\tok\n"] + [
-        f"{','.join(map(str, row.center))}\t{row.R}\t{row.r}\t{row.n_star}"
-        f"\t{row.bound_num}/{row.bound_den}\t{'ok' if row.ok else 'FAIL'}\n"
-        for row in rows])
+        f"{','.join(map(str, x))}\t{R}\t{r}\t{n}\t{num}/{den}"
+        f"\t{'ok' if ok else 'FAIL'}\n"
+        for x, R, r, n, (num, den), ok in _flat_rows(v)])
 
 
 @pytest.mark.parametrize("source, params", [
@@ -318,22 +327,9 @@ def _flat_tsv(rows):
     (CubeTree.full(5, 1, 4), LowerParams(Fraction(2, 5), 5, 1, R0=Fraction(
         1, 2))),
     (CubeTree.full(3, 2, 4), LowerParams(Fraction(1, 2), 3, 1))])
-def test_tsv_reuses_center_texts_only_for_the_same_centers(source, params):
+def test_tsv_prints_one_line_per_center_and_radius_pair(source, params):
     v = verify_lower_bounds(construct_subset_lower(source, params))
-    rows = v.rows
-    assert v.to_tsv() == _flat_tsv(rows)
-
-    def moved(row, center):
-        return LowerBoundRow(center, row.R, row.r, row.n_star,
-                             row.bound_num, row.bound_den, row.ok)
-
-    # shuffled, shortened and reversed runs, equal but new center
-    # objects, and a last run whose last center is another run's first
-    for changed in (random.Random(5).sample(rows, len(rows)), rows[1:],
-                    rows[::-1],
-                    [moved(row, tuple(list(row.center))) for row in rows],
-                    rows[:-1] + [moved(rows[-1], rows[0].center)]):
-        assert v._replace(rows=changed).to_tsv() == _flat_tsv(changed)
+    assert v.to_tsv() == _flat_tsv(v)
 
 
 def test_invariant_checker_catches_violations():
@@ -525,8 +521,8 @@ def _assert_matches_reference(source, params):
     centers, rows, failures = expected
     assert bt.centers == centers
     v = verify_lower_bounds(bt)
-    assert [(row.center, str(row.R), str(row.r), row.n_star, row.ok)
-            for row in v.rows] == rows
+    assert [(x, str(R), str(r), n, ok)
+            for x, R, r, n, _, ok in _flat_rows(v)] == rows
     assert v.invariants_ok == (not failures)
 
 
@@ -641,12 +637,35 @@ def test_keyed_verifier_matches_the_per_row_loop(seed, shape, am, levels, R0,
     for tree in trees:
         v = verify_lower_bounds(tree)
         rows, failures, flags = _per_row_verification(tree)
-        assert [(row.center, row.R, row.r, row.n_star, row.ok)
-                for row in v.rows] == [(x, radii[j], radii[i], n, ok)
-                                       for x, j, i, n, ok in rows]
+        assert [(x, R, r, n, ok) for x, R, r, n, _, ok in _flat_rows(v)] \
+            == [(x, radii[j], radii[i], n, ok) for x, j, i, n, ok in rows]
         assert v.failures == failures
         assert (v.invariants_ok, v.cardinality_ok, v.box_ratio_exact) \
             == flags
+
+
+@pytest.mark.parametrize("dim, am, levels, R0, D", [
+    (1, (Fraction(1, 2), 4), 2, Fraction(1), 400),
+    (1, (Fraction(2, 7), 2), 3, Fraction(1, 3), 500),
+    (2, (Fraction(1, 2), 3), 2, Fraction(5, 3), 60)])
+def test_tsv_of_random_ball_trees_prints_their_fail_lines(dim, am, levels,
+                                                          R0, D):
+    params = LowerParams(*am, levels, R0=R0)
+    rng = random.Random(D)
+    fails = 0
+    for _ in range(20):
+        v = verify_lower_bounds(_grid_ball_tree(rng, params, dim, D))
+        text = v.to_tsv()
+        assert text == _flat_tsv(v)
+        # a row is ok when none of its lines fails
+        lines, m = text.splitlines()[1:], len(v.leaves)
+        assert [row.ok for row in v.rows] == [
+            all(line.endswith("\tok") for line in lines[i * m:(i + 1) * m])
+            for i in range(len(v.rows))]
+        assert v.ok == (v.invariants_ok and v.cardinality_ok
+                        and "\tFAIL\n" not in text)
+        fails += text.count("\tFAIL\n")
+    assert fails
 
 
 def _rebuilt_lattice(tree, params):
@@ -791,10 +810,12 @@ def test_deep_1d_trees_build_past_the_listing_limit(tree, params, count):
     _, apart, nested = extract_lower._thresholds(params, D)
     assert extract_lower._check_invariants(
         bt, apart, nested, dict(zip(bt.centers, points))) == []
-    # one row per leaf and radius pair: 15,360 and 24,576
+    # one row per radius pair, each with one count per leaf: 15 rows of
+    # 1,024 counts and 6 rows of 4,096
     n, M = params.depth, params.M
     v = verify_lower_bounds(bt)
-    assert v.ok and len(v.rows) == n * (n + 1) // 2 * M**n
+    assert v.ok and len(v.rows) == n * (n + 1) // 2
+    assert all(len(row.n_stars) == M**n for row in v.rows)
 
 
 def test_tree_lattice_refuses_to_enumerate_too_many_cubes():
