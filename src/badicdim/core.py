@@ -308,6 +308,16 @@ def counts_below(nodes, k: int) -> dict:
     return counts
 
 
+def _child_sums(children, below: dict) -> tuple:
+    """A node's count vector: its number of children, then the sum of
+    its children's vectors in `below`, entry by entry."""
+    (_, first), *rest = children
+    total = below[first]
+    for _, child in rest:
+        total = tuple(map(add, total, below[child]))
+    return (len(children), *total)
+
+
 class BadicCube:
     """A level-n base-b cube in [0,1]^d, identified by d digit strings."""
 
@@ -482,27 +492,28 @@ class CubeTree:
     def _count_profile(self) -> tuple:
         """The count profile `(maxima, minima)`, read only through
         `extreme_count`: `maxima[i][k - 1]` is
-        `(count, path)` for the level-i node with the most depth-k
+        `(count, chain)` for the level-i node with the most depth-k
         descendants, k = 1..depth-i, ties going to the smallest path;
-        `minima` likewise for the fewest.  Built bottom-up after one
-        `levels()` walk from per-node count vectors (entry k - 1: the
-        depth-k count), keeping only the level below's; cached."""
+        `minima` likewise for the fewest.  A chain is the node's smallest
+        path as links `(parent's chain, key)`, the root's None.  Built
+        bottom-up after one `walk` from per-node count vectors (entry
+        k - 1: the depth-k count), keeping only the level below's; cached."""
         if self._profile is None:
-            levels = list(self.levels())
+            levels = list(walk({self.root: None}, self.depth,
+                               lambda up, key: (up, key)))
             below = dict.fromkeys(levels.pop(), ())
             maxima, minima = [[]], [[]]
             while levels:
                 nodes = levels.pop()
-                vectors = [(len(node.children), *map(sum, zip(*[
-                    below[child] for _, child in node.children])))
-                    for node in nodes]
+                vectors = [_child_sums(node.children, below)
+                           for node in nodes]
                 below = dict(zip(nodes, vectors))
-                paths = list(nodes.values())  # ascending
+                chains = list(nodes.values())  # ascending paths
                 columns = list(zip(*vectors))  # one per k
                 for table, pick in ((maxima, max), (minima, min)):
                     best = list(map(pick, columns))
                     first = map(tuple.index, columns, best)  # smallest path
-                    table.append(list(zip(best, map(paths.__getitem__,
+                    table.append(list(zip(best, map(chains.__getitem__,
                                                     first))))
             self._profile = (maxima[::-1], minima[::-1])
         return self._profile
@@ -524,7 +535,11 @@ class CubeTree:
                 for row in (maxima if largest else minima)[lo:hi + 1]]
         counts = [count for count, _ in rows]
         i = counts.index((max if largest else min)(counts))
-        return counts[i], lo + i, rows[i][1]
+        keys, chain = [], rows[i][1]
+        while chain is not None:
+            chain, key = chain
+            keys.append(key)
+        return counts[i], lo + i, tuple(reversed(keys))
 
     def leaf_values(self, start, step, limit: int = MAX_LEAF_ENUM,
                     level: int = None) -> list:

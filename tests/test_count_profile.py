@@ -7,6 +7,7 @@ import tracemalloc
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+from badicdim import core
 from badicdim.core import (CubeNode, CubeTree, DomainError, Window,
                            WindowedSet, leaf_corners)
 from badicdim.estimators import (count_hit_subcubes, h_star,
@@ -131,24 +132,45 @@ def test_deep_leaf_counts_keep_one_count_per_node():
 
 
 def test_profile_is_one_walk_per_tree(monkeypatch):
+    tree = random_branching_tree(2, 1, 8, 2, seed=5)
     walks = []
-    levels = CubeTree.levels
+    walk = core.walk
 
-    def counted(self):
-        walks.append(self)
-        return levels(self)
+    def counted(layer, *args, **kwargs):
+        if tree.root in layer:
+            walks.append(layer)
+        return walk(layer, *args, **kwargs)
 
     def uncounted(self, node, k):
         raise AssertionError("the profile sums count vectors instead")
 
-    monkeypatch.setattr(CubeTree, "levels", counted)
+    monkeypatch.setattr(core, "walk", counted)
     monkeypatch.setattr(CubeTree, "descendant_count", uncounted)
-    tree = random_branching_tree(2, 1, 8, 2, seed=5)
     star_dimension_report(tree)
     lower_dimension_report(tree)
     for n in range(1, 9):
         find_dense_window(tree, n)
     assert len(walks) == 1
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 10**6), st.sampled_from([2, 3]),
+       st.sampled_from([1, 2]), st.integers(1, 6), st.integers(1, 3))
+def test_single_level_reads_match_flat_recounts(seed, b, d, depth, kids):
+    # the windowed kernel and check_prune_hypotheses read one level each
+    tree = random_branching_tree(b, d, depth, min(kids, b**d), seed)
+    table = _flat_counts(tree)
+    for k in range(1, depth + 1):
+        for i in range(depth - k + 1):
+            for largest in (True, False):
+                assert tree.extreme_count(k, largest, lo=i, hi=i) == \
+                    _scan(table, k, [i], largest)
+
+
+def test_deep_witness_path_is_built_without_recursion():
+    tree = random_branching_tree(2, 1, 1500, 1, 0)
+    (leaf,) = tree.iter_leaf_paths()
+    assert tree.extreme_count(1, lo=1499, hi=1499) == (1, 1499, leaf[:1499])
 
 
 # -- windowed kernel ------------------------------------------------------
