@@ -291,8 +291,9 @@ def _cmd_info(args) -> int:
     obj = _read_set(args.input)
     if isinstance(obj, CubeTree):
         print(f"bdt b={obj.base} d={obj.dim} n={obj.depth}")
-        print(f"leaves={obj.leaf_count}")
-        for k, count in enumerate(obj.level_counts()):
+        counts = list(obj.level_counts())  # the last is the leaf count
+        print(f"leaves={counts[-1]}")
+        for k, count in enumerate(counts):
             print(f"level {k}: {count} cubes")
     else:
         print(f"wdt b={obj.base} d={obj.dim} windows={len(obj.windows)}")

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
 from fractions import Fraction
-from itertools import islice
+from itertools import islice, tee
 from math import lcm
 from typing import NamedTuple
 
@@ -161,48 +161,59 @@ def _lattice(points):
                for x in points]
 
 
-def _tree_lattice(tree: CubeTree, params: LowerParams, counts: list) -> int:
+def _tree_lattice(tree: CubeTree, params: LowerParams, counts) -> int:
     """The lattice level w: the first level fine enough for the deepest
     radius with at least 4 (M + 3^d) cubes, or the last.  `counts` are
-    the tree's level counts (`level_counts`), so deep trees never list
-    their leaves.  The construction then works on the corners of the
-    cubes of level w, at scale base^w: in d = 1 by successor queries on
-    the tree, in d >= 2 as a listed lattice (`leaf_corners`)."""
+    the tree's level counts, root first (`level_counts`), drawn only
+    through the level returned and never at the last level, so deep
+    trees never list their leaves and a lazy walk stops where w is
+    decided.  The construction then works on the corners of the cubes
+    of level w, at scale base^w: in d = 1 by successor queries on the
+    tree, in d >= 2 as a listed lattice (`leaf_corners`)."""
     c, M, alpha = params.R0, params.M, params.alpha
     w = 1  # the first w with 2 / base^w <= R_depth
     while w < tree.depth and floor_lambda(c * tree.base**w, M, alpha,
                                           params.depth) < 2:
         w += 1
-    w = min(w, tree.depth)
-    while w < tree.depth and counts[w] < 4 * (M + 3**tree.dim):
-        w += 1
-    return w
+    need = 4 * (M + 3**tree.dim)
+    # zip draws a count only while a level below the last is left
+    deeper = zip(range(w, tree.depth), islice(counts, w, None))
+    return next((level for level, count in deeper if count >= need),
+                tree.depth)
 
 
-def _check_source(source: CubeTree, params: LowerParams, count: int):
+def _check_source(source: CubeTree, params: LowerParams, counts):
     """The source's lower estimate at its last scale k = depth, its
-    `count` of leaves, must reach alpha+eps: count >= base^(k
-    (alpha+eps)), decided in integers."""
+    leaf count, must reach alpha+eps: leaves >= base^(k (alpha+eps)),
+    decided in integers.  `counts` are the level counts, root first
+    (`level_counts`).  Every cube holds a leaf, so they never decrease
+    and the last is the leaf count: the first count that reaches the
+    bound decides, and no deeper one is drawn.  Only a refusal reads
+    them all, to name the estimate from the leaf count."""
     k = source.depth
     if k == 0:
         raise DomainError("lower construction needs a source of depth >= 1")
     target = params.alpha + params.eps
-    if not pow_at_most(source.base, k * target, count):
-        raise DomainError(
-            f"source lower estimate {_log_ratio(count, k, source.base):.6f} "
-            f"below alpha+eps={float(target):.6f}")
+    for count in counts:
+        if pow_at_most(source.base, k * target, count):
+            return
+    raise DomainError(
+        f"source lower estimate {_log_ratio(count, k, source.base):.6f} "
+        f"below alpha+eps={float(target):.6f}")
 
 
 def construct_subset_lower(source: CubeTree, params: LowerParams) -> BallTree:
     """Build the nested ball families from the corners of the cubes of
     one level of the tree `source` (see `_tree_lattice`).  In d = 1
-    every query is a successor query.  The tree is walked once, for its
-    level counts."""
+    every query is a successor query.  The source check and the lattice
+    level share one lazy `level_counts` walk, drawn only down to the
+    deeper of the levels that decide them; only a refused source is
+    walked to its leaves."""
     if not isinstance(source, CubeTree):
         raise DomainError(f"unsupported source type {type(source)!r}")
-    counts = list(source.level_counts())
-    _check_source(source, params, counts[-1])
-    w = _tree_lattice(source, params, counts)
+    counts, again = tee(source.level_counts())
+    _check_source(source, params, counts)
+    w = _tree_lattice(source, params, again)
     D = source.base**w
     if source.dim == 1:
         query = _tree_successors(source, w)

@@ -12,7 +12,8 @@ from hypothesis import given, settings, strategies as st
 from badicdim import extract_lower, geometry
 from badicdim.core import CubeTree, DomainError, PointSet, leaf_corners, \
     leaf_representatives, representatives_tree
-from badicdim.exactmath import ScaledPower, floor_lambda, iroot
+from badicdim.estimators import _log_ratio
+from badicdim.exactmath import ScaledPower, floor_lambda, iroot, pow_at_most
 from badicdim.extract_lower import (BallTree, LowerParams,
                                     _pick_1d, _tree_lattice,
                                     _tree_successors,
@@ -273,7 +274,7 @@ def _unchecked():
     """A context in which `construct_subset_lower` skips the source's
     lower-estimate check, so the construction itself is reached."""
     return mock.patch.object(extract_lower, "_check_source",
-                             lambda source, params, count: None)
+                             lambda source, params, counts: None)
 
 
 def test_construct_on_unchecked_depth0_source():
@@ -557,6 +558,78 @@ def test_lattice_construction_matches_reference_2d(seed, am, depth, R0,
     source = _random_source(seed, 2, 2, depth, keep)
     alpha, M = am
     _assert_matches_reference(source, LowerParams(alpha, M, 1, R0=R0))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(0, 10**6), st.sampled_from([(2, 1, 6), (3, 1, 4),
+                                                (2, 2, 3), (3, 2, 2)]),
+       st.booleans(), st.integers(1, 3),
+       st.sampled_from([0.1, 0.3, 0.6, 0.9, 1.0]),
+       st.sampled_from(sorted({Fraction(p, q) for q in range(1, 7)
+                               for p in range(1, q + 1)})),
+       st.sampled_from([Fraction(0), Fraction(1, 4), Fraction(1, 2),
+                        Fraction(1)]),
+       st.integers(0, 2))
+def test_source_is_refused_exactly_when_its_leaves_miss_the_bound(
+        seed, shape, holed, max_children, keep, alpha, eps, levels):
+    base, dim, depth = shape
+    tree = (_random_source(seed, base, dim, depth, keep)
+            if holed else random_branching_tree(
+                base, dim, depth, min(max_children, base**dim), seed))
+    target = alpha + eps
+    refused = (f"source lower estimate "
+               f"{_log_ratio(tree.leaf_count, depth, base):.6f} "
+               f"below alpha+eps={float(target):.6f}")
+    try:
+        construct_subset_lower(tree, LowerParams(alpha, 2, levels, eps))
+    except DomainError as exc:
+        message = str(exc)
+    else:
+        message = None
+    if pow_at_most(base, depth * target, tree.leaf_count):
+        assert message is None or not message.startswith("source")
+    else:
+        assert message == refused
+
+
+def _draws_counted(drawn: list):
+    """A context in which `CubeTree.level_counts` appends each count it
+    yields to `drawn`."""
+    real = CubeTree.level_counts
+
+    def counted(tree):
+        for count in real(tree):
+            drawn.append(count)
+            yield count
+    return mock.patch.object(CubeTree, "level_counts", counted)
+
+
+@pytest.mark.parametrize("tree, params, deepest", [
+    # like the rational case of the lower_balls benchmark: a base-4
+    # depth-7 tree with about a quarter of its leaves removed.  Level 4's
+    # 256 cubes reach 4^(7/2); R_3 = 2^-12 fixes w = 7, the last level,
+    # which needs no count
+    (_random_source(601, 4, 1, 7, 0.75),
+     LowerParams(Fraction(1, 2), 4, 3), 4),
+    # R_4 = 2^-16 fixes w = 9, whose 4^9 cubes are enough; the bound
+    # 4^10 is first reached at level 10
+    (CubeTree.full(4, 1, 20), LowerParams(Fraction(1, 2), 4, 4), 10),
+    # the bound 3^(12/5) < 16 is reached at level 4; R_2 = 2^-10 fixes
+    # w = 7, whose 2^7 cubes are enough
+    (digit_cantor(3, 1, [0, 2], 12), LowerParams(Fraction(1, 5), 2, 2), 7)])
+def test_construction_draws_counts_only_down_to_the_deciding_level(
+        tree, params, deepest):
+    counts = list(tree.level_counts())
+    bound = tree.depth * (params.alpha + params.eps)
+    passed = next(level for level, count in enumerate(counts)
+                  if pow_at_most(tree.base, bound, count))
+    w = _tree_lattice(tree, params, counts)
+    assert deepest == max(passed, w if w < tree.depth else 0)
+    drawn = []
+    with _draws_counted(drawn):
+        bt = construct_subset_lower(tree, params)
+    assert drawn == counts[:deepest + 1]
+    assert len(bt.leaf_points) == params.M**params.depth
 
 
 def _per_row_verification(tree):
