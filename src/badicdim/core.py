@@ -556,42 +556,39 @@ class CubeTree:
         return [value for value, _ in descend([(start, self.root)],
                                               level, step)]
 
-    def successor(self, level: int, t: int):
-        """The smallest corner >= t of the cubes of `level` of this d = 1
-        tree, as an integer in units of their side, or None.  One descent
-        from the root follows t's digits; where t's digit is missing, it
-        resumes at the deepest larger key passed on the way and takes
-        smallest keys from there: O(level * base)."""
+    def sweep(self, level: int, lo: int, hi: int, apart: int, skip=None):
+        """Greedy packing of the corners of the cubes of `level` of this
+        d = 1 tree that lie in [lo, hi], as 1-tuples of integers in units
+        of their side: the first corner, then each first corner more than
+        `apart` (>= 0) past the last one yielded, passing over corners
+        within `apart` of `skip` (`geometry._sweep` of the listed corners
+        less that band).  One walk in key order on an explicit stack,
+        lazily: a subtree that ends before the next admissible corner t
+        is skipped, and the walk stops at the first cube past `hi`.  It
+        starts one level above the root, whose only child, of side
+        base^level, is the root."""
         if self.dim != 1:
-            raise DomainError("successor queries need a d = 1 tree")
-        b, t = self.base, max(t, 0)
-        digits = []
-        for _ in range(level):
-            t, digit = divmod(t, b)
-            digits.append(digit)
-        if t:  # t >= b^level
-            return None
-        node, corner, branch = self.root, 0, None
-        for i, digit in enumerate(reversed(digits)):
-            below = None
-            for (key,), child in node.children:
-                if key > digit:
-                    branch = (i, corner * b + key, child)
+            raise DomainError("sweeps need a d = 1 tree")
+        b, t = self.base, lo
+        stack = [(0, b**level, iter((((0,), self.root),)))]
+        while stack:
+            corner, side, children = stack[-1]
+            for (key,), child in children:
+                start = corner + key * side
+                if start > hi:
+                    return
+                if start + side <= t:
+                    continue
+                if side > 1:
+                    stack.append((start, side // b, iter(child.children)))
                     break
-                if key == digit:
-                    below = child
-            if below is None:
-                break
-            node, corner = below, corner * b + digit
-        else:
-            return corner
-        if branch is None:
-            return None
-        i, corner, node = branch
-        for _ in range(level - 1 - i):
-            (key,), node = node.children[0]
-            corner = corner * b + key
-        return corner
+                if skip is not None and abs(start - skip) <= apart:
+                    t = skip + apart + 1
+                else:
+                    yield (start,)
+                    t = start + apart + 1
+            else:
+                stack.pop()
 
     def iter_leaf_paths(self, limit: int = MAX_LEAF_ENUM) -> Iterator[Path]:
         yield from self.leaf_values((), lambda path, key: path + (key,),

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
 from fractions import Fraction
+from functools import partial
 from itertools import islice, tee
 from math import lcm
 from typing import NamedTuple
@@ -86,15 +87,16 @@ def select_packing_children(query, center, lv: geometry.Level, M: int):
     packing candidates.  Requires a packing of M + 3^d balls, found by
     a greedy scan that stops once it has them.  `lv` holds the radius
     pair's thresholds on the integer lattice.  `query` is the lattice:
-    in d = 1 its successor query (`_tree_successors`), in d >= 2 its
-    sorted list of points, of which the inside ball is taken once."""
+    in d = 1 the tree's sweep of one level, `partial(tree.sweep, w)`,
+    which answers the anchor check (a sweep of [c, c]), the feasibility
+    count and the picks without listing a ball; in d >= 2 its sorted
+    list of points, of which the inside ball is taken once."""
     d = len(center)
     need = M + 3**d
     if d == 1:
         c = center[0]
-        found = query(c) == center
-        packing = islice(geometry.sweep(query, c - lv.inside, c + lv.inside,
-                                        lv.apart), need)
+        found = next(query(c, c, 0), None) == center
+        packing = islice(query(c - lv.inside, c + lv.inside, lv.apart), need)
     else:
         ball = geometry.ball_points(query, center, lv.inside)
         found = center in ball
@@ -117,27 +119,16 @@ def select_packing_children(query, center, lv: geometry.Level, M: int):
     return chosen
 
 
-def _pick_1d(succ, center, lv, M: int) -> list:
+def _pick_1d(sweep, center, lv, M: int) -> list:
     """The d = 1 case of the scan in `select_packing_children`: up to M
     points, the anchor first.  Every pick after the anchor lies above
     the last one, so the picks are the sweep of the nested ball that
-    passes over the anchor's band [c - apart, c + apart]: one or two
-    successor queries per pick."""
+    passes over the anchor's band [c - apart, c + apart]: one walk of
+    the tree (`sweep`, as in `select_packing_children`) that stops at
+    the last pick."""
     c = center[0]
-    return [center, *islice(geometry.sweep(succ, c - lv.nested,
-                                           c + lv.nested, lv.apart, c),
+    return [center, *islice(sweep(c - lv.nested, c + lv.nested, lv.apart, c),
                             max(M - 1, 0))]
-
-
-def _tree_successors(tree: CubeTree, w: int):
-    """The successor query of `geometry.sweep` on the corners of a
-    d = 1 tree's cubes of level w, each one descent
-    (`CubeTree.successor`): no cube is listed.  Values are integers."""
-
-    def succ(t):
-        corner = tree.successor(w, t)
-        return None if corner is None else (corner,)
-    return succ
 
 
 def _thresholds(params: LowerParams, D: int) -> tuple:
@@ -168,8 +159,9 @@ def _tree_lattice(tree: CubeTree, params: LowerParams, counts) -> int:
     through the level returned and never at the last level, so deep
     trees never list their leaves and a lazy walk stops where w is
     decided.  The construction then works on the corners of the cubes
-    of level w, at scale base^w: in d = 1 by successor queries on the
-    tree, in d >= 2 as a listed lattice (`leaf_corners`)."""
+    of level w, at scale base^w: in d = 1 by sweeps of the tree's
+    level w (`CubeTree.sweep`), in d >= 2 as a listed lattice
+    (`leaf_corners`)."""
     c, M, alpha = params.R0, params.M, params.alpha
     w = 1  # the first w with 2 / base^w <= R_depth
     while w < tree.depth and floor_lambda(c * tree.base**w, M, alpha,
@@ -205,10 +197,11 @@ def _check_source(source: CubeTree, params: LowerParams, counts):
 def construct_subset_lower(source: CubeTree, params: LowerParams) -> BallTree:
     """Build the nested ball families from the corners of the cubes of
     one level of the tree `source` (see `_tree_lattice`).  In d = 1
-    every query is a successor query.  The source check and the lattice
-    level share one lazy `level_counts` walk, drawn only down to the
-    deeper of the levels that decide them; only a refused source is
-    walked to its leaves."""
+    every query, the first corner included, is a pruned walk of that
+    level (`CubeTree.sweep`), so no cube is listed.  The source check
+    and the lattice level share one lazy `level_counts` walk, drawn
+    only down to the deeper of the levels that decide them; only a
+    refused source is walked to its leaves."""
     if not isinstance(source, CubeTree):
         raise DomainError(f"unsupported source type {type(source)!r}")
     counts, again = tee(source.level_counts())
@@ -216,8 +209,8 @@ def construct_subset_lower(source: CubeTree, params: LowerParams) -> BallTree:
     w = _tree_lattice(source, params, again)
     D = source.base**w
     if source.dim == 1:
-        query = _tree_successors(source, w)
-        first = query(0)
+        query = partial(source.sweep, w)
+        first = next(query(0, D, 0))
     else:
         query = leaf_corners(source, w)
         first = query[0]

@@ -14,6 +14,10 @@ of R D, 2r D and (R - r) D: for an integer n, n <= t iff n <= floor(t)
 and n > t iff n > floor(t).  So a caller with irrational radii computes
 three integers once (`exactmath.floor_lambda`) and every decision is a
 comparison of integers.
+
+In d = 1 a greedy packing is one sweep in coordinate order (`_sweep`);
+the lower construction runs the same sweep on a tree's cube corners
+without listing them (`CubeTree.sweep`).
 """
 
 from __future__ import annotations
@@ -75,8 +79,9 @@ def _sweep(cands, apart) -> list:
     """Greedy packing of sorted 1-D points: keep a point when it lies
     more than `apart` past the last point kept.  The last kept point is
     the nearest kept one, so this is the lexicographic greedy, and it is
-    a maximum packing (interval scheduling).  `sweep` is the same scan
-    driven by successor queries, for sets that are not listed."""
+    a maximum packing (interval scheduling).  The verifier sweeps listed
+    balls with it; `CubeTree.sweep` is the same scan as one walk of a
+    d = 1 tree, for lattices that are not listed."""
     kept = []
     last = None
     for p in cands:
@@ -84,23 +89,6 @@ def _sweep(cands, apart) -> list:
             kept.append(p)
             last = p[0]
     return kept
-
-
-def sweep(succ, lo, hi, apart, skip=None):
-    """Greedy packing of the 1-D integer points with coordinate in
-    [lo, hi], lazily, one successor query per step (`succ(t)`: the first
-    point at >= t, or None): the scan of `_sweep`, keeping the first
-    point, then the first one more than `apart` (>= 0) past the last
-    kept, without a candidate list.  Points within `apart` of `skip` are
-    passed over.  The bounds are integers too, so the first point past
-    t is `succ(t + 1)`."""
-    p = succ(lo)
-    while p is not None and p[0] <= hi:
-        if skip is not None and abs(p[0] - skip) <= apart:
-            p = succ(skip + apart + 1)
-            continue
-        yield p
-        p = succ(p[0] + apart + 1)
 
 
 def close_pairs(points, apart) -> list:

@@ -234,6 +234,21 @@ def test_domain_error_exits_1(tmp_path, capsys):
     assert "error:" in err
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["assouad", "--eps", "1/4", "--M", "4"], "target alpha must be positive"),
+    (["lower", "--M", "4", "--depth", "1"], "alpha must be in (0, 1]")])
+def test_both_constructions_refuse_alpha_zero(tmp_path, capsys, argv,
+                                              message):
+    # the s = 0 endpoint, a single point in the paper, is not built
+    src, out_path = str(tmp_path / "f.bdt"), str(tmp_path / "sub.bdt")
+    run(capsys, "gen", "full-cube", "--base", "2", "--dim", "1",
+        "--depth", "6", "--out", src)
+    code, out, err = run(capsys, "extract", *argv, "--alpha", "0",
+                         "--in", src, "--out", out_path)
+    assert (code, out, err) == (1, "", f"error: {message}\n")
+    assert not (tmp_path / "sub.bdt").exists()
+
+
 IN, OUT = "<in>", "<out>"  # the source set and the output path
 
 

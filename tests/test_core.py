@@ -1,11 +1,11 @@
 import itertools
 import random
-from bisect import bisect_left
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from badicdim import geometry
 from badicdim.core import (BadicCube, CubeTree, DomainError, PointSet,
                            SetFormatError, Window, WindowedSet,
                            leaf_corners, leaf_representatives, read_bdt,
@@ -277,11 +277,19 @@ def test_structure_sharing_is_compact():
     assert len(seen) == 30
 
 
+def _listed_sweep(tree, w, lo, hi, apart, skip):
+    """`CubeTree.sweep` by its definition: the greedy sweep of the listed
+    corners of level w in [lo, hi], less those within `apart` of
+    `skip`."""
+    return geometry._sweep([
+        c for c in leaf_corners(tree, w) if lo <= c[0] <= hi
+        and (skip is None or abs(c[0] - skip) > apart)], apart)
+
+
 @settings(max_examples=150, deadline=None)
 @given(st.integers(2, 5), st.integers(0, 5), st.integers(0, 10**6),
        st.sampled_from([1.0, 0.6, 0.3, 0.05]))
-def test_successor_matches_bisection_of_listed_corners(base, depth, seed,
-                                                       keep):
+def test_sweep_matches_the_listed_sweep(base, depth, seed, keep):
     while base**depth > 625:
         depth -= 1
     rng = random.Random(seed)
@@ -291,13 +299,34 @@ def test_successor_matches_bisection_of_listed_corners(base, depth, seed,
     tree = CubeTree.from_leaves(base, 1, depth,
                                 paths or [(rng.choice(keys),) * depth])
     for w in range(depth + 1):
-        corners = [c for c, in leaf_corners(tree, w)]
-        for t in range(-2, base**w + 2):
-            i = bisect_left(corners, t)
-            assert tree.successor(w, t) == (
-                corners[i] if i < len(corners) else None)
+        side = base**w
+        # the whole level and beyond it on both sides, then random windows
+        windows = [(-2, side + 1, apart, skip) for apart in (0, 1, side)
+                   for skip in (None, 0, side // 2)]
+        for _ in range(12):
+            lo = rng.randint(-3, side + 1)
+            windows.append((lo, rng.randint(lo - 1, side + 3),
+                            rng.randint(0, side),
+                            rng.choice([None, rng.randint(-3, side + 3)])))
+        for lo, hi, apart, skip in windows:
+            assert list(tree.sweep(w, lo, hi, apart, skip)) == _listed_sweep(
+                tree, w, lo, hi, apart, skip)
 
 
-def test_successor_needs_one_dimension():
+def test_sweep_needs_one_dimension():
     with pytest.raises(DomainError, match="d = 1"):
-        CubeTree.full(2, 2, 3).successor(1, 0)
+        next(CubeTree.full(2, 2, 3).sweep(1, 0, 7, 0))
+
+
+def test_sweep_walks_a_deep_chain_without_recursion():
+    # one leaf at depth 3000: its corner is the only one at every level
+    rng = random.Random(3000)
+    path = tuple((rng.randrange(3),) for _ in range(3000))
+    tree = CubeTree.from_leaves(3, 1, 3000, [path])
+    corner = 0
+    for (key,) in path:
+        corner = corner * 3 + key
+    assert list(tree.sweep(3000, -1, 3**3000, 0)) == [(corner,)]
+    assert list(tree.sweep(3000, 0, corner - 1, 0)) == []
+    assert list(tree.sweep(3000, corner + 1, 3**3000, 0)) == []
+    assert list(tree.sweep(3000, 0, 3**3000, 1, corner)) == []

@@ -2,7 +2,7 @@ import itertools
 import random
 from bisect import bisect_left, bisect_right
 from fractions import Fraction
-from functools import cache
+from functools import cache, partial
 from operator import itemgetter
 from unittest import mock
 
@@ -16,7 +16,6 @@ from badicdim.estimators import _log_ratio
 from badicdim.exactmath import ScaledPower, floor_lambda, iroot, pow_at_most
 from badicdim.extract_lower import (BallTree, LowerParams,
                                     _pick_1d, _tree_lattice,
-                                    _tree_successors,
                                     construct_subset_lower,
                                     select_packing_children,
                                     verify_lower_bounds)
@@ -139,7 +138,7 @@ def test_radius_text_is_pinned(M, p, q, R0, k, text):
 
 # the corners 0..15 of the cubes of level 4 of the full binary tree,
 # every one in the ball and apart from every other
-SIXTEEN = _tree_successors(CubeTree.full(2, 1, 4), 4)
+SIXTEEN = partial(CubeTree.full(2, 1, 4).sweep, 4)
 WIDE = geometry.Level(15, 0, 14)
 
 
@@ -156,7 +155,7 @@ def test_select_packing_children_m1():
 def test_select_packing_children_sparse_error():
     three = CubeTree.from_leaves(4, 1, 1, [((0,),), ((2,),), ((3,),)])
     with pytest.raises(DomainError, match="achieved 3"):
-        select_packing_children(_tree_successors(three, 1), (0,),
+        select_packing_children(partial(three.sweep, 1), (0,),
                                 geometry.Level(8, 0, 7), 4)
 
 
@@ -170,12 +169,12 @@ def test_select_packing_children_2d_picks_inside_the_nested_ball():
 
 
 @pytest.mark.parametrize("query, center", [
-    (_tree_successors(CubeTree.from_leaves(4, 1, 1, [((0,),), ((2,),)]), 1),
+    (partial(CubeTree.from_leaves(4, 1, 1, [((0,),), ((2,),)]).sweep, 1),
      (1,)),
     (leaf_corners(CubeTree.full(2, 2, 2)), (1, 4))])
 def test_select_packing_children_refuses_an_anchor_off_the_lattice(query,
                                                                    center):
-    # in d = 1 the successor of 1 is 2; in d = 2 the lattice is 0..3 on
+    # in d = 1 the corners are 0 and 2; in d = 2 the lattice is 0..3 on
     # each axis
     with pytest.raises(DomainError, match=(
             "^anchor center must belong to the point set$")):
@@ -214,7 +213,7 @@ def test_select_packing_children_1d_matches_plain_scan(values, data, apart,
     pts = [(v,) for v in values]
     center = data.draw(st.sampled_from(pts))
     lv = geometry.Level(nested, apart, nested)
-    assert _pick_1d(_tree_successors(tree, 4), center, lv,
+    assert _pick_1d(partial(tree.sweep, 4), center, lv,
                     M) == _plain_scan_picks(pts, center, lv, M)
 
 
@@ -786,7 +785,7 @@ def test_tree_lattice_matches_rebuilt_truncation(seed, shape, head, tail,
 
 def _listed_lower(tree, params):
     """The construction on a listed lattice, as it was before d = 1 trees
-    were queried by successor: every corner of the rebuilt truncation,
+    were swept without listing: every corner of the rebuilt truncation,
     the whole greedy packing of the ball as the feasibility count, and
     the d = 1 picks by bisection of the ball's list.  The BallTree, or
     the error text."""
