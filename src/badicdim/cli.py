@@ -18,8 +18,8 @@ from . import estimators, extract_assouad, extract_lower, generators
 from .core import (CubeTree, DomainError, PointSet, SetFormatError,
                    WindowedSet, leaf_representatives, read_bdt, read_wdt,
                    representatives_tree, write_bdt, write_wdt)
-from .exactmath import (count_meets_power_bound, least_fitting,
-                        parse_fraction, pow_at_least)
+from .exactmath import (MAX_DENOMINATOR, count_meets_power_bound,
+                        least_fitting, parse_fraction, pow_at_least)
 
 
 def _read_set(path: str):
@@ -61,6 +61,17 @@ def _positive_int(text: str) -> int:
     value = int(text)
     if value < 1:
         raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
+
+
+def _exponent(text: str) -> Fraction:
+    """An --alpha or --eps: exact powers of it are taken, so its
+    numerator and denominator are refused above MAX_DENOMINATOR."""
+    value = parse_fraction(text)
+    if max(abs(value.numerator), value.denominator) > MAX_DENOMINATOR:
+        raise argparse.ArgumentTypeError(
+            f"'{text}' is not a fraction with numerator and denominator "
+            f"<= {MAX_DENOMINATOR}")
     return value
 
 
@@ -347,8 +358,8 @@ def build_parser() -> argparse.ArgumentParser:
     ext_sub = ext.add_subparsers(dest="what", required=True)
 
     ea = ext_sub.add_parser("assouad")
-    ea.add_argument("--alpha", type=parse_fraction, required=True)
-    ea.add_argument("--eps", type=parse_fraction, required=True)
+    ea.add_argument("--alpha", type=_exponent, required=True)
+    ea.add_argument("--eps", type=_exponent, required=True)
     ea.add_argument("--M", type=_positive_int)
     ea.add_argument("--stages", type=int, default=3)
     ea.add_argument("--strategy", type=_parse_strategy, default="greedy")
@@ -359,17 +370,17 @@ def build_parser() -> argparse.ArgumentParser:
     ea.set_defaults(func=_cmd_extract_assouad)
 
     eg = ext_sub.add_parser("assouad-global")
-    eg.add_argument("--alpha", type=parse_fraction, required=True)
-    eg.add_argument("--eps", type=parse_fraction, required=True)
+    eg.add_argument("--alpha", type=_exponent, required=True)
+    eg.add_argument("--eps", type=_exponent, required=True)
     eg.add_argument("--in", dest="input", required=True)
     eg.add_argument("--out")
     eg.set_defaults(func=_cmd_extract_assouad_global)
 
     el = ext_sub.add_parser("lower")
-    el.add_argument("--alpha", type=parse_fraction, required=True)
+    el.add_argument("--alpha", type=_exponent, required=True)
     el.add_argument("--M", type=int, required=True)
     el.add_argument("--depth", type=int, required=True)
-    el.add_argument("--eps", type=parse_fraction, default="0")
+    el.add_argument("--eps", type=_exponent, default="0")
     el.add_argument("--R0", type=parse_fraction, default="1")
     el.add_argument("--in", dest="input", required=True)
     el.add_argument("--out")

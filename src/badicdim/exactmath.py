@@ -8,9 +8,9 @@ final 6-decimal log-ratio formatting done by callers.
 
 from __future__ import annotations
 
-from functools import cached_property
 from fractions import Fraction
-from math import floor as math_floor, gcd as math_gcd, isfinite, lcm, prod
+from math import floor as math_floor, isfinite, lcm
+from typing import NamedTuple
 
 from .core import DomainError
 
@@ -159,104 +159,24 @@ def _perfect_power(n: int) -> tuple:
     return n, 1
 
 
-def _factors(n: int) -> dict:
-    """The factor table of an integer n >= 2 that `_radicals` reads:
-    {r: j} when n = r^j with j > 1 maximal, else {prime: multiplicity}."""
-    r, j = _perfect_power(n)
-    if j > 1:
-        return {r: j}
-    out, p = {}, 2
-    while p * p <= n:
-        while n % p == 0:
-            out[p] = out.get(p, 0) + 1
-            n //= p
-        p += 1
-    if n > 1:
-        out[n] = 1
-    return out
-
-
-def _times(a: tuple, b: tuple) -> tuple:
-    """The product of two (coefficient, {exponent: radicand}) forms:
-    radicands of one exponent multiply."""
-    roots = dict(a[1])
-    for f, radicand in b[1].items():
-        roots[f] = roots.get(f, 1) * radicand
-    return a[0] * b[0], roots
-
-
-def _radicals(n: int, e: Fraction) -> tuple:
-    """n^e (integer n >= 2, rational e) in canonical radical form: the
-    rational coefficient and {exponent in (0, 1): radicand}.  Per entry
-    r^j of n's factor table the integer part of j e comes out.  Entries
-    whose remaining exponent m/d is in lowest terms over e's denominator
-    d share one root, (prod r^(m_r/g))^(g/d) with g = gcd(m_r); every
-    other entry is its own power r^(m/d).  Each root is put in this form
-    again, until nothing changes."""
-    form, common = (Fraction(1), {}), {}
-    for r, j in _factors(n).items():
-        whole, m = divmod(j * e.numerator, e.denominator)
-        form = _times(form, (Fraction(r) ** whole, {}))
-        if m and math_gcd(m, e.denominator) == 1:
-            common[r] = m
-        elif m:
-            form = _times(form, _radicals(r, Fraction(m, e.denominator)))
-    if common:
-        g = math_gcd(*common.values())
-        base = prod(r ** (m // g) for r, m in common.items())
-        if base == n and form == (1, {}):
-            return form[0], {Fraction(g, e.denominator): n}
-        form = _times(form, _radicals(base, Fraction(g, e.denominator)))
-    return form
-
-
-class ScaledPower:
+class ScaledPower(NamedTuple):
     """The irrational number R0 * M^(num/root) = R0 * lam^k for
     lam = M^(-q/p), num = -qk and root = p; `scaled_power` makes one
     only when the value is irrational.
 
-    `str` is the radius text of the verification TSV: lam in canonical
-    radical form (`_radicals`), each of its radicals raised to the k-th
-    power and put in that form, and the radicands of equal exponents
-    multiplied.  The text depends on p itself, not only on the reduced
-    exponent (lam = 12^(-7/6) squared is 2**(1/3)*3**(2/3)/864, while
-    12^(-7/3) in one step is 18**(1/3)/864), so the exponent is kept
-    unreduced.  It depends on q and k only through qk, so it is built
-    as (M^(-1/p))^(qk).  It reads `num*radicals/den`, the radicals
-    ordered by radicand text, with `sqrt(x)` for the exponent 1/2.
-    Two with the same four fields compare and hash equal."""
+    `str` is the radius text of the verification TSV, a Python
+    expression for the value: `M**(e)`, or `R0*M**(e)` when R0 != 1,
+    with e = num/root in lowest terms and M as given (`5**(-5/2)`,
+    `1/2*5**(-5/2)`, `12**(-7/3)`)."""
 
-    def __init__(self, R0: Fraction, M: int, num: int, root: int):
-        self.R0 = R0
-        self.M = M
-        self.num = num
-        self.root = root
-
-    def __eq__(self, other):
-        return (isinstance(other, ScaledPower)
-                and (self.R0, self.M, self.num, self.root)
-                == (other.R0, other.M, other.num, other.root))
-
-    def __hash__(self):
-        return hash((self.R0, self.M, self.num, self.root))
+    R0: Fraction
+    M: int
+    num: int
+    root: int
 
     def __str__(self):
-        return self._text
-
-    @cached_property
-    def _text(self) -> str:
-        """The text of `str`, built once per value."""
-        c, lam = _radicals(self.M, Fraction(-1, self.root))
-        form = (self.R0 * c ** -self.num, {})
-        for f, radicand in lam.items():
-            form = _times(form, _radicals(radicand, -self.num * f))
-        coeff, roots = form
-        parts = [str(coeff.numerator)] if coeff.numerator != 1 else []
-        parts += [f"sqrt({b})" if f == Fraction(1, 2) else f"{b}**({f})"
-                  for b, f in sorted((str(b), f) for f, b in roots.items())]
-        text = "*".join(parts)
-        return text if coeff.denominator == 1 else \
-            f"{text}/{coeff.denominator}"
+        power = f"{self.M}**({Fraction(self.num, self.root)})"
+        return power if self.R0 == 1 else f"{self.R0}*{power}"
 
 
 def scaled_power(R0: Fraction, M: int, num: int, root: int):

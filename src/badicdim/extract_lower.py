@@ -11,8 +11,8 @@ whether lambda = M^(-q/p) (alpha = p/q) is rational or not.  Centers
 become Fractions when they are stored in the `BallTree`.  A radius R0 lambda^k
 is a Fraction when it is rational and otherwise the exact triple
 (R0, M, -qk/p) of `exactmath.ScaledPower`, which only prints the `R`/`r`
-columns of the verification TSV.  The package needs nothing beyond the
-standard library.
+columns of the verification TSV, as `R0*M**(-qk/p)` in lowest terms.
+The package needs nothing beyond the standard library.
 """
 
 from __future__ import annotations
@@ -53,7 +53,8 @@ class LowerParams:
 
     def radius(self, k: int):
         """R0 * lambda^k with lambda = M^(-q/p) for alpha = p/q, exact: a
-        Fraction, or an `exactmath.ScaledPower` when it is irrational."""
+        Fraction, or an `exactmath.ScaledPower` when it is irrational,
+        which prints as `R0*M**(-qk/p)` (`M**(...)` when R0 = 1)."""
         return scaled_power(self.R0, self.M, -self.alpha.denominator * k,
                             self.alpha.numerator)
 

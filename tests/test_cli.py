@@ -1,9 +1,16 @@
+import json
 import math
+import resource
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import badicdim
 from badicdim.cli import build_parser, main
 from badicdim.core import read_bdt, read_wdt, write_wdt
+from badicdim.exactmath import MAX_DENOMINATOR
 
 
 def run(capsys, *argv):
@@ -292,6 +299,82 @@ def test_malformed_arguments_exit_2_with_usage(tmp_path, capsys, src, argv):
     assert e.value.code == 2
     assert out.out == "" and "usage:" in out.err
     assert "Traceback" not in out.err and not report.exists()
+
+
+# extract verb -> its arguments on a base-5 or a base-2 full tree; a
+# later --alpha or --eps replaces the one given here
+EXTRACT = {
+    "lower": ["--alpha", "2/5", "--M", "5", "--depth", "1", "--in", "f5.bdt"],
+    "assouad": ["--alpha", "1/2", "--eps", "1/4", "--in", "f2.bdt"],
+}
+# (verb, flag, value): exponents whose exact powers would not fit in memory
+HUGE_EXPONENTS = [("lower", "eps", "1e400"), ("lower", "eps", "1e-400"),
+                  ("assouad", "eps", "1e-400"), ("assouad", "eps", "1e400"),
+                  ("assouad", "alpha", "1e-400")]
+
+RUN_PROBES = """
+import contextlib, io, json, sys
+from badicdim.cli import main
+for argv in json.loads(sys.argv[1]):
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    print(code, err.getvalue().splitlines()[-1])
+"""
+
+
+def _bound_refusal(verb, flag, value) -> str:
+    return (f"badicdim extract {verb}: error: argument --{flag}: "
+            f"'{value}' is not a fraction with numerator and denominator "
+            f"<= {MAX_DENOMINATOR}")
+
+
+def _gen_sources(tmp_path, capsys):
+    for base, depth in ((5, 4), (2, 8)):
+        run(capsys, "gen", "full-cube", "--base", str(base), "--dim", "1",
+            "--depth", str(depth), "--out", str(tmp_path / f"f{base}.bdt"))
+
+
+def test_astronomical_exponents_exit_2_naming_the_bound(tmp_path, capsys):
+    # in a subprocess with a timeout and 1 GiB of address space: without
+    # the bound these never end
+    _gen_sources(tmp_path, capsys)
+    probes = subprocess.run(
+        [sys.executable, "-c", RUN_PROBES, json.dumps([
+            ["extract", verb, *EXTRACT[verb], f"--{flag}={value}"]
+            for verb, flag, value in HUGE_EXPONENTS])],
+        capture_output=True, text=True, timeout=60, cwd=tmp_path,
+        env={"PYTHONPATH": str(Path(badicdim.__file__).parents[1])},
+        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS,
+                                              (1 << 30, 1 << 30)))
+    assert probes.returncode == 0, probes.stderr
+    assert probes.stdout.splitlines() == [
+        f"2 {_bound_refusal(*probe)}" for probe in HUGE_EXPONENTS]
+
+
+@pytest.mark.parametrize("verb", ["assouad", "assouad-global", "lower"])
+@pytest.mark.parametrize("flag", ["alpha", "eps"])
+def test_exponent_bound_is_max_denominator(tmp_path, capsys, monkeypatch,
+                                           verb, flag):
+    _gen_sources(tmp_path, capsys)
+    monkeypatch.chdir(tmp_path)
+    for value, refused in ((f"-1/{MAX_DENOMINATOR}", False),
+                           (f"{MAX_DENOMINATOR}", False),
+                           (f"1/{MAX_DENOMINATOR + 1}", True),
+                           (f"-{MAX_DENOMINATOR + 1}", True)):
+        argv = ["extract", verb, *EXTRACT.get(verb, EXTRACT["assouad"]),
+                f"--{flag}={value}"]
+        if refused:
+            with pytest.raises(SystemExit) as e:
+                main(argv)
+            assert e.value.code == 2
+            assert capsys.readouterr().err.endswith(
+                _bound_refusal(verb, flag, value) + "\n")
+        else:
+            assert run(capsys, *argv)[0] in (0, 1)
 
 
 def test_missing_file_exits_2(capsys):

@@ -48,7 +48,7 @@ def test_report_digits_are_set_file_digits():
         CubeTree.full(5, 1, 4), LowerParams(Fraction(2, 5), 5, 1)))],
     ids=["star", "lower", "construct", "ladder", "sandwich", "verify"])
 def test_records_compare_by_value(run):
-    # the lower case's radii are irrational: sqrt(5)/125 at k = 1
+    # the lower case's radii are irrational: 5**(-5/2) at k = 1
     first, second = run(), run()
     assert first is not second and first == second
 

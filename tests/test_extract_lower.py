@@ -1,5 +1,7 @@
 import itertools
+import math
 import random
+import re
 from bisect import bisect_left, bisect_right
 from fractions import Fraction
 from functools import cache, partial
@@ -85,11 +87,32 @@ def test_lambda_irrational_case_is_exact():
     assert _at_most(Fraction(0), p.radius(0), p.radius(1))
 
 
-# (M, p, q, R0, k, text of R0 lambda^k for alpha = p/q), one row per
-# case of the printer: sqrt and other roots, a coefficient above one or
-# none, no denominator, two radicals ordered by radicand text, merged
-# radicands, a rational power of an irrational lambda, perfect powers
+# (M, p, q, R0, k, text of R0 lambda^k for alpha = p/q): an irrational
+# radius prints its power in lowest terms, with R0 when it is not 1 and M
+# as given
 RADIUS_TEXT = [
+    (5, 2, 5, "1", 1, "5**(-5/2)"),
+    (5, 2, 5, "1/2", 1, "1/2*5**(-5/2)"),
+    (5, 3, 7, "250", 1, "250*5**(-7/3)"),
+    (12, 6, 7, "1", 2, "12**(-7/3)"),
+]
+
+
+@pytest.mark.parametrize("M, p, q, R0, k, text", RADIUS_TEXT)
+def test_power_text_is_pinned(M, p, q, R0, k, text):
+    params = LowerParams(Fraction(p, q), M, 1, R0=Fraction(R0))
+    radius = params.radius(k)
+    assert str(radius) == text
+    assert _is_lambda_power(radius, params, k)
+    assert isinstance(radius, ScaledPower)
+
+
+# The same radii as the canonical radical text that sympy printed before
+# the radius text became the power itself: one row per case of that
+# printer (sqrt and other roots, a coefficient or none, no denominator,
+# radicals of several radicands, merged radicands, perfect powers).  The
+# new text names the same number, and a rational radius prints as it did.
+RADICAL_TEXT = [
     (5, 2, 5, "1", 1, "sqrt(5)/125"),
     (5, 2, 5, "3/2", 1, "3*sqrt(5)/250"),
     (4, 3, 5, "3/2", 1, "3*2**(2/3)/32"),
@@ -127,13 +150,73 @@ RADIUS_TEXT = [
 ]
 
 
-@pytest.mark.parametrize("M, p, q, R0, k, text", RADIUS_TEXT)
+FACTOR = re.compile(
+    r"([*/]?)(?:sqrt\((\d+)\)|(\d+)\*\*\((-?\d+/\d+)\)|(\d+))")
+
+
+def _text_factors(text: str) -> list:
+    """(base, exponent) per factor of a radius text, which multiplies and
+    divides, left to right, integers, `sqrt(b)` and `b**(e)`."""
+    tokens = list(FACTOR.finditer(text))
+    assert "".join(t.group(0) for t in tokens) == text
+    out = []
+    for op, root, base, exp, whole in (t.groups() for t in tokens):
+        b, e = ((root, Fraction(1, 2)) if root else
+                (base, Fraction(exp)) if base else (whole, Fraction(1)))
+        out.append((int(b), -e if op == "/" else e))
+    return out
+
+
+def _same_number(a: str, b: str) -> bool:
+    """Whether two radius texts name the same positive number, exactly:
+    their L-th powers, for L the lcm of the exponents' denominators, are
+    equal Fractions."""
+    fa, fb = _text_factors(a), _text_factors(b)
+    L = math.lcm(*(e.denominator for _, e in fa + fb))
+    return math.prod(Fraction(n) ** int(e * L) for n, e in fa) == \
+        math.prod(Fraction(n) ** int(e * L) for n, e in fb)
+
+
+@pytest.mark.parametrize("M, p, q, R0, k, text", RADICAL_TEXT)
 def test_radius_text_is_pinned(M, p, q, R0, k, text):
     params = LowerParams(Fraction(p, q), M, 1, R0=Fraction(R0))
     radius = params.radius(k)
-    assert str(radius) == text
+    assert _same_number(str(radius), text)
     assert _is_lambda_power(radius, params, k)
     assert isinstance(radius, ScaledPower) == ("(" in text)
+    assert isinstance(radius, ScaledPower) or str(radius) == text
+
+
+POWER_TEXT = re.compile(r"(?:(\d+(?:/\d+)?)\*)?(\d+)\*\*\((-\d+/\d+)\)")
+
+
+@settings(max_examples=200, deadline=None)
+@given(M=st.integers(2, 60), q=st.integers(1, 12), data=st.data(),
+       R0=st.fractions(Fraction(1, 50), 300, max_denominator=50),
+       k=st.integers(0, 4))
+def test_radius_text_reads_back_as_its_exact_power(M, q, data, R0, k):
+    p = data.draw(st.integers(1, q))
+    params = LowerParams(Fraction(p, q), M, 1, R0=R0)
+    radius = params.radius(k)
+    text = str(radius)
+    assert _is_lambda_power(radius, params, k)
+    if isinstance(radius, Fraction):
+        assert Fraction(text) == radius and "(" not in text
+        return
+    coeff, base, exp = POWER_TEXT.fullmatch(text).groups()
+    assert (coeff is None) == (R0 == 1)
+    assert Fraction(coeff or 1) == radius.R0 == R0
+    assert int(base) == radius.M == M
+    e = Fraction(exp)
+    assert e == Fraction(radius.num, radius.root) and str(e) == exp
+    # the value, from the text alone: floor(D R0 M^(-u/v)) is the v-th
+    # root of floor((D R0)^v / M^u)
+    u, v = -e.numerator, e.denominator
+    for D in (1, 7, 10**3, 10**9):
+        c = D * R0
+        assert iroot(c.numerator**v // (c.denominator**v * M**u), v) == \
+            floor_lambda(c, M, params.alpha, k)
+    assert math.isclose(eval(text), float(R0) * M ** float(e))
 
 
 # the corners 0..15 of the cubes of level 4 of the full binary tree,

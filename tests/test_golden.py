@@ -137,7 +137,7 @@ CASES = {
         "gen full-cube --base 5 --dim 1 --depth 4 --out f.bdt",
         "extract lower --alpha 2/5 --M 5 --depth 1 --eps 1/10 --R0 1/2 "
         "--in f.bdt --out o.bdt"],
-        "cb3ca9148ad9e0c180b8428c869ae724de3ad06052b3782c77718cc2c353f9a9"),
+        "17aaf60e45927e9d9f2534e876f1d438691e55aba88d0f79fecda534abab332a"),
     "extract-lower-2d": ({}, [
         "gen full-cube --base 3 --dim 2 --depth 4 --out f.bdt",
         "extract lower --alpha 1/2 --M 3 --depth 1 --in f.bdt --report l.tsv"],
@@ -172,7 +172,7 @@ CASES = {
     "extract-lower-out-irrational": ({}, [
         "gen full-cube --base 5 --dim 1 --depth 4 --out f.bdt",
         "extract lower --alpha 2/5 --M 5 --depth 1 --in f.bdt --out o.bdt"],
-        "4fb4011cd6382f608558c99ebc725ee9a6d06baee653d469bcc766773d428396"),
+        "3ab06ac7a00006560a019b3c2a4aed7b57abc693255dd992830946737cf4f432"),
     "extract-lower-out-depth0": ({}, [
         "gen full-cube --base 2 --dim 1 --depth 6 --out f.bdt",
         "extract lower --alpha 1/2 --M 2 --depth 0 --in f.bdt --out o.bdt"],
