@@ -15,9 +15,9 @@ import sys
 from fractions import Fraction
 
 from . import estimators, extract_assouad, extract_lower, generators
-from .core import (CubeTree, DomainError, PointSet, SetFormatError,
-                   WindowedSet, leaf_representatives, read_bdt, read_wdt,
-                   representatives_tree, write_bdt, write_wdt)
+from .core import (CubeTree, DomainError, SetFormatError, WindowedSet,
+                   corners_tree, leaf_corners, read_bdt, read_wdt, write_bdt,
+                   write_wdt)
 from .exactmath import (MAX_DENOMINATOR, count_meets_power_bound,
                         least_fitting, parse_fraction, pow_at_least)
 
@@ -168,8 +168,8 @@ def _cmd_extract_lower(args) -> int:
     ball_tree = extract_lower.construct_subset_lower(obj, params)
     verification = extract_lower.verify_lower_bounds(ball_tree)
     if args.out:
-        pts = PointSet.of(obj.base, obj.dim, ball_tree.leaf_points)
-        _write_set(representatives_tree(pts), args.out)
+        scale, corners = extract_lower._lattice(ball_tree.leaf_points)
+        _write_set(corners_tree(obj.base, obj.dim, scale, corners), args.out)
     _emit(verification.to_tsv(), args.report)
     status = "ok" if verification.ok else "FAIL"
     print(f"centers={len(ball_tree.leaf_points)} "
@@ -205,19 +205,19 @@ def _verify_h_star(seed: int, samples: int):
 
 def _verify_packing_sandwich(seed: int, samples: int):
     rng = random.Random(seed)
-    cantor = leaf_representatives(generators.digit_cantor(3, 1, [0, 2], 6))
+    cantor = generators.digit_cantor(3, 1, [0, 2], 6)
     failures = []
     for i in range(samples):
         if i % 2 == 0:
-            pts = cantor
+            tree = cantor
         else:
-            coords = sorted(set(
-                Fraction(rng.randrange(0, 64), 64) for _ in range(12)))
-            pts = PointSet.of(2, 1, [(c,) for c in coords])
-        center = pts.points[rng.randrange(len(pts.points))]
+            tree = corners_tree(2, 1, 64, [
+                (rng.randrange(0, 64),) for _ in range(12)])
+        pts = leaf_corners(tree)
+        center = pts[rng.randrange(len(pts))]
         R = Fraction(rng.randrange(8, 64), 64)
         r = R / rng.randrange(4, 16)
-        rows = estimators.verify_cover_pack_sandwich(pts, [(center, R, r)])
+        rows = estimators.verify_cover_pack_sandwich(tree, [(center, R, r)])
         for row in rows:
             if not row.ok:
                 failures.append(
@@ -261,12 +261,12 @@ def _verify_lemma21(seed: int, samples: int):
     rng = random.Random(seed)
     failures = []
     tree = generators.digit_cantor(3, 1, [0, 2], 6)
-    pts = leaf_representatives(tree)
+    pts = leaf_corners(tree)
     for _ in range(samples):
         k = rng.randint(1, 4)
         r = Fraction(1, 3**k)
-        center = pts.points[rng.randrange(len(pts.points))]
-        n_ball = estimators.ball_cover_count(pts, center, Fraction(2), r)
+        center = pts[rng.randrange(len(pts))]
+        n_ball = estimators.ball_cover_count(tree, center, Fraction(2), r)
         n_cube, _ = estimators.h_star(tree, k)
         factor = 6**tree.dim
         if not (n_ball <= n_cube * factor and n_cube <= n_ball * factor):

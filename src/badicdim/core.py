@@ -1,4 +1,4 @@
-"""Exact b-adic geometry: cubes, prefix trees, windowed sets, point sets.
+"""Exact b-adic geometry: cubes, prefix trees and windowed sets.
 
 Sets are represented at finite resolution as prefix trees over the b^d
 child alphabet.  All arithmetic is on integer digits; the real footprint
@@ -14,7 +14,7 @@ import re
 from fractions import Fraction
 from functools import cache
 from itertools import groupby, islice, product
-from math import ceil, gcd, lcm, log
+from math import ceil, log
 from operator import add, itemgetter, mul, ne
 from typing import Iterator, NamedTuple
 
@@ -711,37 +711,6 @@ def subdivide(cube: BadicCube) -> list:
         for key in all_keys(cube.base, cube.dim)]
 
 
-class PointSet:
-    """Finite set of exact coordinates under the max-metric."""
-
-    __slots__ = ("base", "dim", "points")
-
-    def __init__(self, base: int, dim: int, points: tuple):
-        self.base = base
-        self.dim = dim
-        self.points = points  # d-tuples of Fractions, sorted, distinct
-
-    def __eq__(self, other):
-        return (isinstance(other, PointSet)
-                and (self.base, self.dim, self.points)
-                == (other.base, other.dim, other.points))
-
-    def __hash__(self):
-        return hash((self.base, self.dim, self.points))
-
-    @classmethod
-    def of(cls, base: int, dim: int, points) -> "PointSet":
-        pts = tuple(sorted(set(tuple(Fraction(x) for x in p)
-                               for p in points)))
-        for p in pts:
-            if len(p) != dim:
-                raise DomainError("point dimension mismatch")
-        return cls(base, dim, pts)
-
-    def __len__(self):
-        return len(self.points)
-
-
 def leaf_corners(tree: CubeTree, level: int = None) -> list:
     """The lower-left corners of the leaf cubes (or of the cubes of
     `level`) as integer points at scale base^level, sorted: a child's
@@ -751,36 +720,22 @@ def leaf_corners(tree: CubeTree, level: int = None) -> list:
                                    level=level))
 
 
-def leaf_representatives(tree: CubeTree) -> PointSet:
-    """One point per leaf cube: the lower-left corner (deterministic,
-    always inside the half-open leaf footprint)."""
-    scale = tree.base**tree.depth
-    return PointSet(tree.base, tree.dim, tuple(
-        tuple(Fraction(v, scale) for v in corner)
-        for corner in leaf_corners(tree)))
-
-
-def representatives_tree(points: PointSet) -> CubeTree:
-    """The inverse of `leaf_representatives`: the shallowest tree, of
-    depth at least 1, whose leaf cubes have `points` as their lower-left
-    corners.  Every coordinate must be a base-b fraction in [0, 1)."""
-    b, d = points.base, points.dim
-    scale = lcm(*[x.denominator for p in points.points for x in p])
-    rest = scale
-    while (g := gcd(rest, b)) > 1:
-        rest //= g
-    if rest != 1:
-        raise DomainError(f"a coordinate's denominator {scale} is not a "
-                          f"divisor of a power of {b}")
-    depth, side = 1, b  # side: b^depth
-    while side % scale:
-        depth, side = depth + 1, side * b
-    corners = [[int(x * side) for x in p] for p in points.points]
-    if any(not 0 <= v < side for c in corners for v in c):
-        raise DomainError("a point lies outside [0, 1)^d")
-    return CubeTree.from_leaves(b, d, depth, [tuple(
-        tuple(v // b**(depth - 1 - j) % b for v in c) for j in range(depth))
-        for c in corners])
+def corners_tree(base: int, dim: int, scale: int, corners) -> CubeTree:
+    """The inverse of `leaf_corners`: the shallowest tree, of depth at
+    least 1, whose leaf cubes have the integer points `corners`, at
+    scale `scale`, as their lower-left corners.  Each coordinate over
+    `scale` must be a base-b fraction in [0, 1)."""
+    coords = {v for c in corners for v in c}
+    # a finite base-b expansion of v / scale has <= log2(scale) digits
+    depth = next((n for n in range(1, scale.bit_length() + 1)
+                  if all(v * base**n % scale == 0 for v in coords)), 0)
+    if not depth or any(not 0 <= v < scale for v in coords):
+        raise DomainError(f"a coordinate over {scale} is not a base-{base} "
+                          f"fraction in [0, 1)")
+    side = base**depth
+    return CubeTree.from_leaves(base, dim, depth, [tuple(
+        tuple(v * side // scale // base**(depth - 1 - j) % base for v in c)
+        for j in range(depth)) for c in corners])
 
 
 class Window(NamedTuple):

@@ -11,8 +11,8 @@ from fractions import Fraction
 from typing import NamedTuple
 
 from . import geometry
-from .core import (BadicCube, CubeTree, DomainError, PointSet, WindowedSet,
-                   corner_step, counts_below, walk)
+from .core import (BadicCube, CubeTree, DomainError, WindowedSet,
+                   corner_step, counts_below, leaf_corners, walk)
 
 
 class ScaleRecord(NamedTuple):
@@ -153,23 +153,27 @@ def lower_dimension_report(tree: CubeTree,
         for count, _, path in [tree.extreme_count(k, largest=False)]))
 
 
-def ball_cover_count(points: PointSet, center, R, r) -> int:
-    """Covering count of points within B(center, R) by b-adic cells at
-    the largest b-adic scale <= r.  Upper bound on the true least cover,
-    exact up to the fixed 2^d factor."""
-    if center not in points.points:
-        raise DomainError("center must belong to the point set")
-    count, _ = geometry.badic_cell_cover(points.points, center, R, r,
-                                         points.base)
-    return count
+def _cell(tree: CubeTree, r) -> int:
+    """The side, at scale base^depth, of the b-adic cells of the largest
+    b-adic scale <= r, or 1 where those are finer than the leaves."""
+    side = D = tree.base**tree.depth
+    while side > 1 and side > r * D:
+        side //= tree.base
+    return side
 
 
-def packing_count(points: PointSet, center, R, r) -> int:
-    """Greedy maximal packing count: a deterministic lower-bound
-    certificate for N*_r(points intersect B(center, R))."""
-    if center not in points.points:
-        raise DomainError("center must belong to the point set")
-    return len(geometry.greedy_packing(points.points, center, R, r))
+def ball_cover_count(tree: CubeTree, center, R, r) -> int:
+    """Covering count of the tree's leaf corners within B(center, R) by
+    b-adic cells at the largest b-adic scale <= r: an upper bound on the
+    true least cover, exact up to the fixed 2^d factor.  `center` is a
+    leaf corner (`leaf_corners`) and R > r > 0 are exact radii."""
+    if not 0 < r < R:
+        raise DomainError("cover requires 0 < r < R")
+    pts = leaf_corners(tree)
+    if center not in pts:
+        raise DomainError("center must be a leaf corner of the tree")
+    return geometry.badic_cell_cover(
+        pts, center, math.floor(R * tree.base**tree.depth), _cell(tree, r))
 
 
 class SandwichRow(NamedTuple):
@@ -183,33 +187,41 @@ class SandwichRow(NamedTuple):
     ok: bool
 
 
-def verify_cover_pack_sandwich(points: PointSet, samples) -> list:
+def verify_cover_pack_sandwich(tree: CubeTree, samples) -> list:
     """Check N_{2r}(A n B(a,R/2)) <= N*_r(A n B(a,R)) <= N_{r/3}(A n
-    B(a,R)) for every (center, R, r) sample.
+    B(a,R)) for every (center, R, r) sample: A the tree's leaf corners
+    at scale D = base^depth (`leaf_corners`), `center` one of them and
+    R > r >= 0 exact radii, whose floors times D decide every ball.
 
     Instances with <= 20 candidate points use the exact cover and
     packing oracles; larger ones fall back to greedy certificates."""
     rows = []
-    pts = points.points
+    pts = leaf_corners(tree)
+    D = tree.base**tree.depth
     for center, R, r in samples:
         R, r = Fraction(R), Fraction(r)
-        in_big = [p for p in pts if geometry.in_ball(p, center, R)]
+        if not 0 <= r < R:
+            raise DomainError("packing requires 0 <= r < R")
+        inside, half = math.floor(R * D), math.floor(R * D / 2)
+        lv = geometry.Level(inside, math.floor(2 * r * D))
+        in_big = geometry.ball_points(pts, center, inside)
         if len(in_big) <= geometry.EXACT_PACKING_LIMIT:
-            left = geometry.exact_cover(pts, center, R / 2, 2 * r)
-            mid = geometry.exact_packing(pts, center, R, r)
-            right = geometry.exact_cover(pts, center, R, Fraction(r, 3))
+            left = geometry.exact_cover(in_big, center, half,
+                                        math.floor(4 * r * D))
+            mid = geometry.exact_packing(in_big, center, lv)
+            right = geometry.exact_cover(in_big, center, inside,
+                                         math.floor(2 * r * D / 3))
             ok = left <= mid <= right
             method = "exact"
         else:
-            packing = geometry.greedy_packing(pts, center, R, r)
+            packing = geometry.greedy_packing(in_big, center, lv)
             mid = len(packing)
-            half = [p for p in pts if geometry.in_ball(p, center, R / 2)]
             covered = all(
-                any(geometry.dist_inf(p, q) <= 2 * r for q in packing)
-                for p in half)
+                any(geometry.dist_inf(p, q) <= lv.apart for q in packing)
+                for p in geometry.ball_points(in_big, center, half))
             left = mid if covered else mid + 1
-            right, _ = geometry.badic_cell_cover(
-                pts, center, R, Fraction(r, 3), points.base)
+            right = geometry.badic_cell_cover(in_big, center, inside,
+                                              _cell(tree, r / 3))
             ok = covered and mid <= right
             method = "greedy"
         rows.append(SandwichRow(center, R, r, left, mid, right, method, ok))

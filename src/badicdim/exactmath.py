@@ -18,6 +18,10 @@ from .core import DomainError
 # grows with it.
 MAX_DENOMINATOR = 10**4
 
+# int()'s default digit limit bounds the p/q form; a decimal's exponent is
+# held to it too, since Fraction builds 10**exponent before any check.
+MAX_EXPONENT = 4300
+
 # Precision cap of the bracketing loops below.  Both loops are proven to
 # end; the cap only turns runaway work into an ArithmeticError.
 _MAX_BITS = 65536
@@ -237,11 +241,15 @@ def exact_fraction(x, name: str) -> Fraction:
 
 def parse_fraction(text: str) -> Fraction:
     """Parse 'p/q' or a decimal string into an exact Fraction; malformed
-    text, a zero denominator included, raises ValueError."""
+    text, a zero denominator and a decimal exponent beyond MAX_EXPONENT
+    included, raises ValueError."""
     text = text.strip()
     if "/" in text:
         num, den = map(int, text.split("/", 1))
         if den == 0:
             raise ValueError(f"zero denominator in '{text}'")
         return Fraction(num, den)
+    _, e, exponent = text.lower().rpartition("e")
+    if e and abs(int(exponent)) > MAX_EXPONENT:
+        raise ValueError(f"exponent of '{text}' beyond {MAX_EXPONENT}")
     return Fraction(text)

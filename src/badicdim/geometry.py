@@ -8,12 +8,12 @@ three thresholds of a radius pair (R, r), held in a `Level`:
 - the r-balls at y and c are disjoint iff n > 2r (`apart`);
 - B(y, r) lies inside B(c, R) iff n <= R - r (`nested`).
 
-For exact coordinates (Fraction) the thresholds are these numbers
-themselves.  On an integer lattice of spacing 1/D they are the floors
-of R D, 2r D and (R - r) D: for an integer n, n <= t iff n <= floor(t)
-and n > t iff n > floor(t).  So a caller with irrational radii computes
-three integers once (`exactmath.floor_lambda`) and every decision is a
-comparison of integers.
+Points are integer lattice points of spacing 1/D, such as a tree's cube
+corners at scale D = base^depth (`core.leaf_corners`), and the
+thresholds are the floors of R D, 2r D and (R - r) D: for an integer n,
+n <= t iff n <= floor(t) and n > t iff n > floor(t).  So a caller
+computes the integers once (`exactmath.floor_lambda` for irrational
+radii) and every decision is a comparison of integers.
 
 In d = 1 a greedy packing is one sweep in coordinate order (`_sweep`);
 the lower construction runs the same sweep on a tree's cube corners
@@ -23,7 +23,6 @@ without listing them (`CubeTree.sweep`).
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
-from fractions import Fraction
 from functools import cache
 from itertools import product
 from operator import itemgetter
@@ -43,24 +42,8 @@ class Level(NamedTuple):
     nested: object = None
 
 
-def level_of(R, r=None) -> Level:
-    """The thresholds of exact radii R > r >= 0, or `R` itself when it is
-    already a `Level` and `r` is left out (the integer-lattice case)."""
-    if r is None:
-        return R
-    if not r < R:
-        raise DomainError("packing requires r < R")
-    if r < 0:
-        raise DomainError("packing requires r >= 0")
-    return Level(R, 2 * r, R - r)
-
-
-def dist_inf(x, y) -> Fraction:
+def dist_inf(x, y):
     return max(abs(a - b) for a, b in zip(x, y))
-
-
-def in_ball(y, c, R) -> bool:
-    return dist_inf(y, c) <= R
 
 
 def ball_points(pts, center, inside) -> list:
@@ -118,33 +101,31 @@ def greedy_scan(cands, apart, chosen: list, limit: int = None) -> list:
     return chosen
 
 
-def greedy_packing(points, center, R, r=None):
+def greedy_packing(points, center, lv: Level):
     """Maximal packing: scan the lexicographically sorted list `points`
     in order, accept a point if it lies in B(center, R) and its r-ball
-    is disjoint from all accepted balls.  Returns the accepted centers
-    (a valid packing-number lower-bound certificate).  `R, r` are exact
-    radii or a `Level` (see `level_of`).
+    is disjoint from all accepted balls, `lv` holding the thresholds of
+    (R, r).  Returns the accepted centers (a valid packing-number
+    lower-bound certificate).
 
     Packings count disjoint r-balls with centers in B(center, R); this
     makes every point of the ball a candidate, which is what the
     cover/packing sandwich argument needs."""
-    lv = level_of(R, r)
     cands = ball_points(points, center, lv.inside)
     if len(center) == 1:
         return _sweep(cands, lv.apart)
     return greedy_scan(cands, lv.apart, [])
 
 
-def exact_packing(points, center, R, r=None) -> int:
-    """True maximum packing number N*_r(points  intersect  B(center, R)).
+def exact_packing(points, center, lv: Level) -> int:
+    """True maximum packing number N*_r(points  intersect  B(center, R)),
+    `lv` holding the thresholds of (R, r).
 
     d = 1 is solved exactly at any size; otherwise at most
     EXACT_PACKING_LIMIT candidates (hard error above, never a silent
     fallback) are searched, once per remaining set: the least remaining
     candidate is left out, or kept with every candidate near it removed.
-    `R, r` are exact radii or a `Level` (see `level_of`).
     """
-    lv = level_of(R, r)
     cands = ball_points(sorted(points), center, lv.inside)
     if len(center) == 1:
         return len(_sweep(cands, lv.apart))
@@ -164,24 +145,23 @@ def exact_packing(points, center, R, r=None) -> int:
     return most(frozenset(range(len(cands))))
 
 
-def exact_cover(points, center, R, rho) -> int:
-    """Least number of radius-rho balls (arbitrary centers) covering
-    points intersect B(center, R); exact set cover over canonical
-    candidate groups.
+def exact_cover(points, center, inside, span) -> int:
+    """Least number of rho-balls covering the points within `inside` of
+    `center`, `span` the threshold of 2 rho: an exact set cover.
 
     In the max metric a subset is coverable by one rho-ball iff its
     per-axis spans are all <= 2*rho, so candidate balls can be anchored
     per axis at point coordinates.  The search covers the least uncovered
     point by each maximal group holding it, once per uncovered set.
     """
-    if rho < 0:
-        raise DomainError("cover requires rho >= 0")
-    pts = [p for p in sorted(set(points)) if in_ball(p, center, R)]
+    if span < 0:
+        raise DomainError("cover requires span >= 0")
+    pts = [p for p in sorted(set(points)) if dist_inf(p, center) <= inside]
     if len(pts) > EXACT_PACKING_LIMIT:
         raise DomainError(f"exact cover limited to {EXACT_PACKING_LIMIT} "
                           f"points, got {len(pts)}")
     groups = {frozenset(i for i, p in enumerate(pts)
-                        if all(a <= x <= a + 2 * rho
+                        if all(a <= x <= a + span
                                for a, x in zip(anchor, p)))
               for anchor in product(*map(set, zip(*pts)))}
     groups = [g for g in groups if not any(g < h for h in groups)]
@@ -196,23 +176,9 @@ def exact_cover(points, center, R, rho) -> int:
     return least(frozenset(range(len(pts))))
 
 
-def badic_cell_cover(points, center, R, r, base: int):
-    """Covering count via b-adic cells at the largest b-adic scale <= r.
-
-    Upper bound on the true least ball cover (each cell of side b^-j <= r
-    fits in one r-ball); exact up to the fixed 2^d positional factor.
-    Returns (count, cell_exponent).
-    """
-    if not r < R:
-        raise DomainError("cover requires r < R")
-    if r <= 0:
-        raise DomainError("cover requires r > 0")
-    j = 0
-    while Fraction(1, base**j) > r:
-        j += 1
-    scale = base**j
-    cells = set()
-    for p in points:
-        if in_ball(p, center, R):
-            cells.add(tuple((x * scale).__floor__() for x in p))
-    return len(cells), j
+def badic_cell_cover(points, center, inside, cell: int) -> int:
+    """The number of cells v // cell of the points within `inside` of
+    `center`: with cells of b-adic side <= r, an upper bound on the
+    least cover by r-balls, exact up to the fixed 2^d factor."""
+    return len({tuple(v // cell for v in p) for p in points
+                if dist_inf(p, center) <= inside})

@@ -9,10 +9,9 @@ from fractions import Fraction
 import pytest
 
 from badicdim import geometry
-from badicdim.core import (CubeTree, PointSet, Window, WindowedSet,
-                           leaf_representatives)
-from badicdim.estimators import (h_star, packing_count,
-                                 star_dimension_report,
+from badicdim.core import (CubeTree, Window, WindowedSet, corners_tree,
+                           leaf_corners)
+from badicdim.estimators import (h_star, star_dimension_report,
                                  verify_cover_pack_sandwich)
 from badicdim.exactmath import count_meets_power_bound, pow_at_least
 from badicdim.extract_assouad import (PruneParams, check_gap_condition,
@@ -72,19 +71,19 @@ def test_criterion_2_random_prune_expectation_1000():
 
 def test_criterion_3_sandwich_500_triples():
     rng = random.Random(1)
-    cantor = leaf_representatives(digit_cantor(3, 1, [0, 2], 6))
-    cantor16 = PointSet.of(3, 1, cantor.points[:16])
+    cantor16 = corners_tree(3, 1, 3**6, leaf_corners(
+        digit_cantor(3, 1, [0, 2], 6))[:16])
     samples_per_set = 250
-    for pts in (cantor16, None):
+    for tree in (cantor16, None):
         for i in range(samples_per_set):
-            if pts is None:
-                coords = sorted(set(
-                    Fraction(rng.randrange(0, 64), 64)
-                    for _ in range(rng.randrange(2, 20))))
-                use = PointSet.of(2, 1, [(c,) for c in coords])
+            if tree is None:
+                use = corners_tree(2, 1, 64, [
+                    (rng.randrange(0, 64),)
+                    for _ in range(rng.randrange(2, 20))])
             else:
-                use = pts
-            center = use.points[rng.randrange(len(use.points))]
+                use = tree
+            pts = leaf_corners(use)
+            center = pts[rng.randrange(len(pts))]
             R = Fraction(rng.randrange(8, 64), 64)
             r = R / rng.randrange(4, 16)
             rows = verify_cover_pack_sandwich(use, [(center, R, r)])
@@ -193,13 +192,15 @@ def test_criterion_10_oracle_equivalence():
     rng = random.Random(2)
     for trial in range(40):
         d = 1 + trial % 2
-        pts = sorted(set(
-            tuple(Fraction(rng.randrange(0, 16), 16) for _ in range(d))
-            for _ in range(rng.randrange(2, 10))))
-        ps = PointSet.of(2, d, pts)
+        tree = corners_tree(2, d, 16, [
+            tuple(rng.randrange(0, 16) for _ in range(d))
+            for _ in range(rng.randrange(2, 10))])
+        pts = leaf_corners(tree)
         center = pts[rng.randrange(len(pts))]
         R = Fraction(rng.randrange(4, 16), 16)
         r = R / rng.randrange(3, 9)
-        exact = geometry.exact_packing(ps.points, center, R, r)
-        greedy = packing_count(ps, center, R, r)
+        D = 2**tree.depth  # the thresholds of R and 2r at scale D
+        lv = geometry.Level(math.floor(R * D), math.floor(2 * r * D))
+        exact = geometry.exact_packing(pts, center, lv)
+        greedy = len(geometry.greedy_packing(pts, center, lv))
         assert exact / 2**d <= greedy <= exact, (trial, exact, greedy)

@@ -355,6 +355,30 @@ def test_astronomical_exponents_exit_2_naming_the_bound(tmp_path, capsys):
         f"2 {_bound_refusal(*probe)}" for probe in HUGE_EXPONENTS]
 
 
+# (flag, type, value): decimals whose 10**exponent alone would take
+# Fraction minutes to build
+HUGE_DECIMALS = [("R0", "parse_fraction", "1e30000000"),
+                 ("R0", "parse_fraction", "1e-30000000"),
+                 ("eps", "_exponent", "1e100000000")]
+
+
+def test_huge_decimal_exponents_exit_2_at_once(tmp_path, capsys):
+    # as above: without the exponent bound these do not end in time
+    _gen_sources(tmp_path, capsys)
+    probes = subprocess.run(
+        [sys.executable, "-c", RUN_PROBES, json.dumps([
+            ["extract", "lower", *EXTRACT["lower"], f"--{flag}={value}"]
+            for flag, _, value in HUGE_DECIMALS])],
+        capture_output=True, text=True, timeout=60, cwd=tmp_path,
+        env={"PYTHONPATH": str(Path(badicdim.__file__).parents[1])},
+        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS,
+                                              (1 << 30, 1 << 30)))
+    assert probes.returncode == 0, probes.stderr
+    assert probes.stdout.splitlines() == [
+        f"2 badicdim extract lower: error: argument --{flag}: invalid "
+        f"{kind} value: '{value}'" for flag, kind, value in HUGE_DECIMALS]
+
+
 @pytest.mark.parametrize("verb", ["assouad", "assouad-global", "lower"])
 @pytest.mark.parametrize("flag", ["alpha", "eps"])
 def test_exponent_bound_is_max_denominator(tmp_path, capsys, monkeypatch,

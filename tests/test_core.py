@@ -6,11 +6,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from badicdim import geometry
-from badicdim.core import (BadicCube, CubeTree, DomainError, PointSet,
-                           SetFormatError, Window, WindowedSet,
-                           leaf_corners, leaf_representatives, read_bdt,
-                           read_wdt,
-                           representatives_tree, subdivide, write_bdt,
+from badicdim.core import (BadicCube, CubeTree, DomainError, SetFormatError,
+                           Window, WindowedSet, corners_tree, leaf_corners,
+                           read_bdt, read_wdt, subdivide, write_bdt,
                            write_wdt)
 from badicdim.estimators import (lower_dimension_report,
                                  star_dimension_report,
@@ -42,8 +40,8 @@ def test_report_digits_are_set_file_digits():
         Fraction(1, 5), 3),
     lambda: sandwich_assemble(CubeTree.full(2, 1, 12), Fraction(1, 2), 2),
     lambda: verify_cover_pack_sandwich(
-        leaf_representatives(digit_cantor(3, 1, [0, 2], 4)),
-        [((Fraction(0),), Fraction(1, 2), Fraction(1, 9))]),
+        digit_cantor(3, 1, [0, 2], 4),
+        [((0,), Fraction(1, 2), Fraction(1, 9))]),
     lambda: verify_lower_bounds(construct_subset_lower(
         CubeTree.full(5, 1, 4), LowerParams(Fraction(2, 5), 5, 1)))],
     ids=["star", "lower", "construct", "ladder", "sandwich", "verify"])
@@ -136,38 +134,52 @@ def test_rebase_counts_match_full():
 
 
 def test_leaf_representatives():
+    # one point per leaf cube: its lower-left corner, at scale 9
     t = CubeTree.from_digit_rule(3, 1, 2, [(0,), (2,)])
-    pts = leaf_representatives(t)
-    assert [p[0] for p in pts.points] == [
-        Fraction(0), Fraction(2, 9), Fraction(2, 3), Fraction(8, 9)]
+    assert leaf_corners(t) == [(0,), (2,), (6,), (8,)]
+
+
+def _values(tree) -> set:
+    """The leaf corners of `tree` as exact points of [0, 1)^d."""
+    D = tree.base**tree.depth
+    return {tuple(Fraction(v, D) for v in c) for c in leaf_corners(tree)}
 
 
 @settings(max_examples=40, deadline=None)
-@given(st.sampled_from([(2, 1), (3, 1), (4, 1), (2, 2), (3, 2)]),
-       st.integers(1, 5), st.integers(0, 10**6))
-def test_representatives_tree_inverts_leaf_representatives(shape, depth,
-                                                           seed):
+@given(st.sampled_from([(2, 1), (3, 1), (4, 1), (6, 1), (2, 2), (3, 2)]),
+       st.integers(1, 5), st.integers(0, 10**6), st.integers(0, 3))
+def test_corners_tree_inverts_leaf_corners(shape, depth, seed, finer):
+    # the corners may be given at any scale base^(depth + finer)
     base, dim = shape
     tree = random_branching_tree(base, dim, depth, 2, seed)
-    points = leaf_representatives(tree)
-    back = representatives_tree(points)
-    assert leaf_representatives(back) == points
+    scale = base**(depth + finer)
+    back = corners_tree(base, dim, scale, [
+        tuple(v * base**finer for v in c) for c in leaf_corners(tree)])
+    assert _values(back) == _values(tree)
     assert 1 <= back.depth <= depth
-    # the shallowest: one level less leaves some point off the grid
+    # the shallowest: one level less leaves some corner off the grid
     assert back.depth == 1 or any(
-        (x * base**(back.depth - 1)).denominator != 1
-        for p in points.points for x in p)
+        v % base for c in leaf_corners(back) for v in c)
     if any(any(path[-1]) for path in tree.iter_leaf_paths()):
         assert back == tree
 
 
-def test_representatives_tree_edge_cases():
-    origin = representatives_tree(PointSet.of(2, 2, [(0, 0)]))
+def test_corners_tree_edge_cases():
+    origin = corners_tree(2, 2, 8, [(0, 0)])
     assert (origin.depth, list(origin.iter_leaf_paths())) == (
         1, [((0, 0),)])
-    for point in ((Fraction(1, 3),), (Fraction(1),), (Fraction(-1, 2),)):
-        with pytest.raises(DomainError):
-            representatives_tree(PointSet.of(2, 1, [point]))
+    # scales that divide a power of the base: 1/2 in base 6, 5/6 in 36
+    assert _values(corners_tree(6, 1, 2, [(1,)])) == {(Fraction(1, 2),)}
+    assert _values(corners_tree(36, 1, 12, [(10,)])) == {(Fraction(5, 6),)}
+    # repeated corners are one leaf
+    assert corners_tree(2, 1, 2, [(1,), (0,), (1,)]).leaf_count == 2
+    for scale, corner in ((3, (1,)), (2, (2,)), (2, (-1,))):
+        with pytest.raises(DomainError, match=(
+                f"^a coordinate over {scale} is not a base-2 fraction in "
+                r"\[0, 1\)$")):
+            corners_tree(2, 1, scale, [corner])
+    with pytest.raises(DomainError, match="^bad digit key"):
+        corners_tree(2, 1, 2, [(0, 0)])
 
 
 def test_windowed_set_disjointness():
@@ -256,13 +268,6 @@ def test_wdt_parse_errors():
         read_wdt("wdt b=2 d=1 windows=2\nwindow off=0 m=1\n00\n")
     with pytest.raises(SetFormatError):
         read_wdt("not a header\n")
-
-
-def test_point_set():
-    ps = PointSet.of(2, 1, [(Fraction(1, 2),), (0,), (Fraction(1, 2),)])
-    assert len(ps) == 2
-    with pytest.raises(DomainError):
-        PointSet.of(2, 2, [(0,)])
 
 
 def test_structure_sharing_is_compact():

@@ -4,11 +4,12 @@ from fractions import Fraction
 
 import pytest
 
-from badicdim.core import (BadicCube, CubeTree, DomainError, PointSet,
-                           Window, WindowedSet, leaf_representatives)
+from badicdim import geometry
+from badicdim.core import (BadicCube, CubeTree, DomainError, corners_tree,
+                           leaf_corners)
 from badicdim.estimators import (ball_cover_count, count_hit_subcubes,
                                  h_star, lower_dimension_report,
-                                 packing_count, star_dimension_report,
+                                 star_dimension_report,
                                  verify_cover_pack_sandwich)
 from badicdim.generators import (digit_cantor, lattice_window, one_over_k,
                                  random_branching_tree)
@@ -132,7 +133,7 @@ def test_star_kinds_other_than_local_and_global_are_refused_by_name(call,
 
 
 def test_star_report_refuses_an_unsupported_set_by_name():
-    points = PointSet.of(2, 1, [(Fraction(1, 4),)])
+    points = [(1,)]  # a list of corners is no set type
     with pytest.raises(DomainError, match="unsupported set type <class "):
         star_dimension_report(points)
 
@@ -155,62 +156,72 @@ def test_lower_report_examples():
     assert lower_dimension_report(u, k_max=8).headline == 0.0
 
 
+# the points 0, 1/4 and 1/2: the corners 0, 1 and 2 at scale 4
+THREE = corners_tree(2, 1, 4, [(0,), (1,), (2,)])
+
+
 def test_ball_cover_count_examples():
-    single = PointSet.of(2, 1, [(Fraction(1, 2),)])
-    assert ball_cover_count(single, (Fraction(1, 2),), Fraction(1),
-                            Fraction(1, 4)) == 1
-    three = PointSet.of(2, 1, [(0,), (Fraction(1, 2),), (1,)])
-    assert ball_cover_count(three, (Fraction(1, 2),), Fraction(9, 16),
-                            Fraction(1, 8)) == 3
-    pts = leaf_representatives(_cantor(8))
-    pts3 = PointSet.of(3, 1, pts.points)
-    assert ball_cover_count(pts3, (Fraction(0),), Fraction(1),
+    single = corners_tree(2, 1, 2, [(1,)])  # the point 1/2
+    assert ball_cover_count(single, (1,), Fraction(1), Fraction(1, 4)) == 1
+    assert ball_cover_count(THREE, (1,), Fraction(9, 32),
+                            Fraction(1, 16)) == 3
+    assert ball_cover_count(_cantor(8), (0,), Fraction(1),
                             Fraction(1, 81)) == 16  # = N_{3^4} count
 
 
+def test_ball_cover_count_refuses_radii_and_centers_by_name():
+    for r in (Fraction(1, 4), Fraction(0), Fraction(-1, 8)):
+        with pytest.raises(DomainError, match="^cover requires 0 < r < R$"):
+            ball_cover_count(THREE, (1,), Fraction(1, 4), r)
+    with pytest.raises(DomainError, match=(
+            "^center must be a leaf corner of the tree$")):
+        ball_cover_count(THREE, (3,), Fraction(1), Fraction(1, 4))
+
+
+def _packing_count(tree, center, R, r) -> int:
+    """The greedy packing count of the exact radii R > r on the tree's
+    leaf corners, at scale D = base^depth."""
+    D = tree.base**tree.depth
+    lv = geometry.Level(math.floor(R * D), math.floor(2 * r * D))
+    return len(geometry.greedy_packing(leaf_corners(tree), center, lv))
+
+
 def test_packing_count_examples():
-    three = PointSet.of(2, 1, [(0,), (Fraction(1, 2),), (1,)])
-    assert packing_count(three, (Fraction(1, 2),), Fraction(3, 5),
-                         Fraction(1, 5)) == 3
-    single = PointSet.of(2, 1, [(Fraction(0),)])
-    assert packing_count(single, (Fraction(0),), Fraction(1),
-                         Fraction(1, 2)) == 1
-    close = PointSet.of(2, 1, [(0,), (Fraction(1, 10),)])
-    assert packing_count(close, (Fraction(0),), Fraction(1),
-                         Fraction(1, 5)) == 1
+    assert _packing_count(THREE, (1,), Fraction(3, 10), Fraction(1, 10)) == 3
+    single = corners_tree(2, 1, 2, [(0,)])
+    assert _packing_count(single, (0,), Fraction(1), Fraction(1, 2)) == 1
+    close = corners_tree(2, 1, 16, [(0,), (1,)])  # 0 and 1/16
+    assert _packing_count(close, (0,), Fraction(1), Fraction(1, 5)) == 1
 
 
 def test_sandwich_examples():
-    three = PointSet.of(2, 1, [(0,), (Fraction(1, 2),), (1,)])
     rows = verify_cover_pack_sandwich(
-        three, [((Fraction(1, 2),), Fraction(1), Fraction(1, 5))])
+        THREE, [((1,), Fraction(1, 2), Fraction(1, 10))])
     assert rows[0].ok and rows[0].method == "exact"
-    single = PointSet.of(2, 1, [(Fraction(0),)])
+    single = corners_tree(2, 1, 2, [(0,)])
     rows = verify_cover_pack_sandwich(
-        single, [((Fraction(0),), Fraction(1), Fraction(1, 4))])
+        single, [((0,), Fraction(1), Fraction(1, 4))])
     assert rows[0].ok
     assert rows[0].cover_2r <= rows[0].packing <= rows[0].cover_r3 == 1
 
 
 def test_sandwich_cantor_samples():
-    pts = PointSet.of(3, 1, leaf_representatives(_cantor(6)).points[:16])
+    tree = corners_tree(3, 1, 3**6, leaf_corners(_cantor(6))[:16])
+    pts = leaf_corners(tree)
     rng = random.Random(0)
     samples = []
     for _ in range(10):
-        center = pts.points[rng.randrange(len(pts.points))]
+        center = pts[rng.randrange(len(pts))]
         R = Fraction(rng.randrange(6, 27), 27)
         r = R / rng.randrange(4, 9)
         samples.append((center, R, r))
-    assert all(row.ok for row in verify_cover_pack_sandwich(pts, samples))
+    assert all(row.ok for row in verify_cover_pack_sandwich(tree, samples))
 
 
 def test_ball_cube_consistency_factor():
     # finite-scale ball/cube agreement within 6^d on digit-rule trees
     tree = _cantor(6)
-    pts = leaf_representatives(tree)
-    pts = PointSet.of(3, 1, pts.points)
     for k in (1, 2, 3, 4):
         n_cube = h_star(tree, k)[0]
-        n_ball = ball_cover_count(pts, (Fraction(0),), Fraction(2),
-                                  Fraction(1, 3**k))
+        n_ball = ball_cover_count(tree, (0,), Fraction(2), Fraction(1, 3**k))
         assert n_ball <= n_cube * 6 and n_cube <= n_ball * 6

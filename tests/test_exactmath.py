@@ -1,13 +1,14 @@
 import math
+import re
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from badicdim.exactmath import (badic_power_sum_le, count_meets_power_bound,
-                                floor_lambda, floor_power, iroot,
-                                least_fitting, parse_fraction, pow_at_least,
-                                pow_at_most)
+from badicdim.exactmath import (MAX_EXPONENT, badic_power_sum_le,
+                                count_meets_power_bound, floor_lambda,
+                                floor_power, iroot, least_fitting,
+                                parse_fraction, pow_at_least, pow_at_most)
 
 
 @given(st.integers(min_value=0, max_value=10**24),
@@ -175,3 +176,17 @@ def test_parse_fraction():
     for bad in ("1/0", "abc", "1/x", ""):
         with pytest.raises(ValueError):
             parse_fraction(bad)
+
+
+def test_parse_fraction_bounds_a_decimal_exponent():
+    # the bound is the digit limit int() holds the p/q form to
+    assert MAX_EXPONENT == 4300
+    big = 10**MAX_EXPONENT
+    for text, value in (("1e4300", big), ("1E-4300", Fraction(1, big)),
+                        ("-2.5e+4300", Fraction(-5, 2) * big),
+                        ("3e4_300", 3 * big)):
+        assert parse_fraction(text) == value
+    for text in ("1e4301", "1E-4301", "-2.5e+4301", "3e4_301"):
+        with pytest.raises(ValueError, match=(
+                f"^exponent of '{re.escape(text)}' beyond 4300$")):
+            parse_fraction(text)

@@ -12,8 +12,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from badicdim import extract_lower, geometry
-from badicdim.core import CubeTree, DomainError, PointSet, leaf_corners, \
-    leaf_representatives, representatives_tree
+from badicdim.core import CubeTree, DomainError, corners_tree, leaf_corners
 from badicdim.estimators import _log_ratio
 from badicdim.exactmath import ScaledPower, floor_lambda, iroot, pow_at_most
 from badicdim.extract_lower import (BallTree, LowerParams,
@@ -265,9 +264,9 @@ def test_select_packing_children_refuses_an_anchor_off_the_lattice(query,
 
 
 def test_construct_refuses_a_point_set():
-    points = PointSet.of(2, 1, [(Fraction(1, 4),), (Fraction(3, 4),)])
+    points = [(1,), (3,)]  # the corners of 1/4 and 3/4, not their tree
     with pytest.raises(DomainError, match=(
-            "^unsupported source type <class 'badicdim.core.PointSet'>$")):
+            "^unsupported source type <class 'list'>$")):
         construct_subset_lower(points, LowerParams(Fraction(1, 2), 2, 0))
 
 
@@ -301,9 +300,8 @@ def test_select_packing_children_1d_matches_plain_scan(values, data, apart,
 
 
 def test_construct_depth0():
-    ps = PointSet.of(2, 1, [(Fraction(1, 4),), (Fraction(3, 4),)])
-    bt = construct_subset_lower(representatives_tree(ps),
-                                LowerParams(Fraction(1, 2), 2, 0))
+    source = corners_tree(2, 1, 4, [(1,), (3,)])  # 1/4 and 3/4
+    bt = construct_subset_lower(source, LowerParams(Fraction(1, 2), 2, 0))
     assert bt.leaf_points == [(Fraction(1, 4),)]  # min point anchors
 
 
@@ -371,12 +369,11 @@ def test_construct_on_unchecked_depth0_source():
 
 
 def test_construct_failure_names_word():
-    ps = PointSet.of(4, 1, [(Fraction(i, 16),) for i in range(8)])
+    source = corners_tree(4, 1, 16, [(i,) for i in range(8)])
     with pytest.raises(DomainError, match=(
             r"^at word \(root\): insufficient packing: need >= 7, "
             r"achieved 3$")):
-        construct_subset_lower(representatives_tree(ps),
-                               LowerParams(Fraction(1, 2), 4, 3))
+        construct_subset_lower(source, LowerParams(Fraction(1, 2), 4, 3))
 
 
 def test_report_tsv_shape():
@@ -507,7 +504,8 @@ def _reference_points(tree, params):
             params.M + 3**tree.dim):
         w += 1
     sub = tree.subtree((), w) if w < tree.depth else tree
-    return list(leaf_representatives(sub).points)
+    D = sub.base**sub.depth
+    return [tuple(Fraction(v, D) for v in c) for c in leaf_corners(sub)]
 
 
 def _reference_greedy(cands, r):

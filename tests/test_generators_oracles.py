@@ -7,9 +7,8 @@ from hypothesis import given, settings, strategies as st
 
 from badicdim import geometry
 from badicdim.core import CubeTree, DomainError, WindowedSet, \
-    all_keys, leaf_representatives, PointSet
-from badicdim.estimators import h_star, packing_count, \
-    star_dimension_report
+    all_keys, corners_tree, leaf_corners
+from badicdim.estimators import h_star, star_dimension_report
 from badicdim.generators import (FAMILIES, GeneratorSpec, digit_cantor,
                                  full_cube, generate, integer_cantor,
                                  lattice_window, one_over_k,
@@ -172,16 +171,22 @@ def test_oracle_size_guard_is_hard_error():
         oracle_exact_hstar(big, 2)
 
 
+def _level(R, r, D):
+    """The thresholds of exact radii R > r on the lattice of spacing
+    1/D."""
+    return geometry.Level(math.floor(R * D), math.floor(2 * r * D))
+
+
 def test_oracle_packing_examples():
-    pts = PointSet.of(2, 1, [(0,), (Fraction(1, 2),), (1,)])
-    assert geometry.exact_packing(pts.points, (Fraction(1, 2),),
-                                  Fraction(3, 5), Fraction(1, 5)) == 3
+    # the points 0, 1/4 and 1/2 at scale 4, the radii of 0, 1/2, 1 halved
+    three = leaf_corners(corners_tree(2, 1, 4, [(0,), (1,), (2,)]))
     assert geometry.exact_packing(
-        PointSet.of(2, 1, [(0,)]).points, (Fraction(0),), Fraction(1),
-        Fraction(1, 2)) == 1
-    five = PointSet.of(2, 1, [(Fraction(i, 10),) for i in range(5)])
-    assert geometry.exact_packing(five.points, (Fraction(1, 5),),
-                                  Fraction(1, 2), Fraction(3, 20)) == 2
+        three, (1,), _level(Fraction(3, 10), Fraction(1, 10), 4)) == 3
+    assert geometry.exact_packing(
+        [(0,)], (0,), _level(Fraction(1), Fraction(1, 2), 2)) == 1
+    five = leaf_corners(corners_tree(10, 1, 10, [(i,) for i in range(5)]))
+    assert geometry.exact_packing(
+        five, (2,), _level(Fraction(1, 2), Fraction(3, 20), 10)) == 2
 
 
 def test_greedy_packing_within_2d_factor_of_oracle():
@@ -189,15 +194,16 @@ def test_greedy_packing_within_2d_factor_of_oracle():
     rng = random.Random(0)
     for trial in range(40):
         d = 1 + trial % 2
-        pts = sorted(set(
-            tuple(Fraction(rng.randrange(0, 16), 16) for _ in range(d))
-            for _ in range(rng.randrange(2, 10))))
-        ps = PointSet.of(2, d, pts)
+        tree = corners_tree(2, d, 16, [
+            tuple(rng.randrange(0, 16) for _ in range(d))
+            for _ in range(rng.randrange(2, 10))])
+        pts = leaf_corners(tree)
         center = pts[rng.randrange(len(pts))]
         R = Fraction(rng.randrange(4, 16), 16)
         r = R / rng.randrange(3, 9)
-        exact = geometry.exact_packing(ps.points, center, R, r)
-        greedy = packing_count(ps, center, R, r)
+        lv = _level(R, r, 2**tree.depth)
+        exact = geometry.exact_packing(pts, center, lv)
+        greedy = len(geometry.greedy_packing(pts, center, lv))
         assert exact / 2**d <= greedy <= exact
         if exact >= 1:
             assert greedy >= 1
