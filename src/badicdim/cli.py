@@ -18,8 +18,8 @@ from . import estimators, extract_assouad, extract_lower, generators
 from .core import (CubeTree, DomainError, SetFormatError, WindowedSet,
                    corners_tree, leaf_corners, read_bdt, read_wdt, write_bdt,
                    write_wdt)
-from .exactmath import (MAX_DENOMINATOR, count_meets_power_bound,
-                        least_fitting, parse_fraction, pow_at_least)
+from .exactmath import (MAX_DENOMINATOR, least_fitting, parse_fraction,
+                        power_cmp, read_exponent)
 
 
 def _read_set(path: str):
@@ -66,13 +66,13 @@ def _positive_int(text: str) -> int:
 
 def _exponent(text: str) -> Fraction:
     """An --alpha or --eps: exact powers of it are taken, so its
-    numerator and denominator are refused above MAX_DENOMINATOR."""
-    value = parse_fraction(text)
-    if max(abs(value.numerator), value.denominator) > MAX_DENOMINATOR:
+    numerator and denominator are refused (`exactmath.read_exponent`)."""
+    try:  # a ValueError of parse_fraction passes to argparse
+        return read_exponent(parse_fraction(text), text)
+    except DomainError:
         raise argparse.ArgumentTypeError(
             f"'{text}' is not a fraction with numerator and denominator "
-            f"<= {MAX_DENOMINATOR}")
-    return value
+            f"<= {MAX_DENOMINATOR}") from None
 
 
 # -- gen ---------------------------------------------------------------
@@ -238,14 +238,14 @@ def _verify_prune_bound(seed: int, samples: int):
         max_kids = tree.extreme_count(1)[0]
         # smallest eps (denominator 6) making every N <= max_kids
         # admissible: the lemma requires N <= M^(s+eps) with s = 0 here
-        eps = Fraction(least_fitting(lambda num: pow_at_least(
-            M, Fraction(num, 6), max_kids), 0), 6)
+        eps = Fraction(least_fitting(lambda num: power_cmp(
+            M, Fraction(num, 6), max_kids) >= 0, 0), 6)
         for N in range(1, max_kids + 1):
             params = extract_assouad.PruneParams(
                 M, depth, N, Fraction(0), eps)
             pruned = extract_assouad.prune(tree, params)
-            if not count_meets_power_bound(pruned.leaf_count, M, depth, N,
-                                           eps):
+            if power_cmp(M, -depth * eps,
+                         Fraction(pruned.leaf_count, N**depth)) > 0:
                 failures.append(
                     f"leaf bound failed: M={M} depth={depth} N={N}")
             over = pruned.extreme_count(1)[0]

@@ -1,9 +1,10 @@
 """Exact integer/rational arithmetic helpers.
 
-All dimension-style inequalities in this package reduce to comparisons of
-integer powers; nothing here touches floating point except
-`exact_fraction`, which reads a float target as a small fraction, and the
-final 6-decimal log-ratio formatting done by callers.
+Every accept/reject decision compares b^(p/q) with an int or a Fraction
+(`power_cmp`) or brackets an irrational value (`refine`); exponents are
+held to MAX_DENOMINATOR (`read_exponent`).  Nothing here touches floating
+point except `exact_fraction`, which reads a float target as a small
+fraction, and the final 6-decimal log-ratio formatting done by callers.
 """
 
 from __future__ import annotations
@@ -14,16 +15,16 @@ from typing import NamedTuple
 
 from .core import DomainError
 
-# Exact powers of a target exponent carry its denominator, so their size
-# grows with it.
+# Exact powers of an exponent p/q take p-th and q-th powers, so their
+# size grows with both: `read_exponent` holds p and q to this bound.
 MAX_DENOMINATOR = 10**4
 
 # int()'s default digit limit bounds the p/q form; a decimal's exponent is
 # held to it too, since Fraction builds 10**exponent before any check.
 MAX_EXPONENT = 4300
 
-# Precision cap of the bracketing loops below.  Both loops are proven to
-# end; the cap only turns runaway work into an ArithmeticError.
+# Precision cap of `refine`, the one bracketing loop: its callers are
+# proven to end, and the cap only turns runaway work into an error.
 _MAX_BITS = 65536
 
 
@@ -70,36 +71,26 @@ def least_fitting(fits, lo: int) -> int:
     return hi
 
 
-def pow_at_least(base: int, exp: Fraction, value) -> bool:
-    """True iff base ** exp >= value (exact, rational exp of any sign and
-    an int or Fraction value)."""
+def power_cmp(base: int, exp: Fraction, value) -> int:
+    """The sign (-1, 0 or 1) of base ** exp - value, exactly, for a
+    rational exp of either sign and an int or Fraction value (1 when
+    value <= 0): both sides are raised to exp's denominator."""
     if value <= 0:
-        return True
+        return 1
     p, q = exp.numerator, exp.denominator
-    if p >= 0:
-        return base**p >= value**q
-    return 1 >= value**q * base ** (-p)
+    a, b = value.numerator**q, value.denominator**q
+    lhs, rhs = (base**p * b, a) if p >= 0 else (b, a * base**-p)
+    return (lhs > rhs) - (lhs < rhs)
 
 
-def pow_at_most(base: int, exp: Fraction, value: int) -> bool:
-    """True iff base ** exp <= value (exact)."""
-    if value <= 0:
-        return False
-    p, q = exp.numerator, exp.denominator
-    if p >= 0:
-        return base**p <= value**q
-    return 1 <= value**q * base ** (-p)
-
-
-def count_meets_power_bound(count: int, base: int, n: int, N: int,
-                            eps: Fraction) -> bool:
-    """True iff count >= N**n * base**(-n*eps), checked in integers.
-
-    count >= N^n M^{-n eps}  <=>  count^q * M^(n p) >= N^(n q)
-    with eps = p/q.
-    """
-    p, q = eps.numerator, eps.denominator
-    return count**q * base ** (n * p) >= N ** (n * q)
+def refine(decide, what: str):
+    """The first result of decide(bits) other than None, for bits = 32,
+    64, ..., _MAX_BITS; past the cap, ArithmeticError naming `what`."""
+    for e in range(5, _MAX_BITS.bit_length()):  # 2^5, ..., _MAX_BITS = 2^16
+        if (result := decide(1 << e)) is not None:
+            return result
+    raise ArithmeticError(f"could not resolve {what} "
+                          f"within {_MAX_BITS} bits of precision")
 
 
 def badic_power_sum_le(base: int, term_exps: list[int], bound_exp: int,
@@ -139,8 +130,8 @@ def badic_power_sum_le(base: int, term_exps: list[int], bound_exp: int,
 
     if coeffs(nums) == coeffs([target]):
         return True  # exact equality
-    bits = 32
-    while bits <= _MAX_BITS:
+
+    def decide(bits):
         shift = 1 << (q * bits)
         # lo <= b^(n/q) * 2^bits < lo + 1 for each term
         lo_sum = sum(iroot(base**n * shift, q) for n in nums)
@@ -149,9 +140,7 @@ def badic_power_sum_le(base: int, term_exps: list[int], bound_exp: int,
             return True
         if lo_sum >= tgt_lo + 1:
             return False
-        bits *= 2
-    raise ArithmeticError("could not resolve power-sum comparison "
-                          f"within {_MAX_BITS} bits of precision")
+    return refine(decide, "power-sum comparison")
 
 
 def _perfect_power(n: int) -> tuple:
@@ -212,17 +201,15 @@ def floor_lambda(c: Fraction, M: int, alpha: Fraction, k: int,
     a, b = (scaled_power(1, M, -q * j, p) for j in (k, minus))
     if isinstance(a, Fraction) and isinstance(b, Fraction):
         return math_floor(c * (a - b))
-    bits = 32
-    while bits <= _MAX_BITS:
+
+    def decide(bits):
         # r <= M^(q/p) 2^bits < r + 1, so lo < lam < hi
         r = iroot(M**q << (bits * p), p)
         lo, hi = Fraction(1 << bits, r + 1), Fraction(1 << bits, r)
         low = math_floor(c * (lo**k - hi**minus))
         if low == math_floor(c * (hi**k - lo**minus)):
             return low
-        bits *= 2
-    raise ArithmeticError("could not resolve floor(c (lam^k - lam^j)) "
-                          f"within {_MAX_BITS} bits of precision")
+    return refine(decide, "floor(c (lam^k - lam^j))")
 
 
 def exact_fraction(x, name: str) -> Fraction:
@@ -237,6 +224,18 @@ def exact_fraction(x, name: str) -> Fraction:
             return exact
     raise DomainError(f"{name} {x} is not a fraction of denominator "
                       f"<= {MAX_DENOMINATOR}")
+
+
+def read_exponent(x, name: str) -> Fraction:
+    """`exact_fraction(x, name)` for an exponent (alpha, eps or s), whose
+    numerator and denominator must be at most MAX_DENOMINATOR: else
+    DomainError naming the part above the bound."""
+    x = exact_fraction(x, name)
+    if max(abs(x.numerator), x.denominator) <= MAX_DENOMINATOR:
+        return x
+    part = "denominator" if x.denominator > MAX_DENOMINATOR else "numerator"
+    raise DomainError(
+        f"{name} {x} is not a fraction of {part} <= {MAX_DENOMINATOR}")
 
 
 def parse_fraction(text: str) -> Fraction:

@@ -16,9 +16,8 @@ from typing import NamedTuple
 from .core import (CubeTree, DomainError, Window, WindowedSet,
                    digit_text, grow_preorder, rebuild, rng_draws, walk)
 from .estimators import _log_ratio
-from .exactmath import (MAX_DENOMINATOR, badic_power_sum_le,
-                        count_meets_power_bound, exact_fraction, floor_power,
-                        iroot, least_fitting, pow_at_least, pow_at_most)
+from .exactmath import (badic_power_sum_le, exact_fraction, floor_power,
+                        iroot, least_fitting, power_cmp, read_exponent)
 
 RANDOM_RETRIES = 64
 
@@ -57,15 +56,17 @@ class PruneParams:
 def check_prune_hypotheses(tree: CubeTree, params: PruneParams):
     """The pruning lemma's hypotheses, verified in exact integers:
     leaf count >= M^(n s), every child count <= floor(M^(s+eps)),
-    and N <= floor(M^(s+eps)).  Raises naming the offending node."""
+    and N <= floor(M^(s+eps)), with s and eps in the exponent bound
+    (`exactmath.read_exponent`).  Raises naming the offending node."""
     M, n = params.base, params.depth
+    s, eps = read_exponent(params.s, "s"), read_exponent(params.eps, "eps")
     if tree.depth != n or tree.base != M:
         raise DomainError("params depth/base must match the tree")
-    cap_limit = floor_power(M, params.s + params.eps)
+    cap_limit = floor_power(M, s + eps)
     if params.cap > cap_limit:
         raise DomainError(
             f"N={params.cap} exceeds floor(M^(s+eps))={cap_limit}")
-    if not pow_at_most(M, params.s * n, tree.leaf_count):
+    if power_cmp(M, s * n, tree.leaf_count) > 0:
         raise DomainError(
             f"leaf count {tree.leaf_count} below M^(n*s)")
     for level in range(tree.depth):  # children are the k = 1 count
@@ -122,8 +123,8 @@ def prune(tree: CubeTree, params: PruneParams,
     M, n, N = params.base, params.depth, params.cap
     if params.strategy == "greedy":
         out = prune_with_caps(tree, [N] * n)
-        if check_hypotheses and not count_meets_power_bound(
-                out.leaf_count, M, n, N, params.eps):
+        if check_hypotheses and power_cmp(
+                M, -n * params.eps, Fraction(out.leaf_count, N**n)) > 0:
             raise DomainError(
                 f"greedy prune kept {out.leaf_count} leaves, below "
                 f"N^n M^(-n eps)")
@@ -136,7 +137,7 @@ def prune(tree: CubeTree, params: PruneParams,
     for _ in range(RANDOM_RETRIES):
         out = CubeTree(tree.base, tree.dim, tree.depth,
                        grow_preorder(tree.root, tree.depth, draw))
-        if count_meets_power_bound(out.leaf_count, M, n, N, params.eps):
+        if power_cmp(M, -n * params.eps, Fraction(out.leaf_count, N**n)) <= 0:
             return out
     raise DomainError(
         f"random prune failed the leaf bound in {RANDOM_RETRIES} attempts")
@@ -195,16 +196,16 @@ def _validate_target(M: int, dim: int, alpha: Fraction, eps: Fraction):
     if eps < 0:
         raise DomainError("slack eps must be >= 0")
     N = floor_power(M, alpha)
-    if not pow_at_most(M, alpha - eps / 2, N):
+    if power_cmp(M, alpha - eps / 2, N) > 0:
         raise DomainError(
             f"need floor(M^alpha)={N} >= M^(alpha-eps/2); increase M")
     # b-adic-aligned windows contribute one crossing cube, so the
     # operative induction condition is N+1 <= M^(alpha+eps); the
     # unaligned-cube form N+3^d <= M^(alpha+eps) is recorded separately.
-    if not pow_at_least(M, alpha + eps, N + 1):
+    if power_cmp(M, alpha + eps, N + 1) < 0:
         raise DomainError(
             f"violated inequality: N+1 > M^(alpha+eps) with N={N}")
-    paper_corner_ok = pow_at_least(M, alpha + eps, N + 3**dim)
+    paper_corner_ok = power_cmp(M, alpha + eps, N + 3**dim) >= 0
     return N, paper_corner_ok
 
 
@@ -235,13 +236,13 @@ def construct_subset_assouad(tree: CubeTree, alpha: Fraction, eps: Fraction,
     N = floor(M^alpha), and retain the surviving cubes as chains down to
     full depth.  Stage lengths follow n_{k+1} = n_k + i_{n_k}."""
     M, d, D = tree.base, tree.dim, tree.depth
-    alpha, eps = exact_fraction(alpha, "alpha"), exact_fraction(eps, "eps")
+    alpha, eps = read_exponent(alpha, "alpha"), read_exponent(eps, "eps")
     N, paper_corner_ok = _validate_target(M, d, alpha, eps)
     if stages < 1:
         raise DomainError("need at least one stage")
     # the source estimate is the root's leaf count at k = D, so
     # alpha > s exactly when M^(alpha D) > leaf count
-    if not pow_at_most(M, alpha * D, tree.leaf_count):
+    if power_cmp(M, alpha * D, tree.leaf_count) > 0:
         raise DomainError(
             f"alpha {float(alpha):.6f} exceeds the source estimate "
             f"{_log_ratio(tree.leaf_count, D, M):.6f}")
@@ -256,7 +257,8 @@ def construct_subset_assouad(tree: CubeTree, alpha: Fraction, eps: Fraction,
                       PruneParams(M, n, N, Fraction(0), eps / 2,
                                   strategy=strategy, seed=seed + stage),
                       check_hypotheses=False)
-        bound_ok = count_meets_power_bound(piece.leaf_count, M, n, N, eps / 2)
+        bound_ok = power_cmp(M, -n * eps / 2,
+                             Fraction(piece.leaf_count, N**n)) <= 0
         kept = _graft(tree, path, piece)
         out = kept if out is None else out.union(kept)
         records.append(StageRecord(
@@ -285,8 +287,8 @@ def headline_in_window(count: int, M: int, d: int, k: int, alpha: Fraction,
     - delta, alpha + eps + delta], delta = d log 2 / (k log M), decided
     exactly (alpha - eps may be negative): M^(k(alpha - eps)) <= 2^d
     count and count <= 2^d M^(k(alpha + eps))."""
-    return pow_at_most(M, k * (alpha - eps), 2**d * count) and \
-        pow_at_least(M, k * (alpha + eps), Fraction(count, 2**d))
+    return power_cmp(M, k * (alpha - eps), 2**d * count) <= 0 and \
+        power_cmp(M, k * (alpha + eps), Fraction(count, 2**d)) >= 0
 
 
 def check_gap_condition(windows, alpha_eps: Fraction, base: int) -> bool:
@@ -313,7 +315,7 @@ def construct_subset_assouad_global(wset: WindowedSet, alpha: Fraction,
     and re-offset the windows so that consecutive gaps are powers of b
     satisfying the diameter-sum condition exactly."""
     M, d = wset.base, wset.dim
-    alpha, eps = exact_fraction(alpha, "alpha"), exact_fraction(eps, "eps")
+    alpha, eps = read_exponent(alpha, "alpha"), read_exponent(eps, "eps")
     N, _ = _validate_target(M, d, alpha, eps)
     if len(wset.windows) == 1:
         w = wset.windows[0]
@@ -414,21 +416,17 @@ def sandwich_assemble(tree: CubeTree, alpha, levels: int) -> LadderResult:
     an integer interval of c, refused when empty, and its caps are
     searched (`_fit_caps`) at or below those of the stage enclosing it,
     in the order B_1, ..., B_L, A_L, ..., A_1, so the chain nests.
-    Floats only print.  alpha is read by `exactmath.exact_fraction`, and
-    its denominator must be at most MAX_DENOMINATOR, as the stage powers
-    carry it."""
+    Floats only print.  alpha is read by `exactmath.read_exponent`, as
+    the stage powers carry it."""
     if levels < 1:
         raise DomainError("ladder needs L >= 1")
-    alpha = exact_fraction(alpha, "alpha")
-    if alpha.denominator > MAX_DENOMINATOR:
-        raise DomainError(f"alpha {alpha} is not a fraction of denominator "
-                          f"<= {MAX_DENOMINATOR}")
+    alpha = read_exponent(alpha, "alpha")
     D, M = tree.depth, tree.base
     if D == 0:
         raise DomainError("ladder needs a source of depth >= 1")
     C = tree.leaf_count
     s = _log_ratio(C, D, M)
-    if not 0 < alpha or pow_at_least(M, alpha * D, C):  # alpha >= s
+    if not 0 < alpha or power_cmp(M, alpha * D, C) >= 0:  # alpha >= s
         raise DomainError(f"alpha must lie in (0, {s:.6f})")
 
     def b_first(n):  # least c of headline >= b_n: c^t >= C M^(alpha D (t-1))

@@ -27,7 +27,8 @@ from typing import NamedTuple
 from . import geometry
 from .core import CubeTree, DomainError, leaf_corners
 from .estimators import _log_ratio
-from .exactmath import exact_fraction, floor_lambda, pow_at_most, scaled_power
+from .exactmath import (exact_fraction, floor_lambda, power_cmp,
+                        read_exponent, scaled_power)
 
 
 class LowerParams:
@@ -35,10 +36,10 @@ class LowerParams:
 
     def __init__(self, alpha: Fraction, M: int, depth: int,
                  eps: Fraction = Fraction(0), R0: Fraction = Fraction(1)):
-        self.alpha = exact_fraction(alpha, "alpha")
+        self.alpha = read_exponent(alpha, "alpha")
         self.M = M
         self.depth = depth
-        self.eps = exact_fraction(eps, "eps")
+        self.eps = read_exponent(eps, "eps")
         self.R0 = exact_fraction(R0, "R0")
         if not 0 < self.alpha <= 1:
             raise DomainError("alpha must be in (0, 1]")
@@ -188,7 +189,7 @@ def _check_source(source: CubeTree, params: LowerParams, counts):
         raise DomainError("lower construction needs a source of depth >= 1")
     target = params.alpha + params.eps
     for count in counts:
-        if pow_at_most(source.base, k * target, count):
+        if power_cmp(source.base, k * target, count) <= 0:
             return
     raise DomainError(
         f"source lower estimate {_log_ratio(count, k, source.base):.6f} "

@@ -13,7 +13,7 @@ from badicdim.core import (CubeTree, Window, WindowedSet, corners_tree,
                            leaf_corners)
 from badicdim.estimators import (h_star, star_dimension_report,
                                  verify_cover_pack_sandwich)
-from badicdim.exactmath import count_meets_power_bound, pow_at_least
+from badicdim.exactmath import power_cmp
 from badicdim.extract_assouad import (PruneParams, check_gap_condition,
                                       construct_subset_assouad,
                                       construct_subset_assouad_global,
@@ -41,13 +41,13 @@ def test_criterion_1_prune_bound_200_trees():
         # smallest eps (denominator 6) making every N <= max_kids
         # admissible under the child-count hypothesis with s = 0
         num = 0
-        while not pow_at_least(M, Fraction(num, 6), max_kids):
+        while power_cmp(M, Fraction(num, 6), max_kids) < 0:
             num += 1
         eps = Fraction(num, 6)
         for N in range(1, max_kids + 1):
             out = prune(tree, PruneParams(M, depth, N, Fraction(0), eps))
-            assert count_meets_power_bound(out.leaf_count, M, depth, N,
-                                           eps), (M, depth, N, trial)
+            assert power_cmp(M, -depth * eps, Fraction(
+                out.leaf_count, N**depth)) <= 0, (M, depth, N, trial)
             for layer in out.levels():
                 for node in layer:
                     assert len(node.children) <= N, (M, depth, N, trial)

@@ -6,9 +6,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from badicdim.exactmath import (MAX_EXPONENT, badic_power_sum_le,
-                                count_meets_power_bound, floor_lambda,
-                                floor_power, iroot, least_fitting,
-                                parse_fraction, pow_at_least, pow_at_most)
+                                floor_lambda, floor_power, iroot,
+                                least_fitting, parse_fraction, power_cmp,
+                                refine)
 
 
 @given(st.integers(min_value=0, max_value=10**24),
@@ -57,31 +57,61 @@ def test_floor_power_exact_values():
     assert floor_power(3, Fraction(0)) == 1
 
 
-@given(st.integers(min_value=2, max_value=30),
+def _sign(x) -> int:
+    return (x > 0) - (x < 0)
+
+
+@given(st.integers(min_value=1, max_value=30),
        st.builds(Fraction, st.integers(min_value=-18, max_value=18),
                  st.integers(min_value=1, max_value=6)),
-       st.integers(min_value=1, max_value=10**6))
+       st.one_of(st.integers(min_value=-10**6, max_value=10**6),
+                 st.fractions(min_value=-10**3, max_value=10**3,
+                              max_denominator=10**3)))
 def test_power_comparisons_match_floats(base, exp, value):
+    got = power_cmp(base, exp, value)
+    # base^(p/q) and a positive value compare as their q-th powers,
+    # here taken directly in Fractions
+    p, q = exp.numerator, exp.denominator
+    assert got == (1 if value <= 0 else
+                   _sign(Fraction(base) ** p - Fraction(value) ** q))
     true_val = base ** float(exp)
     # only check away from float round-off ambiguity
-    if abs(true_val - value) > 1e-6 * max(true_val, value):
-        assert pow_at_least(base, exp, value) == (true_val > value)
-        assert pow_at_most(base, exp, value) == (true_val < value)
+    if abs(true_val - value) > 1e-6 * max(true_val, abs(value)):
+        assert got == _sign(true_val - value)
 
 
 def test_power_comparisons_exact_ties():
-    assert pow_at_least(4, Fraction(1, 2), 2)
-    assert pow_at_most(4, Fraction(1, 2), 2)
-    assert pow_at_least(2, Fraction(-1, 1), 0)
-    assert not pow_at_most(8, Fraction(2, 3), 3)
+    assert power_cmp(4, Fraction(1, 2), 2) == 0
+    assert power_cmp(4, Fraction(-1, 2), Fraction(1, 2)) == 0
+    assert power_cmp(8, Fraction(2, 3), Fraction(8, 2)) == 0
+    assert power_cmp(3, Fraction(0), 1) == 0
+    assert power_cmp(2, Fraction(-1, 1), 0) == 1
+    assert power_cmp(2, Fraction(-1, 1), Fraction(-1, 3)) == 1
+    assert power_cmp(8, Fraction(2, 3), 3) == 1
+    assert power_cmp(8, Fraction(-2, 3), Fraction(1, 3)) == -1
 
 
-def test_count_meets_power_bound():
-    # count >= N^n M^(-n eps)
-    assert count_meets_power_bound(4, 4, 2, 2, Fraction(0))
-    assert not count_meets_power_bound(3, 4, 2, 2, Fraction(0))
-    assert count_meets_power_bound(1, 4, 2, 2, Fraction(1, 2))
-    assert not count_meets_power_bound(0, 4, 2, 2, Fraction(1, 2))
+def _meets(count: int, M: int, n: int, N: int, eps: Fraction) -> bool:
+    """count >= N^n M^(-n eps), as the prune and the construction read
+    it: M^(-n eps) <= count / N^n."""
+    return power_cmp(M, -n * eps, Fraction(count, N**n)) <= 0
+
+
+@given(st.integers(min_value=0, max_value=300),
+       st.integers(min_value=2, max_value=5),
+       st.integers(min_value=1, max_value=4),
+       st.integers(min_value=1, max_value=5),
+       st.builds(Fraction, st.integers(min_value=0, max_value=12),
+                 st.integers(min_value=1, max_value=6)))
+def test_count_meets_power_bound(count, M, n, N, eps):
+    # count >= N^n M^(-n eps)  <=>  count^q M^(n p) >= N^(n q), eps = p/q
+    assert _meets(4, 4, 2, 2, Fraction(0))
+    assert not _meets(3, 4, 2, 2, Fraction(0))
+    assert _meets(1, 4, 2, 2, Fraction(1, 2))
+    assert not _meets(0, 4, 2, 2, Fraction(1, 2))
+    p, q = eps.numerator, eps.denominator
+    assert _meets(count, M, n, N, eps) == (
+        count**q * M ** (n * p) >= N ** (n * q))
 
 
 def test_power_sum_ties_and_strict():
@@ -106,6 +136,18 @@ def test_power_sum_matches_float_when_unambiguous(base, exps, bound, t):
     rhs = base ** (bound * float(t))
     if abs(lhs - rhs) > 1e-6 * max(lhs, rhs):
         assert badic_power_sum_le(base, exps, bound, t) == (lhs < rhs)
+
+
+def test_refine_gives_up_at_the_precision_cap():
+    bits = []
+    with pytest.raises(ArithmeticError, match="^could not resolve a stub "
+                                              "within 65536 bits of "
+                                              "precision$"):
+        refine(bits.append, "a stub")  # append never decides
+    assert bits == [32 << i for i in range(12)]  # 32, ..., 65536
+    # the first result other than None ends it, False and 0 included
+    assert refine(lambda bits: False if bits >= 128 else None, "x") is False
+    assert refine(lambda bits: 0, "x") == 0
 
 
 def _floor_difference(c: Fraction, M: int, p: int, a: int, b: int) -> int:

@@ -1,6 +1,7 @@
 import math
 import random
 import statistics
+import time
 from fractions import Fraction
 
 import pytest
@@ -10,8 +11,8 @@ from badicdim import extract_assouad
 from badicdim.core import (CubeNode, CubeTree, DomainError, Window,
                            WindowedSet, write_bdt, write_wdt)
 from badicdim.estimators import _log_ratio, star_dimension_report
-from badicdim.exactmath import (badic_power_sum_le, count_meets_power_bound,
-                                floor_power, least_fitting)
+from badicdim.exactmath import (badic_power_sum_le, floor_power,
+                                least_fitting, power_cmp)
 from badicdim.extract_assouad import (LadderResult, PruneParams,
                                       check_gap_condition,
                                       check_prune_hypotheses,
@@ -79,7 +80,7 @@ def test_random_prune_reproducible_and_bounded():
                     strategy="random", seed=7)
     a, b = prune(t, p), prune(t, p)
     assert a == b
-    assert count_meets_power_bound(a.leaf_count, 4, 3, 2, Fraction(1, 2))
+    assert power_cmp(4, -3 * p.eps, Fraction(a.leaf_count, 2**3)) <= 0
 
 
 def _preorder_prune_paths(tree, cap, seed):
@@ -174,13 +175,13 @@ def test_construct_assouad_alpha_too_large():
 
 
 def test_construct_assouad_source_check_is_exact():
-    # log_3 2 = 0.6309297535..., and 16266/25781 lies above it by about
-    # 9e-10: inside a 1e-9 float tolerance, yet not a valid target
+    # log_3 2 = 0.6309297535..., and 665/1054, the closest fraction above
+    # it within the exponent bound, lies above it by about 3.8e-8: inside
+    # a 1e-7 float tolerance, yet not a valid target
     E = digit_cantor(3, 1, [0, 2], 12).rebase(6)
     with pytest.raises(DomainError, match="exceeds the source estimate "
                                           "0.630930"):
-        construct_subset_assouad(E, Fraction(16266, 25781),
-                                 Fraction(1, 4), 1)
+        construct_subset_assouad(E, Fraction(665, 1054), Fraction(1, 4), 1)
     trace = construct_subset_assouad(E, Fraction(5, 8), Fraction(1, 4), 1)
     assert E.contains_tree(trace.tree)
 
@@ -439,6 +440,53 @@ def test_sandwich_refuses_a_fraction_of_large_denominator():
         with pytest.raises(DomainError, match="is not a fraction of "
                                               "denominator <= 10000$"):
             sandwich_assemble(E, value, 1)
+
+
+def _refusal(name: str, value, part: str) -> str:
+    return f"^{name} {value} is not a fraction of {part} <= 10000$"
+
+
+def test_library_callers_refuse_an_exponent_beyond_the_bound_at_once():
+    # without the bound the first four ran for 6 s to minutes: exact
+    # powers of the exponent carry its numerator and denominator
+    E, tiny, huge = CubeTree.full(2, 1, 8), Fraction(1, 10**9), 10**9
+    calls = [
+        (lambda: construct_subset_lower(E, LowerParams(
+            Fraction(1, 3), 4, 1, eps=tiny)), "eps", tiny, "denominator"),
+        (lambda: construct_subset_lower(E, LowerParams(
+            Fraction(1, 3), 4, 1, eps=Fraction(huge))), "eps", huge,
+         "numerator"),
+        (lambda: construct_subset_assouad(E, _HALF, Fraction(huge), 1),
+         "eps", huge, "numerator"),
+        (lambda: prune(E, PruneParams(2, 8, 1, Fraction(0), tiny)), "eps",
+         tiny, "denominator"),
+        (lambda: prune(E, PruneParams(2, 8, 1, -tiny, Fraction(1))), "s",
+         -tiny, "denominator"),
+        (lambda: construct_subset_assouad_global(
+            _two_window_set(), Fraction(huge), _QUARTER), "alpha", huge,
+         "numerator"),
+        (lambda: sandwich_assemble(E, Fraction(huge, 7), 1), "alpha",
+         Fraction(huge, 7), "numerator")]
+    for call, name, value, part in calls:
+        start = time.perf_counter()
+        with pytest.raises(DomainError, match=_refusal(name, value, part)):
+            call()
+        assert time.perf_counter() - start < 1
+
+
+def test_construction_stages_prune_with_half_a_bounded_eps():
+    # eps/2 = 5003/19998 has a denominator above the bound; the stages
+    # skip check_prune_hypotheses, the one place that holds a prune's s
+    # and eps to it
+    for strategy in ("greedy", "random"):
+        trace = construct_subset_assouad(CubeTree.full(4, 1, 6), _HALF,
+                                         Fraction(5003, 9999), 2,
+                                         strategy=strategy)
+        assert [stage.bound_ok for stage in trace.stages] == [True, True]
+    with pytest.raises(DomainError, match=_refusal(
+            "eps", Fraction(5003, 19998), "denominator")):
+        prune(CubeTree.full(4, 1, 2),
+              PruneParams(4, 2, 2, Fraction(0), Fraction(5003, 19998)))
 
 
 def test_sandwich_needs_a_source_of_depth_one():

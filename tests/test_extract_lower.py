@@ -14,7 +14,7 @@ from hypothesis import given, settings, strategies as st
 from badicdim import extract_lower, geometry
 from badicdim.core import CubeTree, DomainError, corners_tree, leaf_corners
 from badicdim.estimators import _log_ratio
-from badicdim.exactmath import ScaledPower, floor_lambda, iroot, pow_at_most
+from badicdim.exactmath import ScaledPower, floor_lambda, iroot, power_cmp
 from badicdim.extract_lower import (BallTree, LowerParams,
                                     _pick_1d, _tree_lattice,
                                     construct_subset_lower,
@@ -666,7 +666,7 @@ def test_source_is_refused_exactly_when_its_leaves_miss_the_bound(
         message = str(exc)
     else:
         message = None
-    if pow_at_most(base, depth * target, tree.leaf_count):
+    if power_cmp(base, depth * target, tree.leaf_count) <= 0:
         assert message is None or not message.startswith("source")
     else:
         assert message == refused
@@ -702,7 +702,7 @@ def test_construction_draws_counts_only_down_to_the_deciding_level(
     counts = list(tree.level_counts())
     bound = tree.depth * (params.alpha + params.eps)
     passed = next(level for level, count in enumerate(counts)
-                  if pow_at_most(tree.base, bound, count))
+                  if power_cmp(tree.base, bound, count) <= 0)
     w = _tree_lattice(tree, params, counts)
     assert deepest == max(passed, w if w < tree.depth else 0)
     drawn = []

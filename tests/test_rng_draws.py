@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 from badicdim import extract_assouad, generators
 from badicdim.core import (CubeTree, DomainError, all_keys, rng_draws,
                            write_bdt)
-from badicdim.exactmath import count_meets_power_bound
+from badicdim.exactmath import power_cmp
 from badicdim.extract_assouad import PruneParams, prune
 from badicdim.generators import random_branching_tree
 
@@ -161,8 +161,8 @@ def _reference_prune(tree, params, retries):
 
         grow(tree.root, ())
         out = CubeTree.from_leaves(tree.base, tree.dim, n, leaves)
-        if count_meets_power_bound(out.leaf_count, params.base, n, cap,
-                                   params.eps):
+        if power_cmp(params.base, -n * params.eps,
+                     Fraction(out.leaf_count, cap**n)) <= 0:
             return out
     return None
 
