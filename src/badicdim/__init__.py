@@ -2,13 +2,12 @@
 cube trees: exact counting estimators and constructive extraction of
 subsets with prescribed dimension estimates."""
 
-from .core import (BadicCube, CubeTree, DomainError, SetFormatError, Window,
+from .core import (CubeTree, DomainError, SetFormatError, Window,
                    WindowedSet, corners_tree, leaf_corners, read_bdt,
-                   read_wdt, subdivide, write_bdt, write_wdt)
+                   read_wdt, write_bdt, write_wdt)
 from .estimators import (DimensionReport, ScaleRecord, ball_cover_count,
-                         count_hit_subcubes, h_star, lower_dimension_report,
-                         star_dimension_report,
-                         verify_cover_pack_sandwich)
+                         h_star, lower_dimension_report,
+                         star_dimension_report, verify_cover_pack_sandwich)
 from .extract_assouad import (ConstructionTrace, PruneParams,
                               check_gap_condition, construct_subset_assouad,
                               construct_subset_assouad_global,
@@ -21,12 +20,12 @@ from .generators import (GeneratorSpec, generate, oracle_exact_hstar,
 __version__ = "1.0.0"
 
 __all__ = [
-    "BadicCube", "CubeTree", "DomainError", "SetFormatError", "Window",
-    "WindowedSet", "corners_tree", "leaf_corners", "read_bdt", "read_wdt",
-    "subdivide", "write_bdt", "write_wdt",
-    "DimensionReport", "ScaleRecord", "ball_cover_count",
-    "count_hit_subcubes", "h_star", "lower_dimension_report",
-    "star_dimension_report", "verify_cover_pack_sandwich",
+    "CubeTree", "DomainError", "SetFormatError", "Window", "WindowedSet",
+    "corners_tree", "leaf_corners", "read_bdt", "read_wdt", "write_bdt",
+    "write_wdt",
+    "DimensionReport", "ScaleRecord", "ball_cover_count", "h_star",
+    "lower_dimension_report", "star_dimension_report",
+    "verify_cover_pack_sandwich",
     "ConstructionTrace", "PruneParams", "check_gap_condition",
     "construct_subset_assouad", "construct_subset_assouad_global",
     "find_dense_window", "prune", "sandwich_assemble",

@@ -1,17 +1,18 @@
-"""Exact b-adic geometry: cubes, prefix trees and windowed sets.
+"""Exact b-adic geometry: prefix trees of cubes and windowed sets.
 
 Sets are represented at finite resolution as prefix trees over the b^d
-child alphabet.  All arithmetic is on integer digits; the real footprint
-of a node is the half-open cube prod_i [0.c_i, 0.c_i + b^-n) in base-b
-positional notation.  Identical subtrees are hash-consed, so homogeneous
-sets (full cubes, digit-restricted Cantor sets) stay small in memory at
-any depth.
+child alphabet.  A cube is its path from the root, one key of d digits
+per level; `path_text` prints it as report witnesses do.  All
+arithmetic is on integer digits; the real footprint of a node is the
+half-open cube prod_i [0.c_i, 0.c_i + b^-n) in base-b positional
+notation.  Identical subtrees are hash-consed, so homogeneous sets
+(full cubes, digit-restricted Cantor sets) stay small in memory at any
+depth.
 """
 
 from __future__ import annotations
 
 import re
-from fractions import Fraction
 from functools import cache
 from itertools import groupby, islice, product
 from math import ceil, log
@@ -318,61 +319,6 @@ def _child_sums(children, below: dict) -> tuple:
     return (len(children), *total)
 
 
-class BadicCube:
-    """A level-n base-b cube in [0,1]^d, identified by d digit strings."""
-
-    __slots__ = ("base", "level", "coords")
-
-    def __init__(self, base: int, level: int, coords: tuple):
-        if base < 2:
-            raise DomainError("base must be >= 2")
-        for axis in coords:
-            if len(axis) != level:
-                raise DomainError("coordinate length must equal level")
-            if any(not 0 <= dig < base for dig in axis):
-                raise DomainError("digit out of range")
-        self.base = base
-        self.level = level
-        self.coords = coords  # axis-major: coords[i] has `level` digits
-
-    def __eq__(self, other):
-        return (isinstance(other, BadicCube)
-                and (self.base, self.level, self.coords)
-                == (other.base, other.level, other.coords))
-
-    def __hash__(self):
-        return hash((self.base, self.level, self.coords))
-
-    @property
-    def dim(self) -> int:
-        return len(self.coords)
-
-    @property
-    def path(self) -> Path:
-        return tuple(tuple(axis[j] for axis in self.coords)
-                     for j in range(self.level))
-
-    @classmethod
-    def from_path(cls, base: int, dim: int, path: Path) -> "BadicCube":
-        coords = tuple(tuple(key[i] for key in path) for i in range(dim))
-        return cls(base, len(path), coords)
-
-    def corner(self) -> tuple:
-        """Lower-left corner as exact Fractions."""
-        scale = self.base**self.level
-        return tuple(
-            Fraction(_digits_to_int(axis, self.base), scale)
-            for axis in self.coords)
-
-    def side(self) -> Fraction:
-        return Fraction(1, self.base**self.level)
-
-    def __str__(self):
-        if self.level == 0:
-            return "root"
-        return ",".join(digit_text(axis, self.base) for axis in self.coords)
-
-
 def digit_text(digits, base: int) -> str:
     """Base-`base` digits as report text, one `DIGITS` character each as
     in set files; bases above 36 have no characters, so there the digits
@@ -382,11 +328,12 @@ def digit_text(digits, base: int) -> str:
     return ".".join(map(str, digits))
 
 
-def _digits_to_int(digits, base: int) -> int:
-    val = 0
-    for dig in digits:
-        val = val * base + dig
-    return val
+def path_text(base: int, path: Path) -> str:
+    """A cube's report text: `root`, or its digits axis by axis
+    (`digit_text`), the axes joined by commas."""
+    if not path:
+        return "root"
+    return ",".join(digit_text(axis, base) for axis in zip(*path))
 
 
 def check_shape(base: int, dim: int, depth: int):
@@ -594,9 +541,6 @@ class CubeTree:
         yield from self.leaf_values((), lambda path, key: path + (key,),
                                     limit)
 
-    def cube(self, path: Path) -> BadicCube:
-        return BadicCube.from_path(self.base, self.dim, path)
-
     def contains_tree(self, other: "CubeTree") -> bool:
         """True iff every node of `other` is a node of self."""
         if (other.base, other.dim, other.depth) != \
@@ -704,13 +648,6 @@ def all_keys(base: int, dim: int) -> list:
     return sorted(keys)
 
 
-def subdivide(cube: BadicCube) -> list:
-    """The b^d children of `cube` at level n+1, lexicographic order."""
-    return [BadicCube(cube.base, cube.level + 1, tuple(
-        axis + (digit,) for axis, digit in zip(cube.coords, key)))
-        for key in all_keys(cube.base, cube.dim)]
-
-
 def leaf_corners(tree: CubeTree, level: int = None) -> list:
     """The lower-left corners of the leaf cubes (or of the cubes of
     `level`) as integer points at scale base^level, sorted: a child's
@@ -751,15 +688,19 @@ class WindowedSet:
     def __init__(self, base: int, dim: int, windows):
         self.base = base
         self.dim = dim
-        ws = sorted(windows,
-                    key=lambda w: (max(abs(o) for o in w.offset), w.offset))
+        ws = list(windows)
         if not ws:
             raise DomainError("windowed set needs at least one window")
         for w in ws:
+            if len(w.offset) != dim:
+                raise DomainError(
+                    f"window offset {w.offset} does not have {dim} "
+                    "coordinates")
             if w.tree.base != base or w.tree.dim != dim:
                 raise DomainError("window tree base/dim mismatch")
             if w.side_exp < 0:
                 raise DomainError("window side exponent must be >= 0")
+        ws.sort(key=lambda w: (max(abs(o) for o in w.offset), w.offset))
         _check_disjoint(ws, base, dim)
         self.windows = tuple(ws)
         self._forest = None

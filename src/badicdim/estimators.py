@@ -11,8 +11,8 @@ from fractions import Fraction
 from typing import NamedTuple
 
 from . import geometry
-from .core import (BadicCube, CubeTree, DomainError, WindowedSet,
-                   corner_step, counts_below, leaf_corners, walk)
+from .core import (CubeTree, DomainError, WindowedSet, corner_step,
+                   counts_below, leaf_corners, path_text, walk)
 
 
 class ScaleRecord(NamedTuple):
@@ -49,32 +49,13 @@ def _log_ratio(count: int, k: int, base: int) -> float:
 def _report(kind: str, base: int, counts) -> DimensionReport:
     """The report of `counts`, (k, count, witness) triples in k order."""
     return DimensionReport(kind, base, [
-        ScaleRecord(k, count, str(witness), _log_ratio(count, k, base))
+        ScaleRecord(k, count, witness, _log_ratio(count, k, base))
         for k, count, witness in counts])
-
-
-def count_hit_subcubes(tree: CubeTree, cube: BadicCube, k: int) -> int:
-    """N_{b^k}(E, Q): depth-(level+k) descendants of Q present in the
-    tree.  Q absent from the tree gives 0; exceeding the resolution is
-    an error."""
-    if (cube.base, cube.dim) != (tree.base, tree.dim):
-        raise DomainError(
-            f"cube of base {cube.base}, dim {cube.dim} in a tree of base "
-            f"{tree.base}, dim {tree.dim}")
-    if k < 1:
-        raise DomainError("k must be >= 1")
-    if cube.level + k > tree.depth:
-        raise DomainError(
-            f"level {cube.level} + k {k} exceeds depth {tree.depth}")
-    node = tree.node_at(cube.path)
-    if node is None:
-        return 0
-    return tree.descendant_count(node, k)
 
 
 def _tree_h_star(tree: CubeTree, k: int):
     count, _, path = tree.extreme_count(k)
-    return count, tree.cube(path)
+    return count, path_text(tree.base, path)
 
 
 def _windowed_h_star(wset: WindowedSet, k: int, kind: str):
@@ -107,11 +88,11 @@ def _check_kind(kind: str):
 
 def h_star(obj, k: int, kind: str = "local"):
     """H*_{b^k}: max over admissible cubes Q of the hit-subcube count,
-    with an argmax witness (ties: smallest level, then lexicographic)."""
+    with an argmax witness as report text (ties: smallest level, then
+    lexicographic)."""
     _check_kind(kind)
     if isinstance(obj, CubeTree):
-        count, cube = _tree_h_star(obj, k)
-        return count, cube
+        return _tree_h_star(obj, k)
     if isinstance(obj, WindowedSet):
         return _windowed_h_star(obj, k, kind)
     raise DomainError(f"unsupported set type {type(obj)!r}")
@@ -149,7 +130,7 @@ def lower_dimension_report(tree: CubeTree,
     if k_max > tree.depth:
         raise DomainError(f"k_max {k_max} exceeds depth {tree.depth}")
     return _report("lower-cover", tree.base, (
-        (k, count, tree.cube(path)) for k in range(1, k_max + 1)
+        (k, count, path_text(tree.base, path)) for k in range(1, k_max + 1)
         for count, _, path in [tree.extreme_count(k, largest=False)]))
 
 

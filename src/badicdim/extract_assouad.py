@@ -41,17 +41,6 @@ class PruneParams:
         if strategy not in ("greedy", "random"):
             raise DomainError(f"unknown strategy '{strategy}'")
 
-    def _fields(self) -> tuple:
-        return (self.base, self.depth, self.cap, self.s, self.eps,
-                self.strategy, self.seed)
-
-    def __eq__(self, other):
-        return isinstance(other, PruneParams) and \
-            self._fields() == other._fields()
-
-    def __hash__(self):
-        return hash(self._fields())
-
 
 def check_prune_hypotheses(tree: CubeTree, params: PruneParams):
     """The pruning lemma's hypotheses, verified in exact integers:

@@ -1,15 +1,15 @@
 import itertools
 import random
+import re
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from badicdim import geometry
-from badicdim.core import (BadicCube, CubeTree, DomainError, SetFormatError,
-                           Window, WindowedSet, corners_tree, leaf_corners,
-                           read_bdt, read_wdt, subdivide, write_bdt,
-                           write_wdt)
+from badicdim.core import (CubeTree, DomainError, SetFormatError, Window,
+                           WindowedSet, corners_tree, leaf_corners, path_text,
+                           read_bdt, read_wdt, write_bdt, write_wdt)
 from badicdim.estimators import (lower_dimension_report,
                                  star_dimension_report,
                                  verify_cover_pack_sandwich)
@@ -25,11 +25,14 @@ def test_report_digits_are_set_file_digits():
     tree = read_bdt("bdt b=16 d=1 n=3\n1f0\n1f1\n1fa\n200\n")
     assert [r.witness for r in star_dimension_report(tree).records] == [
         "1f", "1", "root"]
-    assert str(BadicCube(16, 2, ((1, 15), (10, 0)))) == "1f,a0"
+    # a path is level-major; the text is axis-major
+    assert path_text(16, ((1, 10), (15, 0))) == "1f,a0"
+    assert path_text(16, ()) == "root"
     row = StageRecord(1, ((1,), (15,)), 2, 3, 4, True, base=16)
     assert row.tsv_row() == "1\t1|f\t2\t3\t4\tok"
     # bases above 36 have no digit characters: dotted decimals
-    assert str(BadicCube(40, 2, ((1, 38),))) == "1.38"
+    assert path_text(40, ((1,), (38,))) == "1.38"
+    assert path_text(40, ((1, 0), (38, 39))) == "1.38,0.39"
 
 
 @pytest.mark.parametrize("run", [
@@ -49,32 +52,6 @@ def test_records_compare_by_value(run):
     # the lower case's radii are irrational: 5**(-5/2) at k = 1
     first, second = run(), run()
     assert first is not second and first == second
-
-
-def test_cube_basics():
-    c = BadicCube(3, 2, ((0, 2), (1, 1)))
-    assert c.dim == 2
-    assert c.side() == Fraction(1, 9)
-    assert c.corner() == (Fraction(2, 9), Fraction(4, 9))
-    assert c.path == ((0, 1), (2, 1))
-    assert BadicCube.from_path(3, 2, c.path) == c
-
-
-def test_cube_validation():
-    with pytest.raises(DomainError):
-        BadicCube(3, 2, ((0, 3), (1, 1)))  # digit out of range
-    with pytest.raises(DomainError):
-        BadicCube(3, 2, ((0,), (1, 1)))  # length mismatch
-    with pytest.raises(DomainError):
-        BadicCube(1, 0, ())  # base too small
-
-
-def test_subdivide():
-    root = BadicCube(2, 0, ((), ()))
-    kids = subdivide(root)
-    assert len(kids) == 4
-    assert kids[0].corner() == (0, 0)
-    assert kids[-1].corner() == (Fraction(1, 2), Fraction(1, 2))
 
 
 def test_full_tree_counts():
@@ -194,6 +171,14 @@ def test_windowed_set_needs_a_window():
     with pytest.raises(DomainError,
                        match="^windowed set needs at least one window$"):
         WindowedSet(2, 1, [])
+
+
+@pytest.mark.parametrize("offset", [(0,), (0, 0, 0)], ids=["short", "long"])
+def test_windowed_set_refuses_an_offset_of_another_dim(offset):
+    t = CubeTree.full(2, 2, 2)
+    text = f"window offset {offset} does not have 2 coordinates"
+    with pytest.raises(DomainError, match=f"^{re.escape(text)}$"):
+        WindowedSet(2, 2, [Window((4, 4), 1, t), Window(offset, 1, t)])
 
 
 def test_bdt_roundtrip_fixed():

@@ -9,9 +9,8 @@ from hypothesis import assume, given, settings, strategies as st
 
 from badicdim import core
 from badicdim.core import (CubeNode, CubeTree, DomainError, Window,
-                           WindowedSet, leaf_corners)
-from badicdim.estimators import (count_hit_subcubes, h_star,
-                                 lower_dimension_report,
+                           WindowedSet, leaf_corners, path_text)
+from badicdim.estimators import (h_star, lower_dimension_report,
                                  star_dimension_report)
 from badicdim.extract_assouad import find_dense_window, prune_with_caps
 from badicdim.generators import (integer_cantor, lattice_window,
@@ -54,17 +53,17 @@ def test_profile_readers_match_flat_recounts(seed, b, d, depth, kids):
         levels = range(depth - k + 1)
         count, _, path = _scan(table, k, levels, True)
         assert star[k - 1].count == count == oracle_exact_hstar(tree, k)
-        assert star[k - 1].witness == str(tree.cube(path))
+        assert star[k - 1].witness == path_text(b, path)
         count, _, path = _scan(table, k, levels, False)
         assert lower[k - 1].count == count
-        assert lower[k - 1].witness == str(tree.cube(path))
+        assert lower[k - 1].witness == path_text(b, path)
     for n in range(1, depth + 1):
         count, level, path = _scan(
             table, n, range(min(n, depth - n), depth - n + 1), True)
         assert find_dense_window(tree, n) == (path, level, count)
     for (level, k), per_cube in table.items():
         for q, count in per_cube.items():
-            assert count_hit_subcubes(tree, tree.cube(q), k) == count
+            assert tree.descendant_count(tree.node_at(q), k) == count
             if level == 0:
                 assert list(tree.level_counts())[k] == count
     assert tree.leaf_count == table[0, depth][()]

@@ -5,10 +5,10 @@ from fractions import Fraction
 import pytest
 
 from badicdim import geometry
-from badicdim.core import (BadicCube, CubeTree, DomainError, corners_tree,
-                           leaf_corners)
-from badicdim.estimators import (ball_cover_count, count_hit_subcubes,
-                                 h_star, lower_dimension_report,
+from badicdim.core import (CubeTree, DomainError, corners_tree, leaf_corners,
+                           path_text)
+from badicdim.estimators import (ball_cover_count, h_star,
+                                 lower_dimension_report,
                                  star_dimension_report,
                                  verify_cover_pack_sandwich)
 from badicdim.generators import (digit_cantor, lattice_window, one_over_k,
@@ -29,31 +29,17 @@ def _envelope(report):
 
 def test_count_hit_subcubes_examples():
     full = CubeTree.full(2, 1, 3)
-    root = BadicCube(2, 0, ((),))
-    assert count_hit_subcubes(full, root, 1) == 2
+    assert full.descendant_count(full.node_at(()), 1) == 2
     c = _cantor(4)
-    root3 = BadicCube(3, 0, ((),))
-    assert count_hit_subcubes(c, root3, 1) == 2
-    assert count_hit_subcubes(c, root3, 2) == 4
-    assert count_hit_subcubes(c, BadicCube(3, 1, ((1,),)), 1) == 0
-    with pytest.raises(DomainError):
-        count_hit_subcubes(c, root3, 5)  # beyond resolution
-    with pytest.raises(DomainError):
-        count_hit_subcubes(c, root3, 0)
-
-
-@pytest.mark.parametrize("cube", [BadicCube(4, 1, ((1,),)),
-                                  BadicCube(2, 1, ((1,), (0,)))],
-                         ids=["base", "dim"])
-def test_count_hit_subcubes_needs_the_tree_base_and_dim(cube):
-    with pytest.raises(DomainError, match="cube of base"):
-        count_hit_subcubes(CubeTree.full(2, 1, 3), cube, 1)
+    assert c.descendant_count(c.node_at(()), 1) == 2
+    assert c.descendant_count(c.node_at(()), 2) == 4
+    assert c.node_at(((1,),)) is None  # the middle third is empty
 
 
 def test_h_star_tree_examples():
     count, witness = h_star(_cantor(6), 3)
     assert count == 8
-    assert witness.level == 0  # root witness by homogeneity + tie-break
+    assert witness == "root"  # root witness by homogeneity + tie-break
     chain = CubeTree.from_leaves(2, 1, 5, [(((0,),) * 5)[0:5]])
     for k in range(1, 6):
         assert h_star(chain, k)[0] == 1
@@ -61,9 +47,25 @@ def test_h_star_tree_examples():
 
 def test_h_star_witness_reproduces_count():
     tree = random_branching_tree(3, 1, 6, 2, seed=11)
+    cubes = {path_text(3, leaf[:level]): leaf[:level]
+             for leaf in tree.iter_leaf_paths()
+             for level in range(tree.depth + 1)}
     for k in (1, 2, 3):
         count, witness = h_star(tree, k)
-        assert count_hit_subcubes(tree, witness, k) == count
+        assert tree.descendant_count(tree.node_at(cubes[witness]),
+                                     k) == count
+
+
+@pytest.mark.parametrize("make", [
+    lambda: random_branching_tree(2, 1, 6, 2, seed=5),
+    lambda: random_branching_tree(2, 2, 4, 3, seed=0),
+    lambda: lattice_window(2, 1, 2)], ids=["tree-d1", "tree-d2", "windowed"])
+def test_h_star_witness_is_the_report_text(make):
+    obj = make()
+    for row in star_dimension_report(obj).records:
+        count, witness = h_star(obj, row.k)
+        assert type(witness) is str
+        assert (count, witness) == (row.count, row.witness)
 
 
 def test_star_report_cantor_every_scale():

@@ -387,7 +387,7 @@ def _lower(params):
 
 def _prune(params):
     out = prune(full_cube(4, 1, 3), params)
-    return params, write_bdt(out)
+    return params.s, params.eps, write_bdt(out)
 
 
 def _trace(trace):
