@@ -136,7 +136,7 @@ def _cmd_extract_assouad(args) -> int:
         raise DomainError("extract assouad needs a .bdt tree")
     tree = obj if args.M is None else _rebase_to(obj, args.M)
     strategy, seed = args.strategy
-    seed = args.seed or seed
+    seed = seed if args.seed is None else args.seed  # a given --seed wins
     trace = extract_assouad.construct_subset_assouad(
         tree, args.alpha, args.eps, args.stages, strategy=strategy,
         seed=seed)
@@ -241,8 +241,7 @@ def _verify_prune_bound(seed: int, samples: int):
         eps = Fraction(least_fitting(lambda num: power_cmp(
             M, Fraction(num, 6), max_kids) >= 0, 0), 6)
         for N in range(1, max_kids + 1):
-            params = extract_assouad.PruneParams(
-                M, depth, N, Fraction(0), eps)
+            params = extract_assouad.PruneParams(N, Fraction(0), eps)
             pruned = extract_assouad.prune(tree, params)
             if power_cmp(M, -depth * eps,
                          Fraction(pruned.leaf_count, N**depth)) > 0:
@@ -363,7 +362,7 @@ def build_parser() -> argparse.ArgumentParser:
     ea.add_argument("--M", type=_positive_int)
     ea.add_argument("--stages", type=int, default=3)
     ea.add_argument("--strategy", type=_parse_strategy, default="greedy")
-    ea.add_argument("--seed", type=int, default=0)
+    ea.add_argument("--seed", type=int)
     ea.add_argument("--in", dest="input", required=True)
     ea.add_argument("--out")
     ea.add_argument("--trace")

@@ -7,10 +7,8 @@ from __future__ import annotations
 
 import math
 import random
-from bisect import bisect_left
 from fractions import Fraction
-from itertools import permutations
-from operator import itemgetter
+from operator import itemgetter, le
 from typing import NamedTuple
 
 from .core import (CubeTree, DomainError, Window, WindowedSet,
@@ -23,12 +21,10 @@ RANDOM_RETRIES = 64
 
 
 class PruneParams:
-    __slots__ = ("base", "depth", "cap", "s", "eps", "strategy", "seed")
+    __slots__ = ("cap", "s", "eps", "strategy", "seed")
 
-    def __init__(self, base: int, depth: int, cap: int, s: Fraction,
-                 eps: Fraction, strategy: str = "greedy", seed: int = 0):
-        self.base = base        # M
-        self.depth = depth      # n
+    def __init__(self, cap: int, s: Fraction, eps: Fraction,
+                 strategy: str = "greedy", seed: int = 0):
         self.cap = cap          # N, per-node child cap
         self.s = exact_fraction(s, "s")
         self.eps = exact_fraction(eps, "eps")
@@ -43,14 +39,13 @@ class PruneParams:
 
 
 def check_prune_hypotheses(tree: CubeTree, params: PruneParams):
-    """The pruning lemma's hypotheses, verified in exact integers:
-    leaf count >= M^(n s), every child count <= floor(M^(s+eps)),
-    and N <= floor(M^(s+eps)), with s and eps in the exponent bound
-    (`exactmath.read_exponent`).  Raises naming the offending node."""
-    M, n = params.base, params.depth
+    """The pruning lemma's hypotheses on a tree of base M and depth n,
+    verified in exact integers: leaf count >= M^(n s), every child count
+    <= floor(M^(s+eps)), and N <= floor(M^(s+eps)), with s and eps in
+    the exponent bound (`exactmath.read_exponent`).  Raises naming the
+    offending node."""
+    M, n = tree.base, tree.depth
     s, eps = read_exponent(params.s, "s"), read_exponent(params.eps, "eps")
-    if tree.depth != n or tree.base != M:
-        raise DomainError("params depth/base must match the tree")
     cap_limit = floor_power(M, s + eps)
     if params.cap > cap_limit:
         raise DomainError(
@@ -78,7 +73,9 @@ def _ranked(tree: CubeTree) -> dict:
 def _keep(tree: CubeTree, ranked: dict, caps) -> CubeTree:
     """The prune of `tree` that keeps the first caps[i] ranked children
     of each level-i node."""
-    def children(node, level):
+    def children(node, level):  # a cap that does not bind keeps all
+        if caps[level] >= len(node.children):
+            return node.children
         return sorted(ranked[node][:caps[level]], key=itemgetter(0))
 
     return CubeTree(tree.base, tree.dim, tree.depth,
@@ -109,7 +106,7 @@ def prune(tree: CubeTree, params: PruneParams,
     and retries (seeded) until the realized count meets it."""
     if check_hypotheses:
         check_prune_hypotheses(tree, params)
-    M, n, N = params.base, params.depth, params.cap
+    M, n, N = tree.base, tree.depth, params.cap
     if params.strategy == "greedy":
         out = prune_with_caps(tree, [N] * n)
         if check_hypotheses and power_cmp(
@@ -243,7 +240,7 @@ def construct_subset_assouad(tree: CubeTree, alpha: Fraction, eps: Fraction,
                 f"but depth is {D}")
         path, level, count = find_dense_window(tree, n)
         piece = prune(tree.subtree(path, n),
-                      PruneParams(M, n, N, Fraction(0), eps / 2,
+                      PruneParams(N, Fraction(0), eps / 2,
                                   strategy=strategy, seed=seed + stage),
                       check_hypotheses=False)
         bound_ok = power_cmp(M, -n * eps / 2,
@@ -353,46 +350,37 @@ class LadderResult(NamedTuple):
     b_stages: list
 
 
-def _fit_caps(count, upper: list, lo: int, hi: int, name: str) -> list:
-    """Caps at or below `upper` whose leaf count `count(caps)` lies in
-    [lo, hi].  Bisects the chain of single decrements that lowers the
-    largest cap first (the deepest on ties), on which the count only
-    falls; steps down from the last caps above the window by the
-    gentlest single decrement, or one landing in it; where every one
-    undershoots, tries moving one unit of cap between two levels."""
-    reached = set()
+def _caps_within(tree: CubeTree, ranked: dict, layers: list, upper: list,
+                 lo: int, hi: int):
+    """Each caps vector at or below `upper` whose prune keeps lo..hi
+    leaves, fixed level by level from the root, largest first, none above
+    the most children of a kept node.  A prefix keeps distinct nodes with
+    their numbers of paths: it ends with at least their number of leaves
+    (later caps at 1) and at most their leaf counts under `upper`."""
+    most = dict.fromkeys(layers[-1], 1)
+    for i in reversed(range(tree.depth)):
+        for node in layers[i]:
+            most[node] = sum([most[kid] for _, kid in ranked[node][:upper[i]]])
 
-    def size(caps):
-        reached.add(n := count(caps))
-        return n
+    def level(i, kept):  # kept nodes -> paths, and one above the first cap
+        return [kept, min(upper[i], max(len(n.children) for n in kept)) + 1]
 
-    chain = [list(upper)]
-    while max(chain[-1]) > 1:
-        caps = list(chain[-1])
-        caps[max(range(len(caps)), key=lambda i: (caps[i], i))] -= 1
-        chain.append(caps)
-    k = bisect_left(chain, True, key=lambda caps: size(caps) <= hi)
-    if k < len(chain) and size(chain[k]) >= lo:
-        return chain[k]
-    over = chain[k - 1] if k else []  # the last caps above the window
-    while over:
-        step = max(([*over[:i], cap - 1, *over[i + 1:]]
-                    for i, cap in enumerate(over) if cap > 1),
-                   key=lambda caps: (lo <= size(caps) <= hi, size(caps)),
-                   default=None)
-        if step is None or size(step) < lo:
-            break
-        if size(step) <= hi:
-            return step
-        over = step
-    for i, j in permutations(range(len(over)), 2):
-        moved = [cap - (k == i) + (k == j) for k, cap in enumerate(over)]
-        if over[i] > 1 and over[j] < upper[j] and lo <= size(moved) <= hi:
-            return moved
-    raise DomainError(
-        f"no caps give stage {name} a leaf count in [{lo}, {hi}]; nearest "
-        f"reached: {max((n for n in reached if n < lo), default='none')} "
-        f"below, {min((n for n in reached if n > hi), default='none')} above")
+    stack = [level(0, {tree.root: 1})]
+    while stack:
+        entry = stack[-1]
+        entry[1] -= 1  # at cap 0 nothing is kept: too few, since lo >= 1
+        below = {}
+        for node, paths in entry[0].items():
+            for _, kid in ranked[node][:entry[1]]:
+                below[kid] = below.get(kid, 0) + paths
+        if sum(below.values()) > hi:  # too many even with every later cap at 1
+            continue
+        if sum([paths * most[kid] for kid, paths in below.items()]) < lo:
+            stack.pop()  # too few, and so for every smaller cap
+        elif len(stack) == tree.depth:
+            yield [cap for _, cap in stack]
+        else:
+            stack.append(level(len(stack), below))
 
 
 def sandwich_assemble(tree: CubeTree, alpha, levels: int) -> LadderResult:
@@ -402,11 +390,13 @@ def sandwich_assemble(tree: CubeTree, alpha, levels: int) -> LadderResult:
     source estimate s toward alpha.
 
     A headline is log(c) / (D log M) for a leaf count c, so a stage is
-    an integer interval of c, refused when empty, and its caps are
-    searched (`_fit_caps`) at or below those of the stage enclosing it,
-    in the order B_1, ..., B_L, A_L, ..., A_1, so the chain nests.
-    Floats only print.  alpha is read by `exactmath.read_exponent`, as
-    the stage powers carry it."""
+    an integer interval of c, refused when empty.  In the order B_1,
+    ..., B_L, A_L, ..., A_1 each stage takes caps (`_caps_within`) at or
+    below those of the stage before, so the chain nests; a stage with
+    none takes the previous stage's next caps, so the ladder is refused
+    only when no nested chain of cap prunes exists.  Floats only print.
+    alpha is read by `exactmath.read_exponent`, as the stage powers
+    carry it."""
     if levels < 1:
         raise DomainError("ladder needs L >= 1")
     alpha = read_exponent(alpha, "alpha")
@@ -437,23 +427,31 @@ def sandwich_assemble(tree: CubeTree, alpha, levels: int) -> LadderResult:
                               f"in [{lo}, {hi}]: the interval is empty at "
                               f"depth {D}")
     ranked, layers = _ranked(tree), list(walk({tree.root: None}, D))
-    memo = {(): dict.fromkeys(layers[-1], 1)}  # caps of levels i.. -> counts
 
-    def count(caps):  # the leaf count of _keep(tree, ranked, caps)
-        key = tuple(caps)
-        for i in reversed(range(D)):
-            if key[i:] not in memo:
-                below = memo[key[i + 1:]]
-                memo[key[i:]] = {node: sum([below[kid] for _, kid in
-                                            ranked[node][:key[i]]])
-                                 for node in layers[i]}
-        return memo[key][tree.root]
+    def search(k, upper):  # stage k's caps under `upper`
+        return _caps_within(tree, ranked, layers, upper, *stages[k][2:4])
 
-    caps = [max(len(node.children) for node in layer)
-            for layer in layers[:-1]]
+    searches, chosen, deepest = [search(0, [M**tree.dim] * D)], [], 0
+    failed = [[] for _ in stages] + [[]]  # uppers a stage found nothing under
+    while len(chosen) < len(stages):
+        k = len(chosen)
+        caps = next(searches[k], None)
+        if caps is None:
+            if not k:
+                name, n, lo, hi, _ = stages[deepest]
+                raise DomainError(f"no caps give stage {name}_{n} a leaf "
+                                  f"count in [{lo}, {hi}]")
+            searches.pop()
+            failed[k].append(chosen.pop())
+            continue
+        deepest = max(deepest, k + 1)
+        if any(all(map(le, caps, bad)) for bad in failed[k + 1]):
+            continue
+        chosen.append(caps)
+        if len(chosen) < len(stages):
+            searches.append(search(k + 1, caps))
     built = []
-    for name, n, lo, hi, interval in stages:
-        caps = _fit_caps(count, caps, lo, hi, f"{name}_{n}")
+    for (name, n, lo, hi, interval), caps in zip(stages, chosen):
         sub = _keep(tree, ranked, caps)
         if not lo <= sub.leaf_count <= hi:
             raise DomainError(f"stage {name}_{n} kept {sub.leaf_count} "

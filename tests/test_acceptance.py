@@ -45,7 +45,7 @@ def test_criterion_1_prune_bound_200_trees():
             num += 1
         eps = Fraction(num, 6)
         for N in range(1, max_kids + 1):
-            out = prune(tree, PruneParams(M, depth, N, Fraction(0), eps))
+            out = prune(tree, PruneParams(N, Fraction(0), eps))
             assert power_cmp(M, -depth * eps, Fraction(
                 out.leaf_count, N**depth)) <= 0, (M, depth, N, trial)
             for layer in out.levels():
@@ -59,7 +59,7 @@ def test_criterion_2_random_prune_expectation_1000():
     N, eps = 2, Fraction(0)
     counts = []
     for seed in range(1000):
-        out = prune(tree, PruneParams(4, 3, N, Fraction(1), eps,
+        out = prune(tree, PruneParams(N, Fraction(1), eps,
                                       strategy="random", seed=seed))
         counts.append(out.leaf_count)
     bound = N**3 * 4.0 ** (-3 * float(eps))

@@ -476,3 +476,22 @@ def test_extract_random_strategy_reproducible(tmp_path, capsys):
         assert code == 0
         outs.append(open(p, "rb").read())
     assert outs[0] == outs[1]
+
+
+def test_a_given_seed_wins_over_the_strategy_seed(tmp_path, capsys):
+    src = str(tmp_path / "full.bdt")
+    run(capsys, "gen", "full-cube", "--base", "2", "--dim", "1",
+        "--depth", "16", "--out", src)
+
+    def extract(*flags):
+        p = str(tmp_path / "out.bdt")
+        code, _, _ = run(capsys, "extract", "assouad", "--alpha", "1/2",
+                         "--eps", "1/4", "--M", "16", *flags, "--in", src,
+                         "--out", p)
+        assert code == 0
+        return open(p, "rb").read()
+
+    seed_0 = extract("--strategy", "random")
+    assert extract("--strategy", "random:3", "--seed", "0") == seed_0
+    assert extract("--strategy", "random:3") == \
+        extract("--strategy", "random", "--seed", "3") != seed_0

@@ -94,11 +94,11 @@ def test_random_trees_keep_their_golden_digests(params, leaves, digest):
 
 @pytest.mark.parametrize("tree, params, leaves, digest", [
     (random_branching_tree(4, 1, 6, 4, 9),
-     PruneParams(4, 6, 2, Fraction(1, 2), Fraction(1, 2), strategy="random",
+     PruneParams(2, Fraction(1, 2), Fraction(1, 2), strategy="random",
                  seed=21), 21,
      "f098a73ad51bcc90a5a5b8c9a1fa47ea04e7296450b73328b912ff5154e6fb14"),
     (CubeTree.full(10, 2, 2),  # 100 children: the set regime
-     PruneParams(10, 2, 8, Fraction(1), Fraction(1), strategy="random",
+     PruneParams(8, Fraction(1), Fraction(1), strategy="random",
                  seed=5), 64,
      "f29453f839c477595dc9e92130342bfef29e285ba7a87530a4d2786794a5e83e"),
 ])
@@ -161,7 +161,7 @@ def _reference_prune(tree, params, retries):
 
         grow(tree.root, ())
         out = CubeTree.from_leaves(tree.base, tree.dim, n, leaves)
-        if power_cmp(params.base, -n * params.eps,
+        if power_cmp(tree.base, -n * params.eps,
                      Fraction(out.leaf_count, cap**n)) <= 0:
             return out
     return None
@@ -179,8 +179,7 @@ def test_random_prunes_match_a_flat_reference(shape, tree_seed, cap, eps,
     # fewer retries than the prune's own make failures reachable
     base, dim, depth, max_children = shape
     tree = random_branching_tree(base, dim, depth, max_children, tree_seed)
-    params = PruneParams(base, depth, cap, Fraction(0), eps,
-                         strategy="random", seed=seed)
+    params = PruneParams(cap, Fraction(0), eps, strategy="random", seed=seed)
     reference = _reference_prune(tree, params, retries)
     with mock.patch.object(extract_assouad, "RANDOM_RETRIES", retries):
         if reference is None:

@@ -129,8 +129,8 @@ def test_transforms_match_flat_leaf_sets(case):
 
     # eps = d puts the random prune's leaf bound at or below 1
     cap = min(caps, default=1)
-    drawn = prune(a, PruneParams(a.base, a.depth, cap, 0, a.dim, "random",
-                                 len(pa)), check_hypotheses=False)
+    drawn = prune(a, PruneParams(cap, 0, a.dim, "random", len(pa)),
+                  check_hypotheses=False)
     assert _paths(drawn) <= pa
     assert _hash_consed(drawn)
 
