@@ -18,6 +18,7 @@ from .exactmath import (badic_power_sum_le, exact_fraction, floor_power,
                         iroot, least_fitting, power_cmp, read_exponent)
 
 RANDOM_RETRIES = 64
+LADDER_STEPS = 100_000  # prefixes the ladder's cap searches may try
 
 
 class PruneParams:
@@ -73,13 +74,9 @@ def _ranked(tree: CubeTree) -> dict:
 def _keep(tree: CubeTree, ranked: dict, caps) -> CubeTree:
     """The prune of `tree` that keeps the first caps[i] ranked children
     of each level-i node."""
-    def children(node, level):  # a cap that does not bind keeps all
-        if caps[level] >= len(node.children):
-            return node.children
-        return sorted(ranked[node][:caps[level]], key=itemgetter(0))
-
-    return CubeTree(tree.base, tree.dim, tree.depth,
-                    rebuild(tree.root, tree.depth, children))
+    return CubeTree(tree.base, tree.dim, tree.depth, rebuild(
+        tree.root, tree.depth,
+        lambda node, i: sorted(ranked[node][:caps[i]], key=itemgetter(0))))
 
 
 def prune_with_caps(tree: CubeTree, caps) -> CubeTree:
@@ -350,36 +347,39 @@ class LadderResult(NamedTuple):
     b_stages: list
 
 
-def _caps_within(tree: CubeTree, ranked: dict, layers: list, upper: list,
-                 lo: int, hi: int):
+def _caps_within(tree: CubeTree, ranked: dict, layers: list, steps: list,
+                 upper: list, lo: int, hi: int):
     """Each caps vector at or below `upper` whose prune keeps lo..hi
-    leaves, fixed level by level from the root, largest first, none above
-    the most children of a kept node.  A prefix keeps distinct nodes with
-    their numbers of paths: it ends with at least their number of leaves
-    (later caps at 1) and at most their leaf counts under `upper`."""
+    leaves, fixed level by level, largest first, none above a kept node's
+    most children, until steps[0] prefixes are spent.  Kept nodes (with
+    their paths) end with at least their number of leaves and at most
+    their leaf counts under `upper`; none that found nothing recurs."""
     most = dict.fromkeys(layers[-1], 1)
     for i in reversed(range(tree.depth)):
         for node in layers[i]:
             most[node] = sum([most[kid] for _, kid in ranked[node][:upper[i]]])
 
-    def level(i, kept):  # kept nodes -> paths, and one above the first cap
-        return [kept, min(upper[i], max(len(n.children) for n in kept)) + 1]
+    def level(i, kept):  # kept nodes -> paths, the next cap, yields so far
+        return [kept, min(upper[i], max(len(n.children) for n in kept)), found]
 
+    found, failed = 0, set()  # failed: (level, kept nodes)
     stack = [level(0, {tree.root: 1})]
-    while stack:
-        entry = stack[-1]
-        entry[1] -= 1  # at cap 0 nothing is kept: too few, since lo >= 1
-        below = {}
+    while stack and steps[0]:
+        entry, below, steps[0] = stack[-1], {}, steps[0] - 1
         for node, paths in entry[0].items():
             for _, kid in ranked[node][:entry[1]]:
                 below[kid] = below.get(kid, 0) + paths
-        if sum(below.values()) > hi:  # too many even with every later cap at 1
-            continue
+        entry[1] -= 1
         if sum([paths * most[kid] for kid, paths in below.items()]) < lo:
             stack.pop()  # too few, and so for every smaller cap
+            if entry[2] == found:
+                failed.add((len(stack), frozenset(entry[0].items())))
+        elif sum(below.values()) > hi:
+            continue  # too many even with every later cap at 1
         elif len(stack) == tree.depth:
-            yield [cap for _, cap in stack]
-        else:
+            found += 1
+            yield [cap + 1 for _, cap, _ in stack]
+        elif (len(stack), frozenset(below.items())) not in failed:
             stack.append(level(len(stack), below))
 
 
@@ -390,13 +390,10 @@ def sandwich_assemble(tree: CubeTree, alpha, levels: int) -> LadderResult:
     source estimate s toward alpha.
 
     A headline is log(c) / (D log M) for a leaf count c, so a stage is
-    an integer interval of c, refused when empty.  In the order B_1,
-    ..., B_L, A_L, ..., A_1 each stage takes caps (`_caps_within`) at or
-    below those of the stage before, so the chain nests; a stage with
-    none takes the previous stage's next caps, so the ladder is refused
-    only when no nested chain of cap prunes exists.  Floats only print.
-    alpha is read by `exactmath.read_exponent`, as the stage powers
-    carry it."""
+    an integer interval of c, refused when empty.  Stages B_1, ..., B_L,
+    A_L, ..., A_1 take caps (`_caps_within`) each at or below the last,
+    with backtracking: no nested chain, or spent LADDER_STEPS, refuses.
+    Floats only print; alpha is read by `exactmath.read_exponent`."""
     if levels < 1:
         raise DomainError("ladder needs L >= 1")
     alpha = read_exponent(alpha, "alpha")
@@ -428,28 +425,33 @@ def sandwich_assemble(tree: CubeTree, alpha, levels: int) -> LadderResult:
                               f"depth {D}")
     ranked, layers = _ranked(tree), list(walk({tree.root: None}, D))
 
-    def search(k, upper):  # stage k's caps under `upper`
-        return _caps_within(tree, ranked, layers, upper, *stages[k][2:4])
+    def search(k, caps):  # stage k's caps at or below `caps`
+        return _caps_within(tree, ranked, layers, steps, caps, *stages[k][2:4])
 
-    searches, chosen, deepest = [search(0, [M**tree.dim] * D)], [], 0
+    full, steps = [M**tree.dim] * D, [LADDER_STEPS]
+    searches, chosen, deepest = [search(0, full)], [], 0
     failed = [[] for _ in stages] + [[]]  # uppers a stage found nothing under
-    while len(chosen) < len(stages):
+    while searches and len(chosen) < len(stages):
         k = len(chosen)
         caps = next(searches[k], None)
         if caps is None:
-            if not k:
-                name, n, lo, hi, _ = stages[deepest]
-                raise DomainError(f"no caps give stage {name}_{n} a leaf "
-                                  f"count in [{lo}, {hi}]")
+            if 0 < k == deepest and next(search(k, full), None) is None:
+                break  # stage k has no caps at all: no chain reaches it
             searches.pop()
-            failed[k].append(chosen.pop())
-            continue
-        deepest = max(deepest, k + 1)
-        if any(all(map(le, caps, bad)) for bad in failed[k + 1]):
-            continue
-        chosen.append(caps)
-        if len(chosen) < len(stages):
-            searches.append(search(k + 1, caps))
+            if k:
+                failed[k].append(chosen.pop())
+        elif not any(all(map(le, caps, bad)) for bad in failed[k + 1]):
+            chosen.append(caps)
+            deepest = max(deepest, k + 1)
+            if k + 1 < len(stages):
+                searches.append(search(k + 1, caps))
+    if len(chosen) < len(stages):
+        name, n, lo, hi, _ = stages[deepest]
+        if not steps[0]:
+            raise DomainError(f"ladder search stopped after {LADDER_STEPS} "
+                              f"steps short of stage {name}_{n}")
+        raise DomainError(f"no caps give stage {name}_{n} a leaf count in "
+                          f"[{lo}, {hi}]")
     built = []
     for (name, n, lo, hi, interval), caps in zip(stages, chosen):
         sub = _keep(tree, ranked, caps)

@@ -703,7 +703,11 @@ def test_ladder_builds_exactly_when_a_nested_chain_exists(base, depth, seed,
         return
     with pytest.raises(DomainError, match="^no caps give stage ") as exc:
         sandwich_assemble(tree, alpha, levels)
-    assert order.index(str(exc.value).split()[4]) >= reached
+    named = order.index(str(exc.value).split()[4])
+    if str(exc.value).endswith(f"is empty at depth {depth}"):
+        assert named >= reached  # refused before any search
+    else:
+        assert named == reached
 
 
 def test_ladder_builds_at_depth_3000():
@@ -711,6 +715,31 @@ def test_ladder_builds_at_depth_3000():
     tree = CubeTree.full(2, 1, 3000)
     _assert_ladder_in_windows(tree, Fraction(1, 2), 2, sandwich_assemble(
         tree, Fraction(1, 2), 2))
+
+
+@pytest.mark.parametrize("depth, lo, hi", [(20, 664, 824),
+                                           (30, 17110, 23677)])
+def test_ladder_refuses_a_stage_that_no_caps_reach_in_time(depth, lo, hi):
+    # every count of a full binary tree is a power of 2, none of them in
+    # A_4's interval, while B_1, ..., B_4 nest: the refusal must not try
+    # each of B_4's many caps vectors in turn
+    start = time.perf_counter()
+    with pytest.raises(DomainError, match=(
+            rf"^no caps give stage A_4 a leaf count in \[{lo}, {hi}\]$")):
+        sandwich_assemble(CubeTree.full(2, 1, depth), Fraction(1, 2), 4)
+    assert time.perf_counter() - start < 5
+
+
+def test_ladder_search_stops_after_its_step_budget():
+    # A_3 needs a cap of 3 at three levels, A_4 keeps no cap above 2: no
+    # nested chain exists, but the search would have to try every
+    # arrangement of the stages before it to show that
+    start = time.perf_counter()
+    with pytest.raises(DomainError, match=(
+            r"^ladder search stopped after 100000 steps short of stage "
+            r"A_3$")):
+        sandwich_assemble(CubeTree.full(3, 1, 10), Fraction(1, 3), 4)
+    assert time.perf_counter() - start < 30
 
 
 def test_ladder_builds_on_random_binary_trees():
