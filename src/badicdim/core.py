@@ -13,10 +13,10 @@ depth.
 from __future__ import annotations
 
 import re
-from functools import cache
-from itertools import groupby, islice, product
+from functools import cache, reduce
+from itertools import combinations, groupby, product, repeat
 from math import ceil, log
-from operator import add, itemgetter, mul, ne
+from operator import add, iadd, itemgetter, mul
 from typing import Iterator, NamedTuple
 
 MAX_LEAF_ENUM = 2_000_000
@@ -90,48 +90,46 @@ def rebuild(start, depth: int, children) -> CubeNode:
     return nodes[0]
 
 
-def _split_level(heads: list, depth: int, width: int) -> int:
-    """The first level at which the sorted distinct `heads` (`width`
-    items per level) all have different prefixes: a bisection whose
-    probes compare adjacent prefixes and stop at the first equal pair."""
-    if len(heads) < 2:
-        return 0
-    lo, hi = 1, depth
-    while lo < hi:
-        mid = (lo + hi) // 2
-        cut = itemgetter(slice(mid * width))
-        if all(map(ne, map(cut, heads), map(cut, islice(heads, 1, None)))):
-            hi = mid
-        else:
-            lo = mid + 1
-    return lo
-
-
-def build_sorted(heads: list, depth: int, width: int, edge) -> CubeNode:
-    """The tree of the sorted distinct strings or tuples `heads`, built
-    bottom-up; `edge` keys the `width` items of each distinct edge once.
-    Below the split level each head's tail is a single path, built once
-    per distinct tail; above it, consecutive heads that share a prefix
-    become one node, level by level."""
-    node, pair = _Interner().__getitem__, itemgetter(1)  # no node is a leaf
-    split = _split_level(heads, depth, width)
-    cut, nodes = split * width, [_LEAF] * len(heads)
-    if split < depth:
-        tails = list(map(itemgetter(slice(cut, None)), heads))
-        chains = dict.fromkeys(tails)
-        for tail in chains:
-            below = _LEAF
-            for i in range(len(tail) - width, -1, -width):
-                below = node(((edge(tail[i:i + width]), below),))
-            chains[tail] = below
-        nodes = list(map(chains.__getitem__, tails))
-    for cut in range(cut - width, -1, -width):
-        items = zip(map(itemgetter(slice(cut)), heads), zip(
-            map(edge, map(itemgetter(slice(cut, cut + width)), heads)), nodes))
-        heads, nodes = [], []
-        for prefix, group in groupby(items, key=itemgetter(0)):
-            heads.append(prefix)
-            nodes.append(node(tuple(map(pair, group))))
+def build_lines(text: bytes, depth: int, width: int, edge) -> CubeNode:
+    """The tree of `text`: sorted distinct lines of `depth` keys of
+    `width` bytes, each led by a newline; `edge` reads a key's bytes.
+    Level by level, each distinct block (a node's lines, prefix cut off)
+    is split once into its children's blocks, one run per first key; a
+    one-line block is a chain, and a block one key deep lists leaf keys.
+    One level's blocks are held at a time; nodes are interned bottom-up."""
+    node, blocks, levels = _Interner().__getitem__, [text], []  # none a leaf
+    for rest in range(depth * width, 0, -width):  # the blocks' line length
+        line, short, index, built = rest + 1, rest + 1 - width, {}, []
+        for block in blocks:
+            if (size := len(block)) == line:
+                below = _LEAF
+                for i in range(rest - width + 1, 0, -width):
+                    below = node(((edge(block[i:i + width]), below),))
+                built.append(below)
+                continue
+            if rest == width:  # one key deep: the leaf keys
+                built.append(node(tuple(zip(map(edge, block[1:].split(
+                    b"\n")), repeat(_LEAF)))))
+                continue
+            kept = bytearray(block)
+            for j in range(width):  # every line's first key, byte by byte
+                del kept[1::line - j]
+            kept, pairs, start, end = bytes(kept), [], 0, size + 1
+            while start < size:  # `end`: the window of the run's last line
+                lead = block[start:start + 1 + width]  # "\n" and key
+                while (stop := block.rfind(lead, start, end) + line) == end:
+                    end += end - start  # the run may go on: look twice as far
+                pairs.append((edge(lead[1:]), index.setdefault(kept[
+                    start // line * short:stop // line * short], len(index))))
+                end, start = 3 * stop - 2 * start, stop  # next: twice this run
+            built.append(pairs)
+        levels.append(built)
+        if not (blocks := list(index)):
+            break
+    nodes = [_LEAF]
+    for built in reversed(levels):
+        nodes = [b if type(b) is CubeNode else node(tuple([
+            (key, nodes[i]) for key, i in b])) for b in built]
     return nodes[0]
 
 
@@ -378,23 +376,30 @@ class CubeTree:
     @classmethod
     def from_leaves(cls, base: int, dim: int, depth: int,
                     leaf_paths) -> "CubeTree":
-        # sorting makes duplicates adjacent; it is linear on sorted input
-        paths = [p for p, _ in groupby(sorted(leaf_paths))]
+        paths = list(leaf_paths)
         if not paths:
             raise DomainError("tree needs at least one leaf")
+        keys = set().union(*paths)
 
         def bad(key):
             return len(key) != dim or any(not 0 <= dig < base for dig in key)
 
-        if any(len(p) != depth for p in paths) or any(
-                map(bad, set().union(*paths))):
-            for p in paths:  # name the first bad path
+        if set(map(len, paths)) != {depth} or any(map(bad, keys)):
+            for p in sorted(paths):  # name the first bad path
                 if len(p) != depth:
                     raise DomainError("leaf path length must equal depth")
                 for key in filter(bad, p):
                     raise DomainError(f"bad digit key {key}")
-        return cls(base, dim, depth,
-                   build_sorted(paths, depth, 1, itemgetter(0)))
+        keys = sorted(keys)  # as `width` bytes of 7 bits and a high 1 bit
+        width = len(keys).bit_length() // 7 + 1
+        codes = [bytes([128 | i >> 7 * j & 127 for j in range(
+            width - 1, -1, -1)]) for i in range(len(keys))]
+        lines = map(b"\n".__add__, map(b"".join, map(map, repeat(dict(zip(
+            keys, codes)).get), paths)))
+        text = reduce(iadd, map(itemgetter(0), groupby(sorted(lines))),
+                      bytearray())  # each line once; a join holds 80 B a line
+        return cls(base, dim, depth, build_lines(
+            bytes(text), depth, width, dict(zip(codes, keys)).__getitem__))
 
     # -- queries ------------------------------------------------------
 
@@ -642,10 +647,7 @@ class CubeTree:
 
 
 def all_keys(base: int, dim: int) -> list:
-    keys = [()]
-    for _ in range(dim):
-        keys = [k + (dig,) for k in keys for dig in range(base)]
-    return sorted(keys)
+    return list(product(range(base), repeat=dim))  # in key order
 
 
 def leaf_corners(tree: CubeTree, level: int = None) -> list:
@@ -762,18 +764,11 @@ class WindowedSet:
 
 
 def _check_disjoint(windows, base, dim):
-    boxes = []
-    for w in windows:
-        side = base**w.side_exp
-        boxes.append((w.offset, side))
-    for i in range(len(boxes)):
-        for j in range(i + 1, len(boxes)):
-            (o1, s1), (o2, s2) = boxes[i], boxes[j]
-            if all(o1[k] < o2[k] + s2 and o2[k] < o1[k] + s1
-                   for k in range(dim)):
-                raise DomainError(
-                    f"window footprints overlap: {o1} side {s1} "
-                    f"vs {o2} side {s2}")
+    boxes = [(w.offset, base**w.side_exp) for w in windows]
+    for (o1, s1), (o2, s2) in combinations(boxes, 2):
+        if all(o1[k] < o2[k] + s2 and o2[k] < o1[k] + s1 for k in range(dim)):
+            raise DomainError(f"window footprints overlap: {o1} side {s1} "
+                              f"vs {o2} side {s2}")
 
 
 # -- file formats ----------------------------------------------------
@@ -793,9 +788,13 @@ def _key_chars(key: Key) -> str:
     return "".join(map(DIGITS.__getitem__, key))
 
 
-@cache
-def _key(chars: str) -> Key:
-    return tuple(map(DIGITS.index, chars))
+class _Keys(dict):
+    def __missing__(self, chars: bytes) -> Key:  # each key's digits once
+        key = self[chars] = tuple(map(DIGITS.index, chars.decode()))
+        return key
+
+
+_key = _Keys().__getitem__
 
 
 def write_bdt(tree: CubeTree) -> str:
@@ -807,40 +806,43 @@ def write_bdt(tree: CubeTree) -> str:
 
 def _leaf_tree(lines: list, first: int, base: int, dim: int, depth: int,
                unique: bool) -> CubeTree:
-    """The tree of leaf `lines` numbered from `first`: one regex checks
-    them all, and only if it fails does a line scan name the bad line."""
+    """The tree of leaf `lines` numbered from `first`: one regex and one
+    dedupe check them all, and only a failure scans to name a bad line."""
     rows = list(map(str.strip, lines))
     if not rows:
         raise SetFormatError(first, "no leaf lines")
-    text, digits = "\n".join(rows), DIGITS[:max(base, 0)]
+    text, digits = "\n".join(["", *rows]), DIGITS[:max(base, 0)]
     cap = len(text) + 1  # a count above any line's length matches no line
     part = (f"[{digits}]" if digits else "(?!)") + (
         f"{{{min(depth, cap)}}}" if depth >= 0 else "*")
     line = f"{part}(?:,{part}){{{min(dim - 1, cap)}}}" if dim > 0 else "(?!)"
-    if not re.fullmatch(f"{line}(?:\n{line})*", text) or \
-            unique and len(set(lines)) < len(lines):
+    if not re.fullmatch(f"(?:\n{line})+", text):
         raise _line_error(lines, first, digits, dim, depth, unique)
-    if depth < 0:  # no leaf line has a negative length
-        raise DomainError("leaf path length must equal depth")
     if dim > 1 and depth > 0:  # level-major: interleave the axes
         rows = map("".join, map(itemgetter(*[i * (depth + 1) + level for (
             level, i) in product(range(depth), range(dim))]), rows))
-    return CubeTree(base, dim, depth, build_sorted(
-        list(dict.fromkeys(sorted(rows))), depth, dim, _key))
+    keys = list(dict.fromkeys(sorted(rows)))
+    if unique and len(keys) < len(lines):
+        raise _line_error(lines, first, digits, dim, depth, unique)
+    if depth < 0:  # no leaf line has a negative length
+        raise DomainError("leaf path length must equal depth")
+    text = (text if keys == rows else "\n".join(["", *keys])).encode()
+    return CubeTree(base, dim, depth, build_lines(text, depth, dim, _key))
 
 
 def _line_error(lines: list, first: int, digits: str, dim: int, depth: int,
                 unique: bool) -> SetFormatError:
     """The first bad leaf line's error; with `unique` (.bdt), a blank
-    (unless depth is 0) or repeated line is one too."""
+    (unless depth is 0) or repeated row (the line stripped) is one too."""
     seen = set()
     for line_no, raw in enumerate(lines, first):
-        if unique and depth > 0 and not raw.strip():
+        row = raw.strip()
+        if unique and depth > 0 and not row:
             return SetFormatError(line_no, "blank line")
-        if unique and raw in seen:
-            return SetFormatError(line_no, f"duplicate leaf line '{raw}'")
-        seen.add(raw)
-        parts = raw.strip().split(",")
+        if unique and row in seen:
+            return SetFormatError(line_no, f"duplicate leaf line '{row}'")
+        seen.add(row)
+        parts = row.split(",")
         if len(parts) != dim:
             return SetFormatError(line_no, f"expected {dim} coordinates")
         for part in parts:  # axis by axis
@@ -888,27 +890,25 @@ def write_wdt(wset: WindowedSet) -> str:
 
 def read_wdt(text: str) -> WindowedSet:
     lines, (base, dim, nwin) = _header(text, "wdt b=<b> d=<d> windows=<k>")
-    windows, i = [], 1
-    while i < len(lines):
+    heads = [i for i, line in enumerate(lines)
+             if i == 1 or line[:7] == "window "]  # line 1 must be one
+    windows = []
+    for i, end in zip(heads, heads[1:] + [len(lines)]):
         parts = lines[i].split()
         if len(parts) != 3 or parts[0] != "window":
             raise SetFormatError(i + 1, "expected 'window off=... m=...'")
         try:
-            offset = tuple(int(x)
-                           for x in parts[1].removeprefix("off=").split(","))
+            offset = tuple(map(int, parts[1].removeprefix("off=").split(",")))
             m = int(parts[2].removeprefix("m="))
         except ValueError as exc:
             raise SetFormatError(i + 1, f"bad window field: {exc}") from None
         if len(offset) != dim:
             raise SetFormatError(i + 1, "offset dimension mismatch")
-        start = i = i + 1
-        while i < len(lines) and not lines[i].startswith("window "):
-            i += 1
-        if i == start:
-            raise SetFormatError(i, "window has no leaf lines")
-        depth = len(lines[start].strip().split(",")[0])
+        if end == i + 1:
+            raise SetFormatError(end, "window has no leaf lines")
+        depth = len(lines[i + 1].strip().split(",")[0])
         windows.append(Window(offset, m, _leaf_tree(
-            lines[start:i], start + 1, base, dim, depth, unique=False)))
+            lines[i + 1:end], i + 2, base, dim, depth, unique=False)))
     if len(windows) != nwin:
         raise SetFormatError(
             1, f"header declares {nwin} windows, found {len(windows)}")

@@ -9,6 +9,7 @@ fraction, and the final 6-decimal log-ratio formatting done by callers.
 
 from __future__ import annotations
 
+from decimal import Decimal, localcontext
 from fractions import Fraction
 from math import floor as math_floor, isfinite, lcm
 from typing import NamedTuple
@@ -72,20 +73,41 @@ def least_fitting(fits, lo: int) -> int:
 
 
 def power_cmp(base: int, exp: Fraction, value) -> int:
-    """The sign (-1, 0 or 1) of base ** exp - value, exactly, for a
-    rational exp of either sign and an int or Fraction value (1 when
-    value <= 0): both sides are raised to exp's denominator."""
+    """The sign (-1, 0 or 1) of base ** exp - value, exactly, for an
+    integer base >= 1, a rational exp = p/q of either sign and an int or
+    Fraction value (1 when value <= 0).  Both sides are raised to the
+    power q while a tie is possible or those powers fit in _MAX_BITS.  A
+    tie base^p = value^q, with gcd(p, q) = 1, makes a base >= 2 a q-th
+    power, so at least 2^q: from q = base.bit_length() on there is none,
+    and `refine` brackets p ln(base) - q ln(value) with the correctly
+    rounded logarithms of `decimal` instead."""
     if value <= 0:
         return 1
     p, q = exp.numerator, exp.denominator
-    a, b = value.numerator**q, value.denominator**q
-    lhs, rhs = (base**p * b, a) if p >= 0 else (b, a * base**-p)
-    return (lhs > rhs) - (lhs < rhs)
+    a, b = value.numerator, value.denominator
+    if base < 2 or q < base.bit_length() or q * max(a, b).bit_length() + \
+            abs(p) * base.bit_length() <= _MAX_BITS:
+        a, b = a**q, b**q
+        lhs, rhs = (base**p * b, a) if p >= 0 else (b, a * base**-p)
+        return (lhs > rhs) - (lhs < rhs)
+
+    def decide(digits):
+        with localcontext() as context:
+            context.prec = digits
+            logs = [Fraction(Decimal(n).ln()) for n in (base, a, b)]
+        gap = p * logs[0] - q * (logs[1] - logs[2])
+        # a log rounded to `digits` digits is within 10^(2 - digits) of
+        # itself, relatively
+        if abs(gap) * 10**(digits - 2) > \
+                abs(p) * logs[0] + q * (logs[1] + logs[2]):
+            return 1 if gap > 0 else -1
+    return refine(decide, "power comparison")
 
 
 def refine(decide, what: str):
     """The first result of decide(bits) other than None, for bits = 32,
-    64, ..., _MAX_BITS; past the cap, ArithmeticError naming `what`."""
+    64, ..., _MAX_BITS (`power_cmp` reads them as decimal digits); past
+    the cap, ArithmeticError naming `what`."""
     for e in range(5, _MAX_BITS.bit_length()):  # 2^5, ..., _MAX_BITS = 2^16
         if (result := decide(1 << e)) is not None:
             return result

@@ -316,8 +316,8 @@ RUN_PROBES = """
 import contextlib, io, json, sys
 from badicdim.cli import main
 for argv in json.loads(sys.argv[1]):
-    err = io.StringIO()
-    with contextlib.redirect_stderr(err):
+    err = io.StringIO()  # both streams: a verb's last line either way
+    with contextlib.redirect_stdout(err), contextlib.redirect_stderr(err):
         try:
             code = main(argv)
         except SystemExit as exc:
@@ -377,6 +377,29 @@ def test_huge_decimal_exponents_exit_2_at_once(tmp_path, capsys):
     assert probes.stdout.splitlines() == [
         f"2 badicdim extract lower: error: argument --{flag}: invalid "
         f"{kind} value: '{value}'" for flag, kind, value in HUGE_DECIMALS]
+
+
+def test_exponents_of_large_denominators_end_at_once(tmp_path, capsys):
+    # alpha + eps has denominator 9999 * 9997; raised exactly to that
+    # power, the values made `extract lower` take 6 s and `extract
+    # assouad` more than 30 s
+    run(capsys, "gen", "full-cube", "--base", "4", "--dim", "1", "--depth",
+        "6", "--out", str(tmp_path / "f4.bdt"))
+    exponents = ["--alpha", "5000/9999", "--eps", "1/9997", "--M", "4"]
+    probes = subprocess.run(
+        [sys.executable, "-c", RUN_PROBES, json.dumps([
+            ["extract", "assouad", *exponents, "--stages", "2", "--in",
+             "f4.bdt"],
+            ["extract", "lower", *exponents, "--depth", "2", "--in",
+             "f4.bdt"]])],
+        capture_output=True, text=True, timeout=5, cwd=tmp_path,
+        env={"PYTHONPATH": str(Path(badicdim.__file__).parents[1])},
+        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS,
+                                              (1 << 30, 1 << 30)))
+    assert probes.returncode == 0, probes.stderr
+    assert probes.stdout.splitlines() == [
+        "1 error: violated inequality: N+1 > M^(alpha+eps) with N=2",
+        "0 centers=16 box_ratio=5000/9999 verification=ok"]
 
 
 @pytest.mark.parametrize("verb", ["assouad", "assouad-global", "lower"])

@@ -80,6 +80,23 @@ def test_power_comparisons_match_floats(base, exp, value):
         assert got == _sign(true_val - value)
 
 
+@settings(max_examples=40, deadline=None)
+@given(st.integers(min_value=2, max_value=30),
+       st.builds(Fraction, st.integers(min_value=-3 * 10**4,
+                                       max_value=3 * 10**4),
+                 st.integers(min_value=3000, max_value=10**4)),
+       st.integers(min_value=-10**6, max_value=10**6), st.booleans())
+def test_power_comparisons_past_the_exact_size_match_q_th_powers(
+        base, exp, offset, near):
+    # powers past _MAX_BITS are compared through logarithms; the value
+    # is a 40-bit fraction near base^exp or far from it
+    value = Fraction(round(base ** float(exp) * 2**40) + offset, 2**40) \
+        if near else Fraction(abs(offset) + 1, 7)
+    p, q = exp.numerator, exp.denominator
+    assert power_cmp(base, exp, value) == _sign(
+        Fraction(base) ** p - value**q)
+
+
 def test_power_comparisons_exact_ties():
     assert power_cmp(4, Fraction(1, 2), 2) == 0
     assert power_cmp(4, Fraction(-1, 2), Fraction(1, 2)) == 0

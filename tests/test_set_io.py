@@ -1,19 +1,21 @@
-"""Set I/O: `.bdt`/`.wdt` round trips, the bottom-up builder's sharing,
-pinned error texts, a parser fuzz against a flat parser and deep
+"""Set I/O: `.bdt`/`.wdt` round trips, the one builder's sharing and
+work, pinned error texts, a parser fuzz against a flat parser and deep
 trees."""
 
 import random
+import tracemalloc
 from itertools import groupby
 from operator import itemgetter
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from badicdim import core
 from badicdim.core import (_LEAF, DIGITS, CubeTree, DomainError,
                            SetFormatError, Window, WindowedSet, _Interner,
-                           _key, _split_level, build_sorted, read_bdt,
-                           read_wdt, write_bdt, write_wdt)
-from badicdim.generators import random_branching_tree
+                           _key, build_lines, read_bdt, read_wdt, write_bdt,
+                           write_wdt)
+from badicdim.generators import prop5_union, random_branching_tree
 
 
 def _nodes(tree):
@@ -73,6 +75,9 @@ def test_round_trips_keep_text_set_and_sharing(trees):
 @pytest.mark.parametrize("text, line_no, message", [
     ("bdt b=3 d=1 n=2\n01\n\n02\n", 3, "blank line"),
     ("bdt b=3 d=1 n=2\n01\n01\n", 3, "duplicate leaf line '01'"),
+    # duplicates are judged on the rows the tree is built from
+    ("bdt b=2 d=1 n=2\n01\n01 \n", 3, "duplicate leaf line '01'"),
+    ("bdt b=2 d=1 n=2\n 01\n01\n", 3, "duplicate leaf line '01'"),
     ("bdt b=3 d=2 n=2\n01,12\n0112\n", 3, "expected 2 coordinates"),
     ("bdt b=3 d=2 n=2\n01,12\n01,1\n", 3,
      "digit string '1' must have length 2"),
@@ -130,8 +135,8 @@ def test_builder_names_the_first_bad_path_in_sorted_order(paths, message):
 
 
 def _level_wise_build_sorted(heads, depth, width, edge):
-    """The builder without split level or tail chains: every
-    level groups consecutive heads that share a prefix."""
+    """The reference builder: every level groups consecutive heads that
+    share a prefix."""
     intern, pair, nodes = _Interner().node, itemgetter(1), [_LEAF] * len(heads)
     for cut in range((depth - 1) * width, -1, -width):
         items = zip(map(itemgetter(slice(cut)), heads), zip(
@@ -147,38 +152,66 @@ def _level_major(path, dim):
     return "".join(DIGITS[key[i]] for key in path for i in range(dim))
 
 
+def _keys_read(paths, depth):
+    """The keys the one builder reads for the sorted distinct `paths`:
+    per distinct block (a node's leaf paths, its prefix cut off) of two
+    or more paths one per child run, per distinct one-path block one per
+    key of its chain."""
+    blocks, count = {tuple(paths)}, 0
+    for level in range(depth):
+        below = set()
+        for block in blocks:
+            if len(block) == 1:
+                count += depth - level
+                continue
+            for _, run in groupby(block, key=itemgetter(0)):
+                count += 1
+                below.add(tuple(p[1:] for p in run))
+        blocks = below
+    return count
+
+
 def _check_builder(base, dim, depth, paths):
-    """`build_sorted` against the level-wise builder, on key tuples and on
-    level-major digit strings, then through `from_leaves`, `read_bdt`
-    and `read_wdt`: equal trees with equal distinct-node counts, the
-    split level one below the deepest common prefix of adjacent heads,
-    and one edge keyed per distinct tail edge below it."""
+    """`build_lines` against the level-wise builder, on level-major digit
+    text (bases up to 36) and through `from_leaves`, `read_bdt` and
+    `read_wdt`: equal, fully hash-consed trees, and one key read per run
+    of each distinct block (`_keys_read`)."""
     paths = sorted(set(paths))
-    shared = [next((i for i, (x, y) in enumerate(zip(p, q)) if x != y),
-                   depth) for p, q in zip(paths, paths[1:])]
-    split = max(shared, default=-1) + 1
     ref = CubeTree(base, dim, depth, _level_wise_build_sorted(
         paths, depth, 1, itemgetter(0)))
-    texts = [_level_major(p, dim) for p in paths]
-    assert _split_level(paths, depth, 1) == split
-    assert _split_level(texts, depth, dim) == split
-    built = [CubeTree(base, dim, depth, build_sorted(
-        paths, depth, 1, itemgetter(0))), CubeTree(base, dim, depth, (
-            build_sorted(texts, depth, dim, _key))),
-        CubeTree.from_leaves(base, dim, depth, reversed(paths))]
-    built.append(read_bdt(write_bdt(ref)))
-    wset = WindowedSet(base, dim, [Window((0,) * dim, depth, ref)])
-    built += [w.tree for w in read_wdt(write_wdt(wset)).windows]
+    built = [CubeTree.from_leaves(base, dim, depth, reversed(paths))]
+    if base <= len(DIGITS):
+        keys = []
+        text = "".join("\n" + _level_major(p, dim) for p in paths).encode()
+        built.append(CubeTree(base, dim, depth, build_lines(
+            text, depth, dim,
+            lambda chars: keys.append(chars) or _key(chars))))
+        assert len(keys) == _keys_read(paths, depth)
+        built.append(read_bdt(write_bdt(ref)))
+        wset = WindowedSet(base, dim, [Window((0,) * dim, depth, ref)])
+        built += [w.tree for w in read_wdt(write_wdt(wset)).windows]
     for tree in built:
         assert tree == ref
         assert _nodes(tree) == _nodes(ref) == _distinct_subtrees(ref)
-    # each distinct tail's edges are keyed once; above the split level,
-    # each distinct prefix's last edge is
-    edges = []
-    build_sorted(paths, depth, 1, lambda item: edges.append(item) or item[0])
-    assert len(edges) == sum(map(len, {p[split:] for p in paths})) + sum(
-        len({p[:level + 1] for p in paths}) for level in range(split))
-    return split
+
+
+@st.composite
+def _sets(draw):
+    """Leaf paths at depth 0 to 6 in bases 2 to 16, or 40 (`from_leaves`
+    only), each drawn key from all of the base's digits or a few."""
+    base = draw(st.sampled_from([*range(2, 17), 40]))
+    dim, depth = draw(st.sampled_from([1, 2])), draw(st.integers(0, 6))
+    digits = st.sampled_from(range(base)) if draw(st.booleans()) else \
+        st.sampled_from(sorted({0, 1, base - 1}))
+    key = st.tuples(*[digits] * dim)
+    return base, dim, depth, draw(st.lists(st.tuples(*[key] * depth),
+                                           min_size=1, max_size=40))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_sets())
+def test_one_builder_matches_the_level_wise_reference(case):
+    _check_builder(*case)
 
 
 @st.composite
@@ -207,17 +240,59 @@ def test_tail_chains_build_the_level_wise_tree(case):
     _check_builder(*case)
 
 
-@pytest.mark.parametrize("base, dim, depth, paths, split", [
-    (7, 1, 40, [tuple((i % 7,) for i in range(40))], 0),  # one leaf
-    (36, 2, 40, [((35, 0),) * 39 + ((k, 1),) for k in (3, 4)],
-     40),  # two leaves that differ only in the last key
-    (5, 1, 0, [()], 0),  # depth 0
-    (3, 2, 0, [()], 0),
-    (4, 1, 14, [((a,), (b,)) + ((0,),) * 12 for a in range(3)
-                for b in range(3)], 2),  # a prop5-union-like lattice
+@pytest.mark.parametrize("base, dim, depth, paths", [
+    pytest.param(7, 1, 40, [tuple((i % 7,) for i in range(40))],
+                 id="one-leaf"),
+    pytest.param(36, 2, 40, [((35, 0),) * 39 + ((k, 1),) for k in (3, 4)],
+                 id="apart-at-the-last-key"),
+    pytest.param(5, 1, 0, [()], id="depth-0"),
+    pytest.param(3, 2, 0, [()], id="depth-0-in-2d"),
+    pytest.param(4, 1, 14, [((a,), (b,)) + ((0,),) * 12 for a in range(3)
+                            for b in range(3)], id="prop5-union-lattice"),
+    pytest.param(2, 1, 12, list(CubeTree.full(2, 1, 12).iter_leaf_paths()),
+                 id="full-2-1-12"),
 ])
-def test_split_level_edge_cases(base, dim, depth, paths, split):
-    assert _check_builder(base, dim, depth, paths) == split
+def test_one_builder_on_fixed_cases(base, dim, depth, paths):
+    _check_builder(base, dim, depth, paths)
+
+
+def test_windows_build_like_the_level_wise_reference():
+    """Both prop5-union windows, and a window whose lines repeat (padded
+    or not), which `.wdt` accepts."""
+    union = prop5_union(4, [0, 2], [0, 1, 2], 6, 8)
+    repeated = "wdt b=3 d=1 windows=1\nwindow off=0 m=1\n02\n 02\n10\n02\n"
+    for text, leaves in [
+            (write_wdt(union), [list(w.tree.iter_leaf_paths())
+                                for w in union.windows]),
+            (repeated, [[((0,), (2,)), ((1,), (0,))]])]:
+        wset = read_wdt(text)
+        for w, paths in zip(wset.windows, leaves, strict=True):
+            ref = _level_wise_build_sorted(paths, w.tree.depth, 1,
+                                           itemgetter(0))
+            ref = CubeTree(wset.base, 1, w.tree.depth, ref)
+            assert w.tree == ref
+            assert _nodes(w.tree) == _distinct_subtrees(ref)
+
+
+def test_a_read_splits_each_distinct_block_once(monkeypatch):
+    """Reading `full(2, 1, 12)` reads two keys for each of its 12
+    distinct internal nodes, not for each of its 4,095 internal cubes."""
+    keys = []
+    monkeypatch.setattr(core, "_key",
+                        lambda chars: keys.append(chars) or _key(chars))
+    tree = read_bdt(write_bdt(CubeTree.full(2, 1, 12)))
+    assert tree == CubeTree.full(2, 1, 12) and _nodes(tree) == 13
+    assert len(keys) == 2 * 12
+
+
+def test_more_than_128_distinct_keys_take_two_bytes_a_key():
+    """`from_leaves` codes each distinct key as bytes of 7 bits; past 127
+    keys a code takes two bytes, and the tree is the same."""
+    tree = random_branching_tree(40, 2, 2, 40, 1)
+    paths = list(tree.iter_leaf_paths())
+    assert len(set().union(*paths)) > 128
+    assert CubeTree.from_leaves(40, 2, 2, reversed(paths)) == tree
+    _check_builder(40, 2, 2, paths)
 
 
 def test_depth_3000_chain_round_trips():
@@ -226,6 +301,25 @@ def test_depth_3000_chain_round_trips():
     back = read_bdt(write_bdt(tree))
     assert back.depth == 3000 and back.leaf_count == 1
     assert write_bdt(back) == write_bdt(tree)
+    assert back == CubeTree(3, 1, 3000, _level_wise_build_sorted(
+        [path], 3000, 1, itemgetter(0))) and _nodes(back) == 3001
+
+
+def test_deep_branching_file_reads_in_memory_of_its_size():
+    """A depth-300 caterpillar: the all-zero spine and, at every level,
+    one leaf branching off it.  Its read holds no more than a few copies
+    of the file (each level's blocks are cut from the level above's)."""
+    n = 300
+    text = "\n".join([f"bdt b=2 d=1 n={n}", "0" * n] + [
+        "0" * i + "1" + "0" * (n - 1 - i) for i in range(n)]) + "\n"
+    tracemalloc.start()
+    try:
+        tree = read_bdt(text)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert tree.leaf_count == n + 1 and _nodes(tree) == 2 * n
+    assert peak < 8 * len(text), peak / len(text)
 
 
 def test_bases_up_to_36_write_letters_and_round_trip():
@@ -287,12 +381,12 @@ def _mutate(draw, lines, base):
 def _flat_parse(lines, first, base, dim, depth, unique):
     """`(number of the first bad line, None)` or `(None, leaf paths)`: a
     line is `dim` comma-joined strings of `depth` digits below `base`
-    (none at depth 0) around whitespace, and with `unique` no raw line
-    repeats."""
-    leaves = set()
-    for line_no, raw in enumerate(lines, first):
-        parts = raw.strip().split(",")
-        if len(parts) != dim or unique and raw in lines[:line_no - first] \
+    (none at depth 0) around whitespace, and with `unique` no line
+    repeats once stripped."""
+    leaves, rows = set(), [raw.strip() for raw in lines]
+    for line_no, row in enumerate(rows, first):
+        parts = row.split(",")
+        if len(parts) != dim or unique and row in rows[:line_no - first] \
                 or any(len(p) != depth or
                        any(ch not in DIGITS[:base] for ch in p)
                        for p in parts):
