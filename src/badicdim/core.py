@@ -391,7 +391,7 @@ class CubeTree:
                 for key in filter(bad, p):
                     raise DomainError(f"bad digit key {key}")
         keys = sorted(keys)  # as `width` bytes of 7 bits and a high 1 bit
-        width = len(keys).bit_length() // 7 + 1
+        width = max(1, -(-(len(keys) - 1).bit_length() // 7))
         codes = [bytes([128 | i >> 7 * j & 127 for j in range(
             width - 1, -1, -1)]) for i in range(len(keys))]
         lines = map(b"\n".__add__, map(b"".join, map(map, repeat(dict(zip(

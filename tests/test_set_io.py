@@ -286,8 +286,10 @@ def test_a_read_splits_each_distinct_block_once(monkeypatch):
 
 
 def test_more_than_128_distinct_keys_take_two_bytes_a_key():
-    """`from_leaves` codes each distinct key as bytes of 7 bits; past 127
-    keys a code takes two bytes, and the tree is the same."""
+    """`from_leaves` codes each distinct key as bytes of 7 bits; up to 128
+    keys a code is one byte, past that two, and the tree is the same."""
+    full = CubeTree.full(128, 1, 2)  # the last key's code is 0xff
+    assert CubeTree.from_leaves(128, 1, 2, full.iter_leaf_paths()) == full
     tree = random_branching_tree(40, 2, 2, 40, 1)
     paths = list(tree.iter_leaf_paths())
     assert len(set().union(*paths)) > 128
