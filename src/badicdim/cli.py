@@ -140,8 +140,9 @@ def _cmd_extract_assouad(args) -> int:
     trace = extract_assouad.construct_subset_assouad(
         tree, args.alpha, args.eps, args.stages, strategy=strategy,
         seed=seed)
-    if args.out:  # in the source base; debase is the identity without --M
-        _write_set(trace.tree.debase(obj.base), args.out)
+    if args.out:  # in the source base, padded past the levels --M drops
+        _write_set(extract_assouad.graft(obj, (), trace.tree.debase(
+            obj.base)), args.out)
     _emit(trace.to_tsv(), args.trace)
     print(f"headline={trace.headline:.6f} delta={trace.delta:.6f} "
           f"kstar={trace.k_star}")

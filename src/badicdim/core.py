@@ -12,11 +12,10 @@ depth.
 
 from __future__ import annotations
 
-import re
 from functools import cache, reduce
-from itertools import combinations, groupby, product, repeat
+from itertools import combinations, groupby, islice, product, repeat
 from math import ceil, log
-from operator import add, iadd, itemgetter, mul
+from operator import add, iadd, itemgetter, mul, ne
 from typing import Iterator, NamedTuple
 
 MAX_LEAF_ENUM = 2_000_000
@@ -273,12 +272,12 @@ def corner_step(base: int, dim: int):
     return lambda corner, key: tuple(map(add, map(mul, corner, bases), key))
 
 
-def walk(layer: dict, levels: int, step=None, pick=None, key=None):
+def walk(layer: dict, levels: int, step=None, pick=None):
     """Yield `layer` (node -> value) and the `levels` layers below it,
     each distinct node once, in order of first reach.  A child's value
     is `step(value, key)` down its first parent edge, or with `pick` the
-    fold `pick(value, other, key=key)` of its edges' values; with no
-    `step`, None.  A `corner_step` keeps the order of corners and of
+    fold `pick(value, other)` of its edges' values; with no `step`,
+    None.  A `corner_step` keeps the order of corners and of
     each coordinate, so parents' choices decide their children's."""
     yield layer
     for _ in range(levels):
@@ -288,8 +287,7 @@ def walk(layer: dict, levels: int, step=None, pick=None, key=None):
                 if child not in below:
                     below[child] = step and step(value, edge)
                 elif pick:
-                    below[child] = pick(below[child], step(value, edge),
-                                        key=key)
+                    below[child] = pick(below[child], step(value, edge))
         layer = below
         yield layer
 
@@ -429,8 +427,7 @@ class CubeTree:
     def level_counts(self) -> Iterator[int]:
         """Each level's number of cubes, root first, lazily: one `walk`
         carrying each distinct node's number of paths, summed over edges."""
-        for layer in walk({self.root: 1}, self.depth, lambda n, _: n,
-                          lambda n, more, key: n + more):
+        for layer in walk({self.root: 1}, self.depth, lambda n, _: n, add):
             yield sum(layer.values())
 
     def levels(self) -> Iterator[dict]:
@@ -508,20 +505,22 @@ class CubeTree:
         return [value for value, _ in descend([(start, self.root)],
                                               level, step)]
 
-    def sweep(self, level: int, lo: int, hi: int, apart: int, skip=None):
-        """Greedy packing of the corners of the cubes of `level` of this
-        d = 1 tree that lie in [lo, hi], as 1-tuples of integers in units
-        of their side: the first corner, then each first corner more than
-        `apart` (>= 0) past the last one yielded, passing over corners
-        within `apart` of `skip` (`geometry._sweep` of the listed corners
-        less that band).  One walk in key order on an explicit stack,
-        lazily: a subtree that ends before the next admissible corner t
-        is skipped, and the walk stops at the first cube past `hi`.  It
+    def sweep(self, level: int, center, radius: int, apart: int,
+              anchor=None):
+        """The ball query of `geometry` on the corners of the cubes of
+        `level` of this d = 1 tree, as 1-tuples of integers in units of
+        their side: the greedy packing of the corners within `radius` of
+        `center`, each more than `apart` (>= 0) past the last one yielded
+        and from `anchor` (`geometry.greedy_scan` of the listed
+        corners).  One walk in key order on an explicit stack, lazily: a
+        subtree that ends before the next admissible corner t is
+        skipped, and the walk stops at the first cube past the ball.  It
         starts one level above the root, whose only child, of side
         base^level, is the root."""
         if self.dim != 1:
             raise DomainError("sweeps need a d = 1 tree")
-        b, t = self.base, lo
+        (c,), b = center, self.base
+        t, hi, skip = c - radius, c + radius, anchor and anchor[0]
         stack = [(0, b**level, iter((((0,), self.root),)))]
         while stack:
             corner, side, children = stack[-1]
@@ -728,10 +727,11 @@ class WindowedSet:
             for w in self.windows:
                 leaf = b**(w.side_exp - w.tree.depth - unit)  # in cells
                 for i, pick in product(range(d), (max, min)):
-                    *_, last = walk({w.tree.root: (0,) * d}, w.tree.depth,
-                                    step, pick, itemgetter(i))
+                    # the extreme leaf coordinate on axis i, in leaf sides
+                    *_, last = walk({w.tree.root: 0}, w.tree.depth,
+                                    lambda v, key: v * b + key[i], pick)
                     for c in last.values():
-                        x = w.offset[i] * b**-unit + c[i] * leaf
+                        x = w.offset[i] * b**-unit + c * leaf
                         span = max(span, x + leaf, -x)
             j_hi = unit + 1
             while b**(j_hi - 1 - unit) < span:
@@ -806,28 +806,44 @@ def write_bdt(tree: CubeTree) -> str:
 
 def _leaf_tree(lines: list, first: int, base: int, dim: int, depth: int,
                unique: bool) -> CubeTree:
-    """The tree of leaf `lines` numbered from `first`: one regex and one
-    dedupe check them all, and only a failure scans to name a bad line."""
+    """The tree of leaf `lines` numbered from `first`: one pass of string
+    checks and one sort check them all, and only a failure scans to name
+    a bad line."""
     rows = list(map(str.strip, lines))
     if not rows:
         raise SetFormatError(first, "no leaf lines")
     text, digits = "\n".join(["", *rows]), DIGITS[:max(base, 0)]
-    cap = len(text) + 1  # a count above any line's length matches no line
-    part = (f"[{digits}]" if digits else "(?!)") + (
-        f"{{{min(depth, cap)}}}" if depth >= 0 else "*")
-    line = f"{part}(?:,{part}){{{min(dim - 1, cap)}}}" if dim > 0 else "(?!)"
-    if not re.fullmatch(f"(?:\n{line})+", text):
+    if not _rows_ok(text, digits, dim, depth):
         raise _line_error(lines, first, digits, dim, depth, unique)
     if dim > 1 and depth > 0:  # level-major: interleave the axes
         rows = map("".join, map(itemgetter(*[i * (depth + 1) + level for (
             level, i) in product(range(depth), range(dim))]), rows))
-    keys = list(dict.fromkeys(sorted(rows)))
-    if unique and len(keys) < len(lines):
-        raise _line_error(lines, first, digits, dim, depth, unique)
+    keys = sorted(rows)
+    if not all(map(ne, keys, islice(keys, 1, None))):  # a repeated row
+        if unique:
+            raise _line_error(lines, first, digits, dim, depth, unique)
+        keys = list(dict.fromkeys(keys))
     if depth < 0:  # no leaf line has a negative length
         raise DomainError("leaf path length must equal depth")
     text = (text if keys == rows else "\n".join(["", *keys])).encode()
     return CubeTree(base, dim, depth, build_lines(text, depth, dim, _key))
+
+
+def _rows_ok(text: str, digits: str, dim: int, depth: int) -> bool:
+    """Whether each row of `text`, led by a newline, is `dim` strings of
+    `depth` (any number if negative) `digits` joined by commas, checked
+    in memory of the text's size: stride slices where rows of equal
+    length have newlines and commas, and a `translate` to the commas."""
+    n = text.count("\n")
+    if not 0 < dim <= len(text):  # no row holds len(text) commas
+        return False
+    if depth >= 0:
+        step = dim * (depth + 1)  # a row and its newline
+        if len(text) != n * step or text[::step].strip("\n") or any(
+                text[j * (depth + 1)::step].strip(",") for j in range(1, dim)):
+            return False
+    return text.translate(str.maketrans("", "", digits)) == (
+        "\n" + "," * (dim - 1)) * n
 
 
 def _line_error(lines: list, first: int, digits: str, dim: int, depth: int,

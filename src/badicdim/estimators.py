@@ -185,7 +185,7 @@ def verify_cover_pack_sandwich(tree: CubeTree, samples) -> list:
             raise DomainError("packing requires 0 <= r < R")
         inside, half = math.floor(R * D), math.floor(R * D / 2)
         lv = geometry.Level(inside, math.floor(2 * r * D))
-        in_big = geometry.ball_points(pts, center, inside)
+        in_big = list(geometry.ball_points(pts, center, inside))
         if len(in_big) <= geometry.EXACT_PACKING_LIMIT:
             left = geometry.exact_cover(in_big, center, half,
                                         math.floor(4 * r * D))

@@ -192,7 +192,7 @@ def _validate_target(M: int, dim: int, alpha: Fraction, eps: Fraction):
     return N, paper_corner_ok
 
 
-def _graft(tree: CubeTree, path, piece: CubeTree) -> CubeTree:
+def graft(tree: CubeTree, path, piece: CubeTree) -> CubeTree:
     """The subset of `tree` that keeps the cubes of `piece`, a pruned
     subtree of the window at `path`, each padded down to full depth with
     the source's minimum-key chain below it (its first child at every
@@ -242,7 +242,7 @@ def construct_subset_assouad(tree: CubeTree, alpha: Fraction, eps: Fraction,
                       check_hypotheses=False)
         bound_ok = power_cmp(M, -n * eps / 2,
                              Fraction(piece.leaf_count, N**n)) <= 0
-        kept = _graft(tree, path, piece)
+        kept = graft(tree, path, piece)
         out = kept if out is None else out.union(kept)
         records.append(StageRecord(
             stage, path, level, count, piece.leaf_count, bound_ok, M))

@@ -85,52 +85,25 @@ class BallTree:
 
 def select_packing_children(query, center, lv: geometry.Level, M: int):
     """Pick M centers (the anchor first) whose r-balls are pairwise
-    disjoint and inside B(center, R): greedy lexicographic over the
-    packing candidates.  Requires a packing of M + 3^d balls, found by
-    a greedy scan that stops once it has them.  `lv` holds the radius
-    pair's thresholds on the integer lattice.  `query` is the lattice:
-    in d = 1 the tree's sweep of one level, `partial(tree.sweep, w)`,
-    which answers the anchor check (a sweep of [c, c]), the feasibility
-    count and the picks without listing a ball; in d >= 2 its sorted
-    list of points, of which the inside ball is taken once."""
-    d = len(center)
-    need = M + 3**d
-    if d == 1:
-        c = center[0]
-        found = next(query(c, c, 0), None) == center
-        packing = islice(query(c - lv.inside, c + lv.inside, lv.apart), need)
-    else:
-        ball = geometry.ball_points(query, center, lv.inside)
-        found = center in ball
-        packing = geometry.greedy_scan(ball, lv.apart, [], need)
-    if not found:
+    disjoint and inside B(center, R), `lv` holding the pair's thresholds
+    on the integer lattice, by three asks of its ball query `query` (see
+    `geometry`): radius 0 checks the anchor, M + 3^d points of the
+    inside ball's packing are the feasibility count, and the anchor and
+    M - 1 points of the nested ball's packing apart from it the picks."""
+    need = M + 3**len(center)
+    if next(query(center, 0, 0), None) != center:
         raise DomainError("anchor center must belong to the point set")
-    achieved = sum(1 for _ in packing)
+    achieved = sum(1 for _ in islice(query(center, lv.inside, lv.apart),
+                                     need))
     if achieved < need:
         raise DomainError(
             f"insufficient packing: need >= {need}, achieved {achieved}")
-    if d == 1:
-        chosen = _pick_1d(query, center, lv, M)
-    else:
-        chosen = geometry.greedy_scan(
-            geometry.ball_points(ball, center, lv.nested), lv.apart,
-            [center], M)
+    chosen = [center, *islice(query(center, lv.nested, lv.apart, center),
+                              M - 1)]
     if len(chosen) < M:
         raise DomainError(
             f"insufficient packing: selected only {len(chosen)} of {M}")
     return chosen
-
-
-def _pick_1d(sweep, center, lv, M: int) -> list:
-    """The d = 1 case of the scan in `select_packing_children`: up to M
-    points, the anchor first.  Every pick after the anchor lies above
-    the last one, so the picks are the sweep of the nested ball that
-    passes over the anchor's band [c - apart, c + apart]: one walk of
-    the tree (`sweep`, as in `select_packing_children`) that stops at
-    the last pick."""
-    c = center[0]
-    return [center, *islice(sweep(c - lv.nested, c + lv.nested, lv.apart, c),
-                            max(M - 1, 0))]
 
 
 def _thresholds(params: LowerParams, D: int) -> tuple:
@@ -161,9 +134,10 @@ def _tree_lattice(tree: CubeTree, params: LowerParams, counts) -> int:
     through the level returned and never at the last level, so deep
     trees never list their leaves and a lazy walk stops where w is
     decided.  The construction then works on the corners of the cubes
-    of level w, at scale base^w: in d = 1 by sweeps of the tree's
-    level w (`CubeTree.sweep`), in d >= 2 as a listed lattice
-    (`leaf_corners`)."""
+    of level w, at scale base^w, through one ball query: in d = 1 a
+    pruned sweep of the tree's level w (`CubeTree.sweep`), in d >= 2 a
+    scan of the listed corners (`leaf_corners`, `geometry.greedy_scan`),
+    which lists every cube of level w."""
     c, M, alpha = params.R0, params.M, params.alpha
     w = 1  # the first w with 2 / base^w <= R_depth
     while w < tree.depth and floor_lambda(c * tree.base**w, M, alpha,
@@ -198,24 +172,21 @@ def _check_source(source: CubeTree, params: LowerParams, counts):
 
 def construct_subset_lower(source: CubeTree, params: LowerParams) -> BallTree:
     """Build the nested ball families from the corners of the cubes of
-    one level of the tree `source` (see `_tree_lattice`).  In d = 1
-    every query, the first corner included, is a pruned walk of that
-    level (`CubeTree.sweep`), so no cube is listed.  The source check
-    and the lattice level share one lazy `level_counts` walk, drawn
-    only down to the deeper of the levels that decide them; only a
-    refused source is walked to its leaves."""
+    one level of the tree `source` (see `_tree_lattice`), each question,
+    the first corner included, one ball query (see `geometry`): in d = 1
+    a pruned walk of that level (`CubeTree.sweep`), so no cube is
+    listed.  The source check and the lattice level share one lazy
+    `level_counts` walk, drawn only down to the deeper of the levels
+    that decide them; only a refused source is walked to its leaves."""
     if not isinstance(source, CubeTree):
         raise DomainError(f"unsupported source type {type(source)!r}")
     counts, again = tee(source.level_counts())
     _check_source(source, params, counts)
     w = _tree_lattice(source, params, again)
     D = source.base**w
-    if source.dim == 1:
-        query = partial(source.sweep, w)
-        first = next(query(0, D, 0))
-    else:
-        query = leaf_corners(source, w)
-        first = query[0]
+    query = (partial(source.sweep, w) if source.dim == 1
+             else partial(geometry.greedy_scan, leaf_corners(source, w)))
+    first = next(query((0,) * source.dim, D, 0))
     inside, apart, nested = _thresholds(params, D)
     centers = {(): first}
     words = [()]

@@ -15,9 +15,12 @@ n <= t iff n <= floor(t) and n > t iff n > floor(t).  So a caller
 computes the integers once (`exactmath.floor_lambda` for irrational
 radii) and every decision is a comparison of integers.
 
-In d = 1 a greedy packing is one sweep in coordinate order (`_sweep`);
-the lower construction runs the same sweep on a tree's cube corners
-without listing them (`CubeTree.sweep`).
+In d = 1 a greedy packing is one sweep in coordinate order (`_sweep`).
+The lower construction asks one ball query of its lattice,
+`query(center, radius, apart, anchor=None)`: the lazy greedy packing of
+the ball's points in sorted order, each more than `apart` from the
+anchor and from every point yielded before it.  `greedy_scan` answers
+it on a sorted list, `CubeTree.sweep` on a d = 1 tree without listing.
 """
 
 from __future__ import annotations
@@ -46,16 +49,18 @@ def dist_inf(x, y):
     return max(abs(a - b) for a, b in zip(x, y))
 
 
-def ball_points(pts, center, inside) -> list:
+def ball_points(pts, center, inside):
     """The points of the lexicographically sorted list `pts` within
-    distance `inside` of `center`, in order.  Their first coordinates
-    form one bisected slice, which in d = 1 is the whole answer."""
+    distance `inside` of `center`, in order, lazily.  Their first
+    coordinates form one bisected slice, which in d = 1 is the whole
+    answer."""
     c0 = center[0]
     lo = bisect_left(pts, c0 - inside, key=itemgetter(0))
     hi = bisect_right(pts, c0 + inside, lo, key=itemgetter(0))
+    ball = map(pts.__getitem__, range(lo, hi))
     if len(center) == 1:
-        return pts[lo:hi]
-    return [p for p in pts[lo:hi] if dist_inf(p, center) <= inside]
+        return ball
+    return (p for p in ball if dist_inf(p, center) <= inside)
 
 
 def _sweep(cands, apart) -> list:
@@ -89,16 +94,16 @@ def close_pairs(points, apart) -> list:
     return sorted(pairs)
 
 
-def greedy_scan(cands, apart, chosen: list, limit: int = None) -> list:
-    """Append to `chosen` each candidate, in order, more than `apart`
-    (>= 0) from every point chosen before it, until it holds `limit`:
-    the greedy scan in d >= 2.  No point is apart from itself."""
-    for p in cands:
-        if len(chosen) == limit:
-            break
-        if all(dist_inf(p, q) > apart for q in chosen):
-            chosen.append(p)
-    return chosen
+def greedy_scan(points, center, radius, apart, anchor=None):
+    """Yield, lazily and in order, each point of the sorted list
+    `points` within `radius` of `center` that lies more than `apart`
+    (>= 0) from `anchor` and from every point yielded before it: the
+    ball query of a listed lattice.  No point is apart from itself."""
+    kept = [] if anchor is None else [anchor]
+    for p in ball_points(points, center, radius):
+        if all(dist_inf(p, q) > apart for q in kept):
+            kept.append(p)
+            yield p
 
 
 def greedy_packing(points, center, lv: Level):
@@ -111,10 +116,9 @@ def greedy_packing(points, center, lv: Level):
     Packings count disjoint r-balls with centers in B(center, R); this
     makes every point of the ball a candidate, which is what the
     cover/packing sandwich argument needs."""
-    cands = ball_points(points, center, lv.inside)
     if len(center) == 1:
-        return _sweep(cands, lv.apart)
-    return greedy_scan(cands, lv.apart, [])
+        return _sweep(ball_points(points, center, lv.inside), lv.apart)
+    return list(greedy_scan(points, center, lv.inside, lv.apart))
 
 
 def exact_packing(points, center, lv: Level) -> int:
@@ -126,7 +130,7 @@ def exact_packing(points, center, lv: Level) -> int:
     fallback) are searched, once per remaining set: the least remaining
     candidate is left out, or kept with every candidate near it removed.
     """
-    cands = ball_points(sorted(points), center, lv.inside)
+    cands = list(ball_points(sorted(points), center, lv.inside))
     if len(center) == 1:
         return len(_sweep(cands, lv.apart))
     if len(cands) > EXACT_PACKING_LIMIT:

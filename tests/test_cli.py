@@ -177,6 +177,21 @@ def test_extract_assouad_pipeline(tmp_path, capsys):
             "stage\twindow\tlevel\tcount\tbound\tok"
 
 
+def test_extract_assouad_M_writes_a_subset_at_the_source_depth(tmp_path,
+                                                              capsys):
+    # M = 2^3 does not divide the depth 10: rebase drops the last level,
+    # and the written set is padded back down through the source
+    src, out_path = str(tmp_path / "r.bdt"), str(tmp_path / "s.bdt")
+    run(capsys, "gen", "random-branching", "--base", "2", "--depth", "10",
+        "--max-children", "2", "--seed", "3", "--out", src)
+    code, _, _ = run(capsys, "extract", "assouad", "--alpha", "1/3", "--eps",
+                     "1/3", "--M", "8", "--stages", "1", "--in", src,
+                     "--out", out_path)
+    source, sub = (read_bdt(open(p).read()) for p in (src, out_path))
+    assert code == 0 and sub.depth == source.depth == 10
+    assert source.contains_tree(sub)
+
+
 def test_extract_assouad_global_pipeline(tmp_path, capsys):
     src = str(tmp_path / "ic.wdt")
     out_path = str(tmp_path / "sub.wdt")

@@ -267,19 +267,12 @@ def test_structure_sharing_is_compact():
     assert len(seen) == 30
 
 
-def _listed_sweep(tree, w, lo, hi, apart, skip):
-    """`CubeTree.sweep` by its definition: the greedy sweep of the listed
-    corners of level w in [lo, hi], less those within `apart` of
-    `skip`."""
-    return geometry._sweep([
-        c for c in leaf_corners(tree, w) if lo <= c[0] <= hi
-        and (skip is None or abs(c[0] - skip) > apart)], apart)
-
-
 @settings(max_examples=150, deadline=None)
 @given(st.integers(2, 5), st.integers(0, 5), st.integers(0, 10**6),
        st.sampled_from([1.0, 0.6, 0.3, 0.05]))
 def test_sweep_matches_the_listed_sweep(base, depth, seed, keep):
+    # `CubeTree.sweep` by its definition: the ball query of the listed
+    # corners of level w (`geometry.greedy_scan`)
     while base**depth > 625:
         depth -= 1
     rng = random.Random(seed)
@@ -289,23 +282,25 @@ def test_sweep_matches_the_listed_sweep(base, depth, seed, keep):
     tree = CubeTree.from_leaves(base, 1, depth,
                                 paths or [(rng.choice(keys),) * depth])
     for w in range(depth + 1):
-        side = base**w
-        # the whole level and beyond it on both sides, then random windows
-        windows = [(-2, side + 1, apart, skip) for apart in (0, 1, side)
-                   for skip in (None, 0, side // 2)]
+        side, corners = base**w, leaf_corners(tree, w)
+        # anchors off the lattice: outside the level, or a missing corner
+        off = [(-2,), (side + 1,), *sorted(
+            {(v,) for v in range(side)} - set(corners))[:3]]
+        # the whole level and beyond it on both sides, then random balls
+        balls = [((side // 2,), side, apart, anchor) for apart in (0, 1, side)
+                 for anchor in [None, (0,), (side // 2,), *off]]
         for _ in range(12):
-            lo = rng.randint(-3, side + 1)
-            windows.append((lo, rng.randint(lo - 1, side + 3),
-                            rng.randint(0, side),
-                            rng.choice([None, rng.randint(-3, side + 3)])))
-        for lo, hi, apart, skip in windows:
-            assert list(tree.sweep(w, lo, hi, apart, skip)) == _listed_sweep(
-                tree, w, lo, hi, apart, skip)
+            balls.append(((rng.randint(-3, side + 3),), rng.randint(0, side),
+                          rng.randint(0, side),
+                          rng.choice([None, *off, rng.choice(corners)])))
+        for center, radius, apart, anchor in balls:
+            assert list(tree.sweep(w, center, radius, apart, anchor)) == list(
+                geometry.greedy_scan(corners, center, radius, apart, anchor))
 
 
 def test_sweep_needs_one_dimension():
     with pytest.raises(DomainError, match="d = 1"):
-        next(CubeTree.full(2, 2, 3).sweep(1, 0, 7, 0))
+        next(CubeTree.full(2, 2, 3).sweep(1, (0, 0), 7, 0))
 
 
 def test_sweep_walks_a_deep_chain_without_recursion():
@@ -316,7 +311,7 @@ def test_sweep_walks_a_deep_chain_without_recursion():
     corner = 0
     for (key,) in path:
         corner = corner * 3 + key
-    assert list(tree.sweep(3000, -1, 3**3000, 0)) == [(corner,)]
-    assert list(tree.sweep(3000, 0, corner - 1, 0)) == []
-    assert list(tree.sweep(3000, corner + 1, 3**3000, 0)) == []
-    assert list(tree.sweep(3000, 0, 3**3000, 1, corner)) == []
+    assert list(tree.sweep(3000, (0,), 3**3000, 0)) == [(corner,)]
+    assert list(tree.sweep(3000, (0,), corner - 1, 0)) == []
+    assert list(tree.sweep(3000, (3**3000,), 3**3000 - corner - 1, 0)) == []
+    assert list(tree.sweep(3000, (0,), 3**3000, 1, (corner,))) == []

@@ -15,8 +15,7 @@ from badicdim import extract_lower, geometry
 from badicdim.core import CubeTree, DomainError, corners_tree, leaf_corners
 from badicdim.estimators import _log_ratio
 from badicdim.exactmath import ScaledPower, floor_lambda, iroot, power_cmp
-from badicdim.extract_lower import (BallTree, LowerParams,
-                                    _pick_1d, _tree_lattice,
+from badicdim.extract_lower import (BallTree, LowerParams, _tree_lattice,
                                     construct_subset_lower,
                                     select_packing_children,
                                     verify_lower_bounds)
@@ -245,15 +244,16 @@ def test_select_packing_children_2d_picks_inside_the_nested_ball():
     # the lattice 0..7 on each axis: the inside ball of radius 3 holds
     # (0, 0), which comes first, but only the nested ball's points, at
     # distance <= 1 from the anchor, may be picked
-    lattice = leaf_corners(CubeTree.full(2, 2, 3))
-    assert select_packing_children(lattice, (3, 3), geometry.Level(3, 0, 1),
+    query = partial(geometry.greedy_scan, leaf_corners(CubeTree.full(2, 2, 3)))
+    assert select_packing_children(query, (3, 3), geometry.Level(3, 0, 1),
                                    4) == [(3, 3), (2, 2), (2, 3), (2, 4)]
 
 
 @pytest.mark.parametrize("query, center", [
     (partial(CubeTree.from_leaves(4, 1, 1, [((0,),), ((2,),)]).sweep, 1),
      (1,)),
-    (leaf_corners(CubeTree.full(2, 2, 2)), (1, 4))])
+    (partial(geometry.greedy_scan, leaf_corners(CubeTree.full(2, 2, 2))),
+     (1, 4))])
 def test_select_packing_children_refuses_an_anchor_off_the_lattice(query,
                                                                    center):
     # in d = 1 the corners are 0 and 2; in d = 2 the lattice is 0..3 on
@@ -270,33 +270,71 @@ def test_construct_refuses_a_point_set():
         construct_subset_lower(points, LowerParams(Fraction(1, 2), 2, 0))
 
 
-def _plain_scan_picks(pts, center, lv, M):
-    """The d = 1 picks of `select_packing_children` as a plain scan: up
-    to M points of the nested ball, the anchor first, each more than
-    `apart` from every point picked before it."""
-    chosen = [center]
+def _plain_scan(pts, center, radius, apart, chosen):
+    """`chosen` extended by each point of `pts` within `radius` of
+    `center`, in sorted order, more than `apart` from every point chosen
+    before it."""
     for p in sorted(pts):
-        if len(chosen) < M and p != center and geometry.dist_inf(
-                p, center) <= lv.nested and all(
-                geometry.dist_inf(p, q) > lv.apart for q in chosen):
+        if geometry.dist_inf(p, center) <= radius and all(
+                geometry.dist_inf(p, q) > apart for q in chosen):
             chosen.append(p)
     return chosen
 
 
+def _plain_select(pts, center, lv, M):
+    """`select_packing_children` as plain scans of the listed points in
+    any dimension: the picks, or the error text."""
+    need = M + 3**len(center)
+    if center not in pts:
+        return "anchor center must belong to the point set"
+    achieved = len(_plain_scan(pts, center, lv.inside, lv.apart, []))
+    if achieved < need:
+        return f"insufficient packing: need >= {need}, achieved {achieved}"
+    chosen = _plain_scan(pts, center, lv.nested, lv.apart, [center])[:M]
+    if len(chosen) < M:
+        return f"insufficient packing: selected only {len(chosen)} of {M}"
+    return chosen
+
+
+def _selected(query, center, lv, M):
+    try:
+        return select_packing_children(query, center, lv, M)
+    except DomainError as exc:
+        return str(exc)
+
+
 @settings(max_examples=300, deadline=None)
 @given(st.lists(st.integers(0, 80), min_size=1, max_size=60), st.data(),
-       st.integers(0, 6), st.integers(0, 40), st.integers(1, 8))
+       st.integers(0, 6), st.integers(0, 40), st.integers(0, 40),
+       st.integers(1, 8))
 def test_select_packing_children_1d_matches_plain_scan(values, data, apart,
-                                                       nested, M):
+                                                       nested, more, M):
     # the values are the corners of a base-3 depth-4 tree's leaves
     values = sorted(set(values))
     tree = CubeTree.from_leaves(3, 1, 4, [
         tuple((v // 3**i % 3,) for i in (3, 2, 1, 0)) for v in values])
     pts = [(v,) for v in values]
-    center = data.draw(st.sampled_from(pts))
-    lv = geometry.Level(nested, apart, nested)
-    assert _pick_1d(partial(tree.sweep, 4), center, lv,
-                    M) == _plain_scan_picks(pts, center, lv, M)
+    center = data.draw(st.sampled_from(pts + [(81,)]))
+    lv = geometry.Level(nested + more, apart, nested)
+    assert _selected(partial(tree.sweep, 4), center, lv,
+                     M) == _plain_select(pts, center, lv, M)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from([2, 3]), st.integers(0, 10**6),
+       st.sampled_from([1.0, 0.7, 0.4]), st.integers(0, 2),
+       st.integers(0, 5), st.integers(0, 3), st.integers(1, 6))
+def test_select_packing_children_nd_matches_plain_scan(d, seed, keep, apart,
+                                                       nested, more, M):
+    # random points of the grid 0..6 in d = 2, 0..4 in d = 3, scanned
+    # by the listed query (`geometry.greedy_scan`)
+    rng = random.Random(seed)
+    grid = itertools.product(range(7 if d == 2 else 5), repeat=d)
+    pts = [p for p in grid if rng.random() < keep] or [(0,) * d]
+    center = rng.choice(pts + [(1,) * (d - 1) + (-1,)])
+    lv = geometry.Level(nested + more, apart, nested)
+    assert _selected(partial(geometry.greedy_scan, pts), center, lv,
+                     M) == _plain_select(pts, center, lv, M)
 
 
 def test_construct_depth0():
@@ -728,7 +766,7 @@ def _per_row_verification(tree):
             lv = geometry.Level(inside[j], apart[j + k])
             for w in leaf_words:
                 x = lattice[w]
-                local = geometry.ball_points(ordered, x, lv.inside)
+                local = list(geometry.ball_points(ordered, x, lv.inside))
                 if tree.dim == 1 or \
                         len(local) <= geometry.EXACT_PACKING_LIMIT:
                     n_star = geometry.exact_packing(local, x, lv)
@@ -879,15 +917,14 @@ def _listed_lower(tree, params):
         next_words = []
         for word in words:
             x = centers[word]
-            local = geometry.ball_points(pts, x, lv.inside)
+            local = list(geometry.ball_points(pts, x, lv.inside))
             where = f"at word {word or '(root)'}: insufficient packing"
             achieved = len(geometry.greedy_packing(local, x, lv))
             if d == 1:
                 chosen = _listed_pick_1d(local, x, lv, M)
             else:
-                chosen = geometry.greedy_scan(
-                    geometry.ball_points(local, x, lv.nested), lv.apart,
-                    [x], M)
+                chosen = [x, *itertools.islice(geometry.greedy_scan(
+                    local, x, lv.nested, lv.apart, x), M - 1)]
             if achieved < M + 3**d:
                 return f"{where}: need >= {M + 3**d}, achieved {achieved}"
             if len(chosen) < M:

@@ -31,7 +31,7 @@ def test_ball_predicates():
     assert geometry.dist_inf((0, 0), (1, 2)) == 2
     assert _balls_disjoint((0,), (1,), Fraction(1, 4))
     assert not _balls_disjoint((0,), (1,), H)  # touching = joint
-    assert geometry.ball_points([(0,), (1,)], (H,), H) == [(0,), (1,)]
+    assert list(geometry.ball_points([(0,), (1,)], (H,), H)) == [(0,), (1,)]
 
 
 def test_greedy_packing_examples():

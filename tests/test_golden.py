@@ -93,6 +93,13 @@ CASES = {
         FULL2, "extract assouad --alpha 1/2 --eps 1/4 --M 16 --stages 2 "
         "--in f.bdt --out s.bdt --trace t.tsv"],
         "0108e94bfe054a4edfa7024307e22e87622621ed77b0ea3bd14e25eaad368999"),
+    # M = 2^3 does not divide the depth 10: the written set is padded
+    # down to the source's depth, a subset of it
+    "extract-assouad-M-pads-to-depth": ({}, [
+        "gen random-branching --base 2 --depth 10 --max-children 2 --seed 3 "
+        "--out r.bdt", "extract assouad --alpha 1/3 --eps 1/3 --M 8 "
+        "--stages 1 --in r.bdt --out s.bdt"],
+        "e72dce1d256bac0bfa6dd41468541a6de17198991c75b6706faed5c308af63c1"),
     "extract-assouad-random": ({}, [
         FULL2, "extract assouad --alpha 1/2 --eps 1/4 --M 16 --stages 2 "
         "--strategy random:3 --in f.bdt --out a.bdt",

@@ -1,11 +1,13 @@
 """No module of the package imports a name it never uses, defines a
 function, class or constant that nothing reads or exports, calls `id`,
 imports anything beyond the standard library or holds a tolerance-sized
-float literal, and a CLI run loads no `dataclasses`, `inspect`, `ast` or
-`dis`.  Only the standard library's `ast` is needed, so the gates run
-wherever the tests do."""
+float literal, every module parses under the grammar of the oldest
+Python that `pyproject.toml` declares, and a CLI run loads no
+`dataclasses`, `inspect`, `ast` or `dis`.  Only the standard library's
+`ast` is needed, so the gates run wherever the tests do."""
 
 import ast
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -187,6 +189,37 @@ def test_gate_finds_tolerance_literals():
               "x = 1e-6, 10 ** -9, '1e-9', 1j * 1e-12\n")
     assert tiny_floats(source) == ["line 1: 1e-09", "line 3: 5e-07",
                                    "line 4: 1e-12"]
+
+
+FLOOR = tuple(map(int, re.search(
+    r'requires-python = ">=(\d+)\.(\d+)"',
+    (Path(__file__).parents[1] / "pyproject.toml").read_text()).groups()))
+
+
+def newer_syntax(source: str, version: tuple = FLOOR) -> list:
+    """The syntax error of `source` under the grammar of Python `version`
+    (by default the declared floor), if it has one: a module that only a
+    later Python parses fails to import on the floor, and no installed
+    interpreter need be that old to see it."""
+    try:
+        ast.parse(source, feature_version=version)
+    except SyntaxError as exc:
+        return [f"line {exc.lineno}: {exc.msg}"]
+    return []
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_module_parses_on_the_declared_floor(path):
+    assert newer_syntax(path.read_text()) == []
+
+
+def test_syntax_gate_finds_exception_groups():
+    source = ("def f():\n    try:\n        pass\n"
+              "    except* ValueError:\n        pass\n")
+    assert FLOOR == (3, 10) and newer_syntax("x = (*a, *b)\n") == []
+    assert len(newer_syntax(source)) == 1
+    if sys.version_info >= (3, 11):  # a later Python parses it as its own
+        assert newer_syntax(source, (3, 11)) == []
 
 
 RUN_EXTRACT_LOWER = """

@@ -324,6 +324,26 @@ def test_deep_branching_file_reads_in_memory_of_its_size():
     assert peak < 8 * len(text), peak / len(text)
 
 
+def test_many_short_lines_are_checked_in_memory_of_their_size():
+    """`full(16, 2, 2)`: 65,536 lines of 5 characters.  Their check holds
+    about one copy of the text; a regex that repeats a group per line
+    held 70 times it.  The whole read stays under 32 times the file: the
+    check no longer dominates it, while one string per line and the
+    sort of the interleaved rows do (a regex check peaked at 85 times)."""
+    text = write_bdt(CubeTree.full(16, 2, 2))
+    rows = "\n" + text.split("\n", 1)[1].rstrip("\n")
+    peaks = []
+    for check in (lambda: core._rows_ok(rows, DIGITS[:16], 2, 2),
+                  lambda: read_bdt(text)):
+        tracemalloc.start()
+        try:
+            assert check()
+            peaks.append(tracemalloc.get_traced_memory()[1] / len(text))
+        finally:
+            tracemalloc.stop()
+    assert peaks[0] < 8 and peaks[1] < 32, peaks
+
+
 def test_bases_up_to_36_write_letters_and_round_trip():
     assert write_bdt(CubeTree.full(36, 1, 1)).splitlines()[1:] == list(DIGITS)
     tree = random_branching_tree(16, 2, 3, 40, 1)
